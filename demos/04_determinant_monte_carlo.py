@@ -2,7 +2,7 @@
 
 The expectation formula reduces every shape to the mean absolute
 determinant of a Gaussian matrix whose entry variances are the
-column-expanded degrees.  The estimator runs on counter-keyed streams:
+column-expanded degrees.  The estimator runs on block-keyed streams:
 the result is a pure function of (seed, samples) and is bitwise identical
 for any worker count, so closed-form comparisons replay exactly.
 """

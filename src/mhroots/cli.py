@@ -5,7 +5,8 @@ Subcommands: ``bkk``, ``expect``, ``bounds``, ``mc-det``, ``simulate``,
 ``{"block_sizes": [...], "degrees": [[...], ...]}``.  Reports are JSON on
 stdout (schema version 1); per-sample or per-check CSV goes to ``--dump``.
 Exit codes: 0 ok, 2 invalid input, 3 resource cap exceeded, 4 verification
-failure.  The environment variable MHROOTS_THREADS overrides ``--workers``.
+failure.  The environment variable MHROOTS_THREADS overrides ``--workers``;
+either must be a positive integer.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .empirical import (
     DEGENERATE_TOL,
     INFINITY_TOL,
     UnsupportedFamilyError,
-    empirical_expectation,
+    count_mean,
     sample_counts,
 )
 from .expectation import (
@@ -34,7 +35,13 @@ from .expectation import (
     expectation,
     row_recursion_check,
 )
-from .gaussian import abs_det_closed_standard, mc_abs_det, variance_profile
+from .gaussian import (
+    SampleCountError,
+    abs_det_closed_standard,
+    check_samples,
+    mc_abs_det,
+    variance_profile,
+)
 from .permanent import MatrixTooLargeError
 from .shape import ShapeError, ShapeSpec, SupportTooLargeError, from_json
 
@@ -42,6 +49,10 @@ EXIT_OK = 0
 EXIT_BAD_INPUT = 2
 EXIT_TOO_LARGE = 3
 EXIT_VERIFY_FAIL = 4
+
+
+class InvalidInputError(ValueError):
+    """A command-line or environment value outside its accepted range."""
 
 
 def _load_shape(path: str) -> ShapeSpec:
@@ -99,7 +110,7 @@ def _report(args, subcommand: str, spec: ShapeSpec | None, results: dict, t0: fl
         "shape": spec.to_json() if spec is not None else None,
         "seed": getattr(args, "seed", None),
         "samples": getattr(args, "samples", None),
-        "workers": _workers(args),
+        "workers": args.workers,
         "tolerances": _tolerances(args),
         "results": results,
         "wall_time_s": time.perf_counter() - t0,
@@ -111,10 +122,15 @@ def _emit(report: dict) -> None:
 
 
 def _workers(args) -> int:
+    """MHROOTS_THREADS when set, else ``--workers``; a positive integer."""
     env = os.environ.get("MHROOTS_THREADS")
-    if env:
-        return max(1, int(env))
-    return max(1, getattr(args, "workers", 1))
+    if not env:
+        if args.workers < 1:
+            raise InvalidInputError(f"--workers must be at least 1, got {args.workers}")
+        return args.workers
+    if not (env.isdecimal() and int(env) >= 1):
+        raise InvalidInputError(f"MHROOTS_THREADS must be a positive integer, got {env!r}")
+    return int(env)
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
@@ -144,7 +160,7 @@ def cmd_bkk(args) -> int:
 def cmd_expect(args) -> int:
     t0 = time.perf_counter()
     spec = _load_shape(args.shape)
-    res = expectation(spec, args.samples, args.seed, _workers(args))
+    res = expectation(spec, args.samples, args.seed, args.workers)
     _emit(_report(args, "expect", spec, {"expectation": _expectation_json(res)}, t0))
     return EXIT_OK
 
@@ -152,7 +168,7 @@ def cmd_expect(args) -> int:
 def cmd_bounds(args) -> int:
     t0 = time.perf_counter()
     spec = _load_shape(args.shape)
-    rep = bounds(spec, args.samples, args.seed, _workers(args))
+    rep = bounds(spec, args.samples, args.seed, args.workers)
     results = {
         "upper": {"value": rep.upper, "provenance": "exact"},
         "lower": {"value": rep.lower, "provenance": "exact"},
@@ -173,7 +189,7 @@ def cmd_bounds(args) -> int:
 def cmd_mc_det(args) -> int:
     t0 = time.perf_counter()
     spec = _load_shape(args.shape)
-    est = mc_abs_det(variance_profile(spec), args.samples, args.seed, _workers(args))
+    est = mc_abs_det(variance_profile(spec), args.samples, args.seed, args.workers)
     _emit(_report(args, "mc-det", spec, {"mean_abs_det": _mc_json(est)}, t0))
     return EXIT_OK
 
@@ -181,8 +197,9 @@ def cmd_mc_det(args) -> int:
 def cmd_simulate(args) -> int:
     t0 = time.perf_counter()
     spec = _load_shape(args.shape)
-    est = empirical_expectation(spec, args.samples, args.seed)
+    check_samples(args.samples)
     counts, flags = sample_counts(spec, args.samples, args.seed, tau=args.tau_imag)
+    est = count_mean(counts, args.seed)
     results = {
         "mean_roots": _mc_json(est),
         "flagged_samples": len(flags),
@@ -204,7 +221,7 @@ def cmd_simulate(args) -> int:
 def _verify_checks(args):
     """One dict per check; status PASS, WARN (an MC miss), or FAIL."""
     mult = args.stderr_mult
-    workers = _workers(args)
+    workers = args.workers
 
     def line(check, index, status, detail):
         return {"check": check, "index": index, "status": status, "detail": detail}
@@ -357,8 +374,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        args.workers = _workers(args)
         return args.func(args)
-    except (ShapeError, UnsupportedFamilyError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (
+        ShapeError,
+        UnsupportedFamilyError,
+        SampleCountError,
+        InvalidInputError,
+        FileNotFoundError,
+        json.JSONDecodeError,
+    ) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except (MatrixTooLargeError, SupportTooLargeError) as exc:

@@ -1,7 +1,8 @@
 """Deterministic random shape corpora for batch verification.
 
-Every shape is a pure function of (seed, index), built on the same
-counter-keyed streams as the samplers, so verification runs replay exactly.
+Every shape is a pure function of (seed, index), built on the
+counter-hashed uniform stream of ``rng``, so verification runs replay
+exactly.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .gaussian import MCEstimate
+from .gaussian import MCEstimate, check_samples
 from .shape import (
     ShapeSpec,
     SupportTooLargeError,
@@ -32,7 +32,6 @@ from .shape import (
 IMAG_TOL = 1e-8
 INFINITY_TOL = 1e-12
 DEGENERATE_TOL = 1e-12
-BATCH = 1 << 16
 
 
 class ZeroPolynomialError(ValueError):
@@ -75,7 +74,8 @@ def _coefficient_batch(spec: ShapeSpec, seed: int, start: int, count: int) -> li
     """Per-equation coefficient arrays of shape (count, size_i)."""
     sizes, offsets, sigma = _coefficient_layout(spec)
     total = int(offsets[-1])
-    z = rng.normals(seed, start, count, total) * sigma[None, :]
+    z = rng.normals(seed, start, count, total)
+    z *= sigma
     return [z[:, offsets[i] : offsets[i + 1]] for i in range(spec.n)]
 
 
@@ -380,8 +380,8 @@ def sample_counts(
     counters = [c for c in comps if c.kind in ("univariate", "bilinear")]
     counts = np.ones(samples, dtype=np.int64)
     flags: dict[int, tuple[str, ...]] = {}
-    for start in range(0, samples, BATCH):
-        size = min(BATCH, samples - start)
+    width = sum(support_size(spec, i) for i in range(1, spec.n + 1))
+    for start, size in rng.batches(samples, width):
         batch = _coefficient_batch(spec, seed, start, size)
         for comp in counters:
             if comp.kind == "univariate":
@@ -402,15 +402,20 @@ def sample_counts(
     return counts, flags
 
 
+def count_mean(counts: np.ndarray, seed: int, elapsed: float = 0.0) -> MCEstimate:
+    """Mean root count of the per-sample ``counts`` (at least two) with its
+    standard error."""
+    samples = counts.shape[0]
+    var = float(counts.var(ddof=1))
+    return MCEstimate(float(counts.mean()), math.sqrt(var / samples), samples, seed, elapsed)
+
+
 def empirical_expectation(spec: ShapeSpec, samples: int, seed: int) -> MCEstimate:
     """Monte Carlo mean real-root count over actual sampled systems."""
-    if samples < 2:
-        raise ValueError(f"need at least 2 samples, got {samples}")
+    check_samples(samples)
     t0 = time.perf_counter()
     counts, _ = sample_counts(spec, samples, seed)
-    mean = float(counts.mean())
-    var = float(counts.var(ddof=1))
-    return MCEstimate(mean, math.sqrt(var / samples), samples, seed, time.perf_counter() - t0)
+    return count_mean(counts, seed, time.perf_counter() - t0)
 
 
 @dataclass(frozen=True)
@@ -442,9 +447,9 @@ def uniformity_check(
     d = spec.degrees[0][0]
     sigma = np.sqrt(support_variances(spec, 1)) if invariant_weights else np.ones(d + 1)
     angles_parts = []
-    for start in range(0, samples, BATCH):
-        size = min(BATCH, samples - start)
-        coeffs = rng.normals(seed, start, size, d + 1) * sigma[None, :]
+    for start, size in rng.batches(samples, d + 1):
+        coeffs = rng.normals(seed, start, size, d + 1)
+        coeffs *= sigma
         _, _, angles = _batch_univariate(coeffs, want_angles=True)
         angles_parts.append(angles)
     angles = np.concatenate(angles_parts)

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .bkk import bkk_count, is_simply_reducible, product_split
 from .gaussian import MCEstimate, mc_abs_det, variance_profile
-from .permanent import permanent_float
+from .permanent import has_zero_block, permanent_float
 from .shape import ShapeSpec, expand_delta, validate
 from .specialfn import SQRT_PI, gamma_half
 
@@ -210,6 +210,16 @@ def scaling_factor(d, e, block_sizes) -> float:
     return math.sqrt(prod)
 
 
+def _generic_count_is_zero(spec: ShapeSpec) -> bool:
+    """Whether the generic complex-root count vanishes.
+
+    It is the permanent of the nonnegative expanded degree matrix over
+    prod_j n_j!, so it vanishes exactly when the matrix's support has no
+    perfect matching.
+    """
+    return has_zero_block((expand_delta(spec) > 0).astype(int))[0]
+
+
 def _zero_result(spec: ShapeSpec) -> ExpectationResult:
     return ExpectationResult(0.0, "zero", prefactor(spec))
 
@@ -248,7 +258,7 @@ def expectation(
     cf = closed_form(spec)
     if cf is not None:
         return ExpectationResult(cf.value, "closed_form", prefactor(spec), closed=cf)
-    if bkk_count(spec) == 0:
+    if _generic_count_is_zero(spec):
         return _zero_result(spec)
     pf = prefactor(spec)
     mc = mc_abs_det(variance_profile(spec), samples, seed, workers)
@@ -327,7 +337,7 @@ def row_recursion_check(
         lower_sq += dij * res.value**2
         var_upper += dij * res.stderr**2
         lower_grad_sq += (dij * res.value * res.stderr) ** 2
-        if bkk_count(sub) > 0:
+        if not _generic_count_is_zero(sub):
             contributing += 1
     lower = math.sqrt(lower_sq)
     lower_stderr = math.sqrt(lower_grad_sq) / lower if lower > 0 else 0.0

@@ -3,16 +3,16 @@
 The random matrix attached to a shape has independent mean-zero normal
 entries whose variance in column group j is the degree of the row's equation
 in block j.  The Monte Carlo mean of |det| over such draws is the kernel of
-the expected-root-count formula; it is estimated here with counter-keyed
-streams so that the result is a pure function of (seed, samples), bitwise
-independent of the worker count.
+the expected-root-count formula.  Sample i of an estimate is row i of the
+block-keyed normal stream of ``rng.normals``, so the result is a pure
+function of (seed, samples), bitwise independent of the worker count, and
+``sample_matrix(var, seed, i)`` replays sample i of any run.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +22,17 @@ from .permanent import permanent_float
 from .shape import ShapeSpec, expand_delta
 from .specialfn import SQRT_PI, gamma_half
 
-BATCH = 1 << 16
 LOGDET_DIM = 40
+
+
+class SampleCountError(ValueError):
+    """A Monte Carlo estimate asked for fewer than two samples."""
+
+
+def check_samples(samples: int) -> None:
+    """Raise SampleCountError unless ``samples`` allows a standard error."""
+    if samples < 2:
+        raise SampleCountError(f"need at least 2 samples, got {samples}")
 
 
 @dataclass(frozen=True)
@@ -62,15 +71,10 @@ def sample_matrix(variances, seed: int, index: int = 0) -> np.ndarray:
     return z * np.sqrt(arr)
 
 
-def _batch_indices(samples: int):
-    return range((samples + BATCH - 1) // BATCH)
-
-
-def _batch_absdet_moments(sigma_flat: np.ndarray, n: int, seed: int, b: int, samples: int):
-    start = b * BATCH
-    count = min(BATCH, samples - start)
+def _batch_absdet_moments(sigma_flat: np.ndarray, n: int, seed: int, start: int, count: int):
     z = rng.normals(seed, start, count, n * n)
-    mats = (z * sigma_flat[None, :]).reshape(count, n, n)
+    z *= sigma_flat
+    mats = z.reshape(count, n, n)
     if n <= LOGDET_DIM:
         a = np.abs(np.linalg.det(mats))
         return count, float(a.sum()), float((a * a).sum()), None
@@ -83,30 +87,30 @@ def mc_abs_det(variances, samples: int, seed: int, workers: int = 1) -> MCEstima
     """Monte Carlo mean of |det| of the structured Gaussian matrix.
 
     The estimate depends only on (seed, samples): the sample range is cut
-    into fixed-size batches whose partial sums are folded in batch order, so
-    any worker count gives bitwise identical results.  Determinants use
-    pivoted triangular factorization; above dimension 40 the batch moments
-    are accumulated in the log domain.
+    into the batches of ``rng.batches``, whose size depends only on n, and
+    their partial sums are folded in batch order, so any worker count gives
+    bitwise identical results.  Determinants use pivoted triangular
+    factorization; above dimension 40 the batch moments are accumulated in
+    the log domain.
     """
     arr = _check_profile(variances)
-    if samples < 2:
-        raise ValueError(f"need at least 2 samples, got {samples}")
+    check_samples(samples)
     n = arr.shape[0]
     t0 = time.perf_counter()
     if n == 0:
         return MCEstimate(1.0, 0.0, samples, seed, time.perf_counter() - t0)
     sigma_flat = np.sqrt(arr).ravel()
-    batches = list(_batch_indices(samples))
+    batches = rng.batches(samples, n * n)
     if workers > 1 and len(batches) > 1:
+        # imported here: it adds about 7 ms to every start-up that needs no pool
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(
-                pool.map(
-                    lambda b: _batch_absdet_moments(sigma_flat, n, seed, b, samples),
-                    batches,
-                )
+                pool.map(lambda b: _batch_absdet_moments(sigma_flat, n, seed, *b), batches)
             )
     else:
-        results = [_batch_absdet_moments(sigma_flat, n, seed, b, samples) for b in batches]
+        results = [_batch_absdet_moments(sigma_flat, n, seed, *b) for b in batches]
 
     if n <= LOGDET_DIM:
         total = 0

@@ -1,10 +1,21 @@
-"""Deterministic counter-keyed random streams.
+"""Deterministic random streams addressed by sample index.
 
-Each draw is addressed by a global counter g = sample_index * draws_per_sample
-+ draw_index and hashed through a keyed splitmix64-style finalizer, so any
-partition of the sample range over workers reproduces the identical stream.
-Normal variates use Box-Muller on consecutive counter pairs (no rejection
-steps), keeping the per-sample draw count fixed.
+Uniforms (``uniforms``, ``integers``; they feed the shape corpora) address
+each draw by a global counter g = sample_index * draws_per_sample +
+draw_index, hashed through a keyed splitmix64-style finalizer.
+
+Normals (``normals``; they feed every Monte Carlo estimator) come from
+numpy's Philox counter generator (Salmon et al., SC'11) with its ziggurat
+``standard_normal`` (Marsaglia & Tsang, JSS 2000).  The sample range is cut
+into blocks of SAMPLE_BLOCK rows; block b is drawn, row after row, from
+Philox keyed by (seed, b).  So any range of rows is a pure function of
+(seed, row, count), whatever partition of the range over workers or
+batches produced it.  SAMPLE_BLOCK is part of the stream contract, and the
+values are pinned to the installed numpy's ziggurat.
+
+``batches`` is the one batching policy of the samplers: batches are whole
+blocks, bounded by an element budget so that peak memory stays flat in the
+per-sample draw count.
 """
 
 from __future__ import annotations
@@ -15,6 +26,12 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _MASK64 = (1 << 64) - 1
+
+# Stream contract: rows per Philox key.  Changing it changes every normal.
+SAMPLE_BLOCK = 1024
+# Batching policy: draws per batch, and samples per batch at most.
+BATCH_ELEMENTS = 1 << 22
+MAX_BATCH = 1 << 16
 
 
 def _mix(x: np.ndarray) -> np.ndarray:
@@ -41,23 +58,47 @@ def uniforms(seed: int, first_sample: int, n_samples: int, draws: int) -> np.nda
 
 
 def normals(seed: int, first_sample: int, n_samples: int, count: int) -> np.ndarray:
-    """(n_samples, count) standard normals via Box-Muller on the counter stream.
+    """(n_samples, count) standard normals for sample rows first_sample onward.
 
-    Every sample consumes exactly 2 * ceil(count / 2) uniforms regardless of
-    content, so streams never shift.
+    Row r is row r % SAMPLE_BLOCK of its block's stream.  Whole blocks are
+    drawn straight into the result; a partial first block is drawn up to the
+    last row needed (ziggurat rejection gives no skip-ahead) and sliced.
     """
+    out = np.empty((n_samples, count), dtype=np.float64)
     if count == 0:
-        return np.zeros((n_samples, 0), dtype=np.float64)
-    pairs = (count + 1) // 2
-    u = uniforms(seed, first_sample, n_samples, 2 * pairs)
-    u1 = u[:, 0::2]
-    u2 = u[:, 1::2]
-    r = np.sqrt(-2.0 * np.log(u1))
-    theta = (2.0 * np.pi) * u2
-    out = np.empty((n_samples, 2 * pairs), dtype=np.float64)
-    out[:, 0::2] = r * np.cos(theta)
-    out[:, 1::2] = r * np.sin(theta)
-    return out[:, :count]
+        return out
+    seed64 = int(seed) & _MASK64
+    row = int(first_sample)
+    end = row + n_samples
+    pos = 0
+    while row < end:
+        block, offset = divmod(row, SAMPLE_BLOCK)
+        take = min(SAMPLE_BLOCK - offset, end - row)
+        # a 128-bit integer key is the word pair [seed64, block]
+        gen = np.random.Generator(np.random.Philox(key=seed64 | block << 64))
+        if offset == 0:
+            gen.standard_normal(out=out[pos : pos + take])
+        else:
+            out[pos : pos + take] = gen.standard_normal((offset + take, count))[offset:]
+        row += take
+        pos += take
+    return out
+
+
+def batch_size(count: int) -> int:
+    """Samples per batch for samples of ``count`` draws each.
+
+    At most MAX_BATCH samples and about BATCH_ELEMENTS draws, a whole number
+    of blocks, and never less than one block.
+    """
+    size = min(MAX_BATCH, max(SAMPLE_BLOCK, BATCH_ELEMENTS // max(count, 1)))
+    return size - size % SAMPLE_BLOCK
+
+
+def batches(samples: int, count: int) -> list[tuple[int, int]]:
+    """(first sample, sample count) of each batch covering ``samples`` samples."""
+    size = batch_size(count)
+    return [(start, min(size, samples - start)) for start in range(0, samples, size)]
 
 
 def integers(seed: int, first_sample: int, n_samples: int, draws: int, bound: int) -> np.ndarray:

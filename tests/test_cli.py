@@ -123,6 +123,24 @@ class TestSimulateCommand:
         assert all(row[1] in {"0", "1", "2"} for row in rows[1:])
 
 
+    def test_single_draw_reports_dumped_counts_at_tau(self, tmp_path, capsys):
+        # with an imaginary-part tolerance of 1e3 every root of a quartic
+        # counts as real, so each sample reports exactly 4 roots
+        shape = _write_shape(tmp_path, QUARTIC)
+        means = {}
+        for tau in ("1e-8", "1e3"):
+            dump = tmp_path / f"counts-{tau}.csv"
+            argv = ["simulate", shape, "--samples", "3000", "--seed", "8", "--dump", str(dump)]
+            code, rep = _run(capsys, argv + ["--tau-imag", tau])
+            assert code == 0
+            with open(dump, newline="") as fh:
+                counts = [int(row[1]) for row in list(csv.reader(fh))[1:]]
+            means[tau] = rep["results"]["mean_roots"]["mean"]
+            assert means[tau] == sum(counts) / len(counts)
+        assert means["1e3"] == 4.0
+        assert means["1e-8"] < 3.0
+
+
 class TestExitCodes:
     def test_invalid_json(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -139,6 +157,31 @@ class TestExitCodes:
     def test_resource_cap(self, tmp_path, capsys):
         big = {"block_sizes": [40], "degrees": [[1]] * 40}
         assert main(["bounds", _write_shape(tmp_path, big)]) == 3
+
+    @pytest.mark.parametrize(
+        "command, shape, samples",
+        [
+            ("expect", MIXED, "0"),
+            ("expect", MIXED, "1"),
+            ("mc-det", BILINEAR, "1"),
+            ("simulate", BILINEAR, "0"),
+            ("simulate", BILINEAR, "1"),
+        ],
+    )
+    def test_too_few_samples(self, tmp_path, capsys, command, shape, samples):
+        code = main([command, _write_shape(tmp_path, shape), "--samples", samples])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("invalid input: need at least 2 samples")
+
+    def test_non_integer_threads_env(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("MHROOTS_THREADS", "abc")
+        assert main(["expect", _write_shape(tmp_path, MIXED), "--samples", "100"]) == 2
+        assert capsys.readouterr().err.startswith("invalid input: MHROOTS_THREADS")
+
+    def test_zero_workers(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("MHROOTS_THREADS", raising=False)
+        assert main(["expect", _write_shape(tmp_path, MIXED), "--workers", "0"]) == 2
+        assert capsys.readouterr().err.startswith("invalid input: --workers")
 
 
 class TestReportContract:

@@ -56,6 +56,12 @@ class TestSampling:
         b = sample_system(UNI4, seed=1, index=1)
         assert not np.allclose(a.coefficients[0], b.coefficients[0])
 
+    def test_sample_system_replays_the_counted_system(self):
+        counts, _ = sample_counts(UNI4, 3000, seed=4)
+        for index in (0, rng.SAMPLE_BLOCK + 3, 2999):
+            sample = sample_system(UNI4, seed=4, index=index)
+            assert count_real_roots_univariate(sample)[0] == counts[index]
+
 
 class TestEvaluate:
     def test_zero_coefficients(self):

@@ -75,6 +75,33 @@ class TestMonteCarlo:
         assert runs[0].mean == runs[1].mean == runs[2].mean
         assert runs[0].stderr == runs[1].stderr == runs[2].stderr
 
+    def test_bitwise_determinism_across_workers_several_batches(self):
+        n = 10
+        var = np.arange(1.0, n * n + 1).reshape(n, n) % 4
+        samples = 100_000
+        assert len(rng.batches(samples, n * n)) >= 3
+        runs = [mc_abs_det(var, samples, seed=19, workers=w) for w in (1, 2, 8)]
+        assert runs[0].mean == runs[1].mean == runs[2].mean
+        assert runs[0].stderr == runs[1].stderr == runs[2].stderr
+
+    def test_sample_matrix_replays_the_estimator_draw(self, monkeypatch):
+        n = 3
+        var = np.array([[1.0, 2.0, 0.0], [3.0, 1.0, 1.0], [2.0, 2.0, 4.0]])
+        drawn = {}
+        normals = rng.normals
+
+        def recording(seed, first, count, width):
+            z = normals(seed, first, count, width)
+            drawn.update((first + r, z[r].copy()) for r in range(count))
+            return z
+
+        monkeypatch.setattr(rng, "normals", recording)
+        mc_abs_det(var, 3000, seed=23)
+        monkeypatch.undo()
+        for index in (0, rng.SAMPLE_BLOCK + 5, 2999):
+            expected = drawn[index].reshape(n, n) * np.sqrt(var)
+            assert np.array_equal(sample_matrix(var, 23, index), expected)
+
     def test_row_scale_equivariance(self):
         base = mc_abs_det(np.ones((2, 2)), 200_000, seed=10)
         scaled_var = np.array([[4.0, 4.0], [1.0, 1.0]])
@@ -89,10 +116,8 @@ class TestMonteCarlo:
     def test_log_domain_path_matches_direct_computation(self, monkeypatch):
         # above dimension 40 moments accumulate in the log domain; force
         # several batches so the streaming merge is exercised too
-        import mhroots.gaussian as gaussian_mod
-
-        monkeypatch.setattr(gaussian_mod, "BATCH", 1024)
         n = 41
+        monkeypatch.setattr(rng, "BATCH_ELEMENTS", rng.SAMPLE_BLOCK * n * n)
         est = mc_abs_det(np.ones((n, n)), 4000, seed=55)
         direct = np.abs(np.linalg.det(rng.normals(55, 0, 4000, n * n).reshape(-1, n, n)))
         assert est.mean == pytest.approx(direct.mean(), rel=1e-10)

@@ -284,6 +284,10 @@ def _verify_checks(args):
 
 def cmd_verify(args) -> int:
     t0 = time.perf_counter()
+    if args.count < 0:
+        raise InvalidInputError(f"--count must be nonnegative, got {args.count}")
+    if args.n_max < 1:
+        raise InvalidInputError(f"--n-max must be at least 1, got {args.n_max}")
     checks = []
     mc_total = 0
     warns = 0

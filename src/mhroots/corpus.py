@@ -31,6 +31,12 @@ class _IntStream:
         return min(int(u * bound), bound - 1)
 
 
+def _check_max_n(max_n: int) -> None:
+    # the draw loops below look for 1 <= n <= max_n and would never end
+    if max_n < 1:
+        raise ValueError(f"max_n must be at least 1, got {max_n}")
+
+
 def random_shape(
     seed: int,
     index: int,
@@ -40,6 +46,7 @@ def random_shape(
     allow_zero_blocks: bool = True,
 ) -> ShapeSpec:
     """A random shape with at most ``max_n`` equations and degrees <= max_degree."""
+    _check_max_n(max_n)
     stream = _IntStream(seed, index * 257 + 11)
     while True:
         k = 1 + stream.next(max_blocks)
@@ -58,6 +65,7 @@ def random_rank_one_shape(
     seed: int, index: int, max_n: int = 5, max_blocks: int = 3, max_factor: int = 2
 ) -> ShapeSpec:
     """A random shape whose degree matrix factors as d_i * e_j with d, e >= 1."""
+    _check_max_n(max_n)
     stream = _IntStream(seed, index * 521 + 29)
     while True:
         k = 1 + stream.next(max_blocks)

@@ -14,11 +14,15 @@ batches produced it.  SAMPLE_BLOCK is part of the stream contract, and the
 values are pinned to the installed numpy's ziggurat.
 
 ``batches`` is the one batching policy of the samplers: batches are whole
-blocks, bounded by an element budget so that peak memory stays flat in the
-per-sample draw count.
+blocks, sized by an element budget so that peak memory stays flat in the
+per-sample draw count.  ``normal_pieces`` hands a batch's normals over in
+pieces of a smaller budget, which holds even where one block exceeds the
+batch budget.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -32,6 +36,9 @@ SAMPLE_BLOCK = 1024
 # Batching policy: draws per batch, and samples per batch at most.
 BATCH_ELEMENTS = 1 << 22
 MAX_BATCH = 1 << 16
+# Draws held at once by one piece of a batch (4 MB).  Pieces far below the
+# batch budget keep the allocator from holding two batch-sized buffers.
+PIECE_ELEMENTS = 1 << 19
 
 
 def _mix(x: np.ndarray) -> np.ndarray:
@@ -57,12 +64,31 @@ def uniforms(seed: int, first_sample: int, n_samples: int, draws: int) -> np.nda
     return ((bits >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
 
 
+def _piece_rows(count: int) -> int:
+    """Rows of ``count`` draws that fit PIECE_ELEMENTS, at least one."""
+    return max(1, PIECE_ELEMENTS // max(count, 1))
+
+
+def _block_generator(seed64: int, block: int, skip: int, count: int) -> np.random.Generator:
+    """Block ``block``'s generator, advanced past its first ``skip`` rows.
+
+    Ziggurat rejection gives no skip-ahead, so the skipped rows are drawn and
+    dropped, PIECE_ELEMENTS draws at a time.
+    """
+    # a 128-bit integer key is the word pair [seed64, block]
+    gen = np.random.Generator(np.random.Philox(key=seed64 | block << 64))
+    step = _piece_rows(count)
+    for done in range(0, skip, step):
+        gen.standard_normal((min(step, skip - done), count))
+    return gen
+
+
 def normals(seed: int, first_sample: int, n_samples: int, count: int) -> np.ndarray:
     """(n_samples, count) standard normals for sample rows first_sample onward.
 
-    Row r is row r % SAMPLE_BLOCK of its block's stream.  Whole blocks are
-    drawn straight into the result; a partial first block is drawn up to the
-    last row needed (ziggurat rejection gives no skip-ahead) and sliced.
+    Row r is row r % SAMPLE_BLOCK of its block's stream.  Each block's rows
+    are drawn straight into the result; a partial first block is drawn from
+    the block's start and the rows before ``first_sample`` are dropped.
     """
     out = np.empty((n_samples, count), dtype=np.float64)
     if count == 0:
@@ -74,22 +100,54 @@ def normals(seed: int, first_sample: int, n_samples: int, count: int) -> np.ndar
     while row < end:
         block, offset = divmod(row, SAMPLE_BLOCK)
         take = min(SAMPLE_BLOCK - offset, end - row)
-        # a 128-bit integer key is the word pair [seed64, block]
-        gen = np.random.Generator(np.random.Philox(key=seed64 | block << 64))
-        if offset == 0:
-            gen.standard_normal(out=out[pos : pos + take])
-        else:
-            out[pos : pos + take] = gen.standard_normal((offset + take, count))[offset:]
+        _block_generator(seed64, block, offset, count).standard_normal(out=out[pos : pos + take])
         row += take
         pos += take
     return out
+
+
+def normal_pieces(
+    seed: int, first_sample: int, n_samples: int, count: int, rows: int | None = None
+) -> Iterator[np.ndarray]:
+    """Yield the rows of ``normals(seed, first_sample, n_samples, count)`` in
+    order, in pieces of at most ``rows`` rows and PIECE_ELEMENTS draws.
+
+    Where a block fits that budget, a piece is a run of whole blocks (its
+    first block may start at ``first_sample``) drawn by ``normals``, and
+    ``rows`` is rounded down to whole blocks.  Where one block exceeds it,
+    each block is drawn in pieces from one generator: successive draws
+    continue its stream, so no block is drawn twice.
+    """
+    budget = _piece_rows(count)
+    rows = budget if rows is None else min(rows, budget)
+    row = int(first_sample)
+    end = row + n_samples
+    if rows >= SAMPLE_BLOCK:
+        rows -= rows % SAMPLE_BLOCK
+        while row < end:
+            stop = min(end, row - row % SAMPLE_BLOCK + rows)
+            yield normals(seed, row, stop - row, count)
+            row = stop
+        return
+    seed64 = int(seed) & _MASK64
+    while row < end:
+        block, offset = divmod(row, SAMPLE_BLOCK)
+        stop = min(end, (block + 1) * SAMPLE_BLOCK)
+        gen = _block_generator(seed64, block, offset, count)
+        for first in range(row, stop, rows):
+            piece = np.empty((min(rows, stop - first), count), dtype=np.float64)
+            gen.standard_normal(out=piece)
+            yield piece
+        row = stop
 
 
 def batch_size(count: int) -> int:
     """Samples per batch for samples of ``count`` draws each.
 
     At most MAX_BATCH samples and about BATCH_ELEMENTS draws, a whole number
-    of blocks, and never less than one block.
+    of blocks, and never less than one block.  ``normal_pieces`` holds a
+    batch's normals within PIECE_ELEMENTS at a time, even where one block
+    exceeds this budget.
     """
     size = min(MAX_BATCH, max(SAMPLE_BLOCK, BATCH_ELEMENTS // max(count, 1)))
     return size - size % SAMPLE_BLOCK

@@ -100,6 +100,8 @@ class ExponentVector:
 
 
 def _as_int(value, what: str) -> int:
+    if isinstance(value, (bool, np.bool_)):
+        raise NegativeDegreeError(f"{what} must be an integer, got {value!r}")
     try:
         out = int(value)
     except (TypeError, ValueError) as exc:
@@ -109,22 +111,34 @@ def _as_int(value, what: str) -> int:
     return out
 
 
+def _as_list(value, what: str) -> list:
+    try:
+        return list(value)
+    except TypeError as exc:
+        raise ShapeError(f"{what} must be a list, got {value!r}") from exc
+
+
 def validate(block_sizes: Sequence[int], degrees: Iterable[Sequence[int]]) -> ShapeSpec:
     """Validate raw shape input and return an immutable ShapeSpec.
 
-    Raises EmptyShapeError when k = 0, NegativeDegreeError for negative or
-    non-integral entries, and DimensionMismatchError when sum(block_sizes)
-    differs from the number of degree rows or a row has the wrong length.
+    Raises ShapeError when block_sizes, degrees or a degree row is not a
+    list, EmptyShapeError when k = 0, NegativeDegreeError for negative,
+    non-integral or boolean entries, and DimensionMismatchError when
+    sum(block_sizes) differs from the number of degree rows or a row has the
+    wrong length.
     """
-    sizes = tuple(_as_int(b, "block size") for b in block_sizes)
+    sizes = tuple(_as_int(b, "block size") for b in _as_list(block_sizes, "block_sizes"))
     if len(sizes) == 0:
         raise EmptyShapeError("at least one block is required")
     for j, b in enumerate(sizes, start=1):
         if b < 0:
             raise NegativeDegreeError(f"block {j} has negative size {b}")
     rows = []
-    for idx, row in enumerate(degrees, start=1):
-        entries = tuple(_as_int(d, f"degree ({idx},{pos})") for pos, d in enumerate(row, start=1))
+    for idx, row in enumerate(_as_list(degrees, "degrees"), start=1):
+        entries = tuple(
+            _as_int(d, f"degree ({idx},{pos})")
+            for pos, d in enumerate(_as_list(row, f"degree row {idx}"), start=1)
+        )
         if len(entries) != len(sizes):
             raise DimensionMismatchError(
                 f"degree row {idx} has {len(entries)} entries, expected k={len(sizes)}"

@@ -154,6 +154,18 @@ class TestExitCodes:
     def test_missing_file(self, capsys):
         assert main(["bkk", "/nonexistent/shape.json"]) == 2
 
+    @pytest.mark.parametrize(
+        "shape, message",
+        [
+            ({"block_sizes": [1], "degrees": [2]}, "degree row 1 must be a list"),
+            ({"block_sizes": [1], "degrees": [[True]]}, "degree (1,1) must be an integer"),
+            ({"block_sizes": [True], "degrees": [[1]]}, "block size must be an integer"),
+        ],
+    )
+    def test_malformed_shape_json(self, tmp_path, capsys, shape, message):
+        assert main(["bkk", _write_shape(tmp_path, shape)]) == 2
+        assert capsys.readouterr().err.startswith(f"invalid input: {message}")
+
     def test_resource_cap(self, tmp_path, capsys):
         big = {"block_sizes": [40], "degrees": [[1]] * 40}
         assert main(["bounds", _write_shape(tmp_path, big)]) == 3
@@ -237,3 +249,16 @@ class TestVerifyCommand:
             rows = list(csv.reader(fh))
         assert rows[0] == ["check", "index", "status", "detail"]
         assert len(rows) == len(rep["results"]["checks"]) + 1
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--n-max", "0", "--n-max must be at least 1, got 0"),
+            ("--n-max", "-3", "--n-max must be at least 1, got -3"),
+            ("--count", "-1", "--count must be nonnegative, got -1"),
+        ],
+    )
+    def test_out_of_range_arguments(self, capsys, flag, value, message):
+        assert main(["verify", flag, value, "--samples", "100"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"invalid input: {message}\n"

@@ -8,6 +8,8 @@ import pytest
 from mhroots import rng
 from mhroots.corpus import random_variance_profile
 from mhroots.gaussian import (
+    DET_CHUNK,
+    SMALL_DET_DIM,
     abs_det_closed_standard,
     mc_abs_det,
     minor_expansion_bounds,
@@ -15,7 +17,7 @@ from mhroots.gaussian import (
     sample_matrix,
     variance_profile,
 )
-from mhroots.shape import validate
+from mhroots.shape import game_shape, validate
 
 
 class TestSampling:
@@ -122,6 +124,62 @@ class TestMonteCarlo:
         direct = np.abs(np.linalg.det(rng.normals(55, 0, 4000, n * n).reshape(-1, n, n)))
         assert est.mean == pytest.approx(direct.mean(), rel=1e-10)
         assert est.stderr == pytest.approx(direct.std(ddof=1) / math.sqrt(4000), rel=1e-8)
+
+
+def _profile(kind: str, n: int) -> np.ndarray:
+    if kind == "unit":
+        return np.ones((n, n))
+    if kind == "game":  # zero diagonal, unit variances elsewhere
+        return variance_profile(game_shape((1,) * n))
+    if kind == "graded":
+        return np.arange(1.0, n * n + 1).reshape(n, n) % 4
+    # singular: rows 0 and 1 both live on column 0 only, so no perfect matching
+    var = np.ones((n, n))
+    var[:2, 1:] = 0.0
+    return var if n > 1 else np.zeros((1, 1))
+
+
+class TestSmallDeterminantKernel:
+    @pytest.mark.parametrize("kind", ["unit", "game", "graded", "singular"])
+    @pytest.mark.parametrize("n", range(1, SMALL_DET_DIM + 2))
+    def test_matches_lapack_over_the_same_rows(self, n, kind):
+        # two whole chunks and a partial one
+        samples = 2 * DET_CHUNK + 808
+        var = _profile(kind, n)
+        est = mc_abs_det(var, samples, seed=70 + n)
+        z = rng.normals(70 + n, 0, samples, n * n) * np.sqrt(var).ravel()
+        direct = np.abs(np.linalg.det(z.reshape(-1, n, n)))
+        assert est.mean == pytest.approx(direct.mean(), rel=1e-10)
+        assert est.stderr == pytest.approx(direct.std(ddof=1) / math.sqrt(samples), rel=1e-10)
+        if kind == "singular" and n <= SMALL_DET_DIM:
+            # every expansion term holds an exact zero factor
+            assert est.mean == 0.0 and est.stderr == 0.0
+
+    def test_bitwise_determinism_across_workers_several_batches(self):
+        n = SMALL_DET_DIM
+        var = _profile("graded", n)
+        samples = 3 * rng.batch_size(n * n) + 1000
+        runs = [mc_abs_det(var, samples, seed=29, workers=w) for w in (1, 2, 8)]
+        assert runs[0].mean == runs[1].mean == runs[2].mean
+        assert runs[0].stderr == runs[1].stderr == runs[2].stderr
+
+    def test_batch_normals_stay_within_the_budget_at_n_100(self, monkeypatch):
+        n = 100
+        assert rng.SAMPLE_BLOCK * n * n > rng.BATCH_ELEMENTS
+        held = []
+        pieces = rng.normal_pieces
+
+        def recording(*args):
+            for z in pieces(*args):
+                held.append(z.nbytes)
+                yield z
+
+        monkeypatch.setattr(rng, "normal_pieces", recording)
+        samples = rng.SAMPLE_BLOCK + 76
+        est = mc_abs_det(np.ones((n, n)), samples, seed=31)
+        assert sum(held) == samples * n * n * 8
+        assert max(held) <= rng.PIECE_ELEMENTS * 8 <= rng.BATCH_ELEMENTS * 8
+        assert est.mean > 0 and math.isfinite(est.mean)
 
 
 class TestOrthogonalInvariance:

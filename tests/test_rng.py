@@ -46,6 +46,53 @@ class TestNormals:
         assert z[2 * B].tolist() == [-1.3376504124503397, 1.3267069154632882]
 
 
+def _whole_block(seed: int, block: int, count: int) -> np.ndarray:
+    gen = np.random.Generator(np.random.Philox(key=seed | block << 64))
+    return gen.standard_normal((B, count))
+
+
+class TestNormalPieces:
+    @pytest.mark.parametrize("first, n_samples", [(0, 3 * B), (5, 2 * B), (B - 3, 10), (0, 1)])
+    def test_whole_block_pieces_match_normals(self, first, n_samples):
+        pieces = list(rng.normal_pieces(43, first, n_samples, 4, rows=2 * B + 1))
+        assert np.array_equal(np.concatenate(pieces), rng.normals(43, first, n_samples, 4))
+        ends = np.cumsum([len(z) for z in pieces]) + first
+        # every piece but the last ends on a block boundary
+        assert all(e % B == 0 for e in ends[:-1]) and all(len(z) <= 2 * B for z in pieces)
+
+    @pytest.mark.parametrize("first, n_samples", [(0, 2 * B), (B - 300, 700), (2 * B + 1, 5)])
+    def test_blocks_over_budget_are_drawn_in_pieces(self, monkeypatch, first, n_samples):
+        count = 7
+        monkeypatch.setattr(rng, "PIECE_ELEMENTS", 300 * count)
+        opened = []
+        block_generator = rng._block_generator
+        monkeypatch.setattr(
+            rng, "_block_generator", lambda *a: opened.append(a[1]) or block_generator(*a)
+        )
+        pieces = list(rng.normal_pieces(44, first, n_samples, count))
+        assert max(z.size for z in pieces) <= rng.PIECE_ELEMENTS
+        # one generator per block touched: no block is drawn twice
+        assert opened == list(range(first // B, (first + n_samples - 1) // B + 1))
+        whole = np.concatenate([_whole_block(44, b, count) for b in range(3)])
+        expected = whole[first : first + n_samples]
+        assert np.array_equal(np.concatenate(pieces), expected)
+        assert np.array_equal(rng.normals(44, first, n_samples, count), expected)
+
+    def test_pieces_at_n_100_are_whole_block_rows(self):
+        count = 100 * 100
+        pieces = rng.normal_pieces(45, 0, B + 76, count)
+        rows = 0
+        for block in range(2):
+            whole = _whole_block(45, block, count)
+            for z in pieces:
+                assert z.nbytes <= rng.PIECE_ELEMENTS * 8
+                assert np.array_equal(z, whole[rows % B : rows % B + len(z)])
+                rows += len(z)
+                if rows % B == 0:
+                    break
+        assert rows == B + 76
+
+
 class TestBatching:
     @pytest.mark.parametrize("count", [1, 4, 81, 100, 1681, 4096, 10**6])
     def test_batch_size_policy(self, count):

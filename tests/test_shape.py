@@ -13,6 +13,7 @@ from mhroots.shape import (
     ExponentVector,
     IndexOutOfRangeError,
     NegativeDegreeError,
+    ShapeError,
     SupportTooLargeError,
     block_of,
     enumerate_support,
@@ -54,6 +55,27 @@ class TestValidate:
     def test_empty_shape(self):
         with pytest.raises(EmptyShapeError):
             validate((), [])
+
+    @pytest.mark.parametrize(
+        "sizes, degrees",
+        [((1,), [2]), (1, [[2]]), ((1,), 2), ((1, 1), [[1, 1], 1])],
+    )
+    def test_non_list_rejected(self, sizes, degrees):
+        with pytest.raises(ShapeError, match="must be a list"):
+            validate(sizes, degrees)
+
+    @pytest.mark.parametrize(
+        "sizes, degrees",
+        [((True,), [[1]]), ((1,), [[True]]), ((1,), [[np.bool_(True)]]), ((1,), [[False]])],
+    )
+    def test_booleans_rejected(self, sizes, degrees):
+        with pytest.raises(NegativeDegreeError, match="must be an integer"):
+            validate(sizes, degrees)
+
+    def test_numpy_integers_accepted(self):
+        spec = validate(np.array([1, 1]), np.array([[1, 2], [2, 1]], dtype=np.int32))
+        assert spec == validate((1, 1), [[1, 2], [2, 1]])
+        assert validate([np.uint8(1)], [[np.int64(3)]]).degrees == ((3,),)
 
     def test_zero_blocks_allowed(self):
         spec = validate((0, 1), [[2, 3]])

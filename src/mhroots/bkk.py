@@ -6,20 +6,27 @@ factorials.  Expanding that permanent along rows or columns gives exact
 recursions that scale far past the 2^n permanent cap; both routes are exact
 big-integer arithmetic and must agree everywhere.
 
-States are memoized up to row permutations and block relabellings, both of
-which leave the count invariant.
+One expansion step, ``_row_terms``, serves the recursion, the forced row
+pivot and the simple-reducibility search: expanding along an equation gives
+one term per block of positive size and degree, weighted by that degree,
+whose sub-state drops the equation and one variable of the block.  States
+are canonical up to row permutations and block relabellings, both of which
+leave the count invariant, and are memoized.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from . import shape as shape_mod
 from .permanent import MatrixTooLargeError, RYSER_CAP, permanent_exact
-from .shape import ShapeSpec, expand_delta, validate
+from .shape import ShapeSpec, _factorial_product, expand_delta, validate
 
 EXHAUSTIVE_SPLIT_K = 12
+# Frames the recursion needs beyond one per equation (measured on CPython
+# 3.11: `python -m mhroots.cli bkk` on the chain [[1]] * n still runs n <= 989
+# at the default limit, and refuses n = 990, where the recursion would fail).
+_DEPTH_HEADROOM = 2
 
 _BKK_MEMO: dict = {}
 _REDUCIBLE_MEMO: dict = {}
@@ -47,22 +54,23 @@ class ProductSplit:
     first_rows: tuple[int, ...]
 
 
-def _factorial_product(block_sizes) -> int:
-    out = 1
-    for nj in block_sizes:
-        out *= math.factorial(nj)
-    return out
-
-
 def _canonical(blocks: tuple[int, ...], rows: tuple[tuple[int, ...], ...]):
-    """Canonical representative under row permutation and block relabelling."""
-    rows0 = sorted(rows)
-    order = sorted(
-        range(len(blocks)), key=lambda j: (blocks[j], tuple(r[j] for r in rows0))
-    )
-    blocks1 = tuple(blocks[j] for j in order)
-    rows1 = tuple(sorted(tuple(r[j] for j in order) for r in rows0))
-    return blocks1, rows1
+    """Canonical representative under row permutation and block relabelling:
+    blocks sorted by (size, column of the sorted rows), then rows sorted."""
+    cols = list(zip(*sorted(rows))) or [()] * len(blocks)
+    blocks1, cols1 = zip(*sorted(zip(blocks, cols)))
+    return blocks1, tuple(sorted(zip(*cols1)))
+
+
+def _row_terms(blocks, rows, idx):
+    """(block j, degree, canonical sub-state) for each nonzero term of the
+    expansion along row ``idx``: the sub-state drops the row and one
+    variable of block j."""
+    row = rows[idx]
+    rest = rows[:idx] + rows[idx + 1 :]
+    for j, nj in enumerate(blocks):
+        if nj > 0 and row[j] > 0:
+            yield j, row[j], _canonical(blocks[:j] + (nj - 1,) + blocks[j + 1 :], rest)
 
 
 def _bkk_state(blocks: tuple[int, ...], rows: tuple[tuple[int, ...], ...]) -> int:
@@ -73,23 +81,31 @@ def _bkk_state(blocks: tuple[int, ...], rows: tuple[tuple[int, ...], ...]) -> in
     cached = _BKK_MEMO.get(key)
     if cached is not None:
         return cached
-    best_idx = 0
-    best_branches = None
-    for idx, row in enumerate(rows):
-        branches = sum(1 for j, nj in enumerate(blocks) if nj > 0 and row[j] > 0)
-        if best_branches is None or branches < best_branches:
-            best_branches, best_idx = branches, idx
-            if branches == 0:
-                break
-    row = rows[best_idx]
-    rest = rows[:best_idx] + rows[best_idx + 1 :]
+    live = [j for j, nj in enumerate(blocks) if nj > 0]
+    pivot = min(range(len(rows)), key=lambda i: sum(rows[i][j] > 0 for j in live))
     total = 0
-    for j, nj in enumerate(blocks):
-        if nj > 0 and row[j] > 0:
-            sub_blocks = blocks[:j] + (nj - 1,) + blocks[j + 1 :]
-            total += row[j] * _bkk_state(*_canonical(sub_blocks, rest))
+    for _, degree, sub in _row_terms(blocks, rows, pivot):
+        # through the module global, so a wrapper sees every state lookup
+        total += degree * _bkk_state(*sub)
     _BKK_MEMO[key] = total
     return total
+
+
+def _nest(levels: int) -> None:
+    if levels > 0:
+        _nest(levels - 1)
+
+
+def _check_depth(n: int) -> None:
+    """Raise MatrixTooLargeError where n nested states (one per equation)
+    would pass the recursion limit, probed by a trivial recursion as deep:
+    the limit counts interpreter entries from C as well as frames."""
+    try:
+        _nest(n + _DEPTH_HEADROOM)
+    except RecursionError:
+        raise MatrixTooLargeError(
+            f"exact recursion on n={n} equations would pass the recursion limit"
+        ) from None
 
 
 def bkk_recursive(spec: ShapeSpec, pivot: tuple[str, int] | None = None) -> BkkValue:
@@ -102,6 +118,7 @@ def bkk_recursive(spec: ShapeSpec, pivot: tuple[str, int] | None = None) -> BkkV
     """
     blocks = spec.block_sizes
     rows = spec.degrees
+    _check_depth(spec.n)
     if pivot is None:
         count = _bkk_state(*_canonical(blocks, rows))
         return BkkValue(count, "row_recursion")
@@ -109,13 +126,7 @@ def bkk_recursive(spec: ShapeSpec, pivot: tuple[str, int] | None = None) -> BkkV
     if kind == "row":
         if not 1 <= index <= spec.n:
             raise shape_mod.IndexOutOfRangeError(f"row index {index} outside 1..{spec.n}")
-        row = rows[index - 1]
-        rest = rows[: index - 1] + rows[index:]
-        total = 0
-        for j, nj in enumerate(blocks):
-            if nj > 0 and row[j] > 0:
-                sub_blocks = blocks[:j] + (nj - 1,) + blocks[j + 1 :]
-                total += row[j] * _bkk_state(*_canonical(sub_blocks, rest))
+        total = sum(d * _bkk_state(*sub) for _, d, sub in _row_terms(blocks, rows, index - 1))
         return BkkValue(total, "row_recursion")
     if kind == "column":
         j = index - 1
@@ -190,32 +201,6 @@ def _split_for_subset(spec: ShapeSpec, subset: list[int]) -> ProductSplit | None
     )
 
 
-def _components(spec: ShapeSpec) -> list[list[int]]:
-    """Connected components of the row/block incidence graph, as block lists."""
-    k = spec.k
-    parent = list(range(k))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
-    for row in spec.degrees:
-        touched = [j for j in range(k) if row[j] > 0]
-        for j in touched[1:]:
-            union(touched[0], j)
-    groups: dict[int, list[int]] = {}
-    for j in range(k):
-        groups.setdefault(find(j), []).append(j)
-    return list(groups.values())
-
-
 def product_split(spec: ShapeSpec) -> ProductSplit | None:
     """Find a decomposition into two independent sub-shapes, if one exists.
 
@@ -226,24 +211,13 @@ def product_split(spec: ShapeSpec) -> ProductSplit | None:
     is then not a proof that no split exists.
     """
     k = spec.k
-    if k <= 1:
-        return None
     if k <= EXHAUSTIVE_SPLIT_K:
-        subsets = sorted(
-            (s for s in range(1, 1 << k) if s != (1 << k) - 1),
-            key=lambda s: (s.bit_count(), s),
-        )
-        for s in subsets:
-            subset = [j for j in range(k) if s >> j & 1]
-            found = _split_for_subset(spec, subset)
-            if found is not None:
-                return found
-        return None
-    comps = _components(spec)
-    if len(comps) <= 1:
-        return None
-    for comp in comps:
-        found = _split_for_subset(spec, sorted(comp))
+        masks = sorted(range(1, (1 << k) - 1), key=lambda s: (s.bit_count(), s))
+        subsets = ([j for j in range(k) if s >> j & 1] for s in masks)
+    else:
+        subsets = (list(blocks) for blocks, _ in shape_mod.incidence_components(spec) if blocks)
+    for subset in subsets:
+        found = _split_for_subset(spec, subset)
         if found is not None:
             return found
     return None
@@ -288,21 +262,16 @@ def _simply_reducible_state(blocks, rows) -> tuple[bool, tuple | None]:
     if cached is not None:
         return cached
     result: tuple[bool, tuple | None] = (False, None)
-    for idx, row in enumerate(rows):
-        rest = rows[:idx] + rows[idx + 1 :]
-        admissible = []
-        for j, nj in enumerate(blocks):
-            if nj > 0 and row[j] > 0:
-                sub_blocks = blocks[:j] + (nj - 1,) + blocks[j + 1 :]
-                if _bkk_state(*_canonical(sub_blocks, rest)) > 0:
-                    admissible.append(j)
-        if len(admissible) == 0:
+    for idx in range(len(rows)):
+        admissible = [
+            (j, sub) for j, _, sub in _row_terms(blocks, rows, idx) if _bkk_state(*sub) > 0
+        ]
+        if not admissible:
             result = (True, ((idx + 1, None),))
             break
         if len(admissible) == 1:
-            j = admissible[0]
-            sub_blocks = blocks[:j] + (blocks[j] - 1,) + blocks[j + 1 :]
-            ok, trace = _simply_reducible_state(*_canonical(sub_blocks, rest))
+            j, sub = admissible[0]
+            ok, trace = _simply_reducible_state(*sub)
             if ok:
                 result = (True, ((idx + 1, j + 1),) + trace)
                 break
@@ -319,5 +288,6 @@ def is_simply_reducible(spec: ShapeSpec) -> SimpleReducibility:
     two-sided root-count bounds tight.  Rows are scanned in order with
     backtracking, so the boolean is order-independent.
     """
+    _check_depth(spec.n)
     ok, trace = _simply_reducible_state(*_canonical(spec.block_sizes, spec.degrees))
     return SimpleReducibility(ok, trace if ok else None)

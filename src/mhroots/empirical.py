@@ -24,6 +24,7 @@ from .shape import (
     ShapeSpec,
     SupportTooLargeError,
     enumerate_support,
+    incidence_components,
     support_exponent_matrix,
     support_size,
     support_variances,
@@ -312,31 +313,8 @@ class _Component:
 
 
 def _decompose(spec: ShapeSpec) -> list[_Component]:
-    k, n = spec.k, spec.n
-    parent = list(range(k + n))  # blocks then rows
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[ry] = rx
-
-    for i, row in enumerate(spec.degrees):
-        for j in range(k):
-            if row[j] > 0:
-                union(k + i, j)
-    groups: dict[int, list[int]] = {}
-    for x in range(k + n):
-        groups.setdefault(find(x), []).append(x)
     comps = []
-    for members in groups.values():
-        blocks = tuple(x for x in members if x < k)
-        rows = tuple(x - k for x in members if x >= k)
+    for blocks, rows in incidence_components(spec):
         sizes = [spec.block_sizes[j] for j in blocks]
         if not rows:
             kind = "null" if sum(sizes) == 0 else "unsupported"

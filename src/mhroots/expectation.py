@@ -23,7 +23,7 @@ from fractions import Fraction
 from .bkk import bkk_count, is_simply_reducible, product_split
 from .gaussian import MCEstimate, mc_abs_det, variance_profile
 from .permanent import has_zero_block, permanent_float
-from .shape import ShapeSpec, expand_delta, validate
+from .shape import ShapeSpec, _factorial_product, expand_delta, validate
 from .specialfn import SQRT_PI, gamma_half
 
 DEFAULT_SAMPLES = 100_000
@@ -263,13 +263,6 @@ def expectation(
     pf = prefactor(spec)
     mc = mc_abs_det(variance_profile(spec), samples, seed, workers)
     return ExpectationResult(pf * mc.mean, "monte_carlo", pf, stderr=pf * mc.stderr, mc=mc)
-
-
-def _factorial_product(block_sizes) -> int:
-    out = 1
-    for nj in block_sizes:
-        out *= math.factorial(nj)
-    return out
 
 
 def bounds(

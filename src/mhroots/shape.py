@@ -180,6 +180,33 @@ def block_of(spec: ShapeSpec, i: int) -> int:
     raise AssertionError("unreachable")
 
 
+def incidence_components(spec: ShapeSpec) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Connected components of the graph joining block j and equation i when
+    degree (i, j) is positive, as (blocks, rows) pairs of ascending 0-based
+    indices.  A degree-zero equation and an untouched block are components of
+    their own.  Components are ordered by smallest member, blocks first.
+    """
+    k = spec.k
+    parent = list(range(k + spec.n))  # blocks, then rows
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for i, row in enumerate(spec.degrees):
+        for j, d in enumerate(row):
+            if d > 0:
+                parent[find(k + i)] = find(j)
+    groups: dict[int, list[int]] = {}
+    for x in range(len(parent)):
+        groups.setdefault(find(x), []).append(x)
+    return [
+        (tuple(x for x in members if x < k), tuple(x - k for x in members if x >= k))
+        for members in groups.values()
+    ]
+
+
 def game_shape(block_sizes: Sequence[int]) -> ShapeSpec:
     """Degree pattern of the game/quasiequilibrium system.
 
@@ -258,6 +285,10 @@ def enumerate_support(spec: ShapeSpec, i: int, cap: int = SUPPORT_CAP) -> list[E
     return [ExponentVector(combo) for combo in itertools.product(*per_block)]
 
 
+def _factorial_product(values) -> int:
+    return math.prod(map(math.factorial, values))
+
+
 def monomial_weight(a: ExponentVector, degree_cap: int = WEIGHT_DEGREE_CAP) -> Fraction:
     """Invariant weight of a monomial: the product over blocks of the inverse
     multinomial coefficient (prod_h a_jh!) / (sum_h a_jh)!.
@@ -274,10 +305,7 @@ def monomial_weight(a: ExponentVector, degree_cap: int = WEIGHT_DEGREE_CAP) -> F
             raise ValueError(
                 f"block degree {total} exceeds weight degree cap {degree_cap}"
             )
-        num = 1
-        for e in block:
-            num *= math.factorial(e)
-        out *= Fraction(num, math.factorial(total))
+        out *= Fraction(_factorial_product(block), math.factorial(total))
     return out
 
 

@@ -16,7 +16,12 @@ from mhroots.bkk import (
     scale_shape,
 )
 from mhroots.corpus import random_shape
-from mhroots.permanent import has_zero_block, permanent_bruteforce, permanent_float
+from mhroots.permanent import (
+    MatrixTooLargeError,
+    has_zero_block,
+    permanent_bruteforce,
+    permanent_float,
+)
 from mhroots.shape import expand_delta, game_shape, validate
 
 
@@ -125,6 +130,29 @@ class TestProductSplit:
             sp = product_split(spec)
             if sp is not None:
                 assert bkk_count(spec) == bkk_count(sp.first) * bkk_count(sp.second)
+
+    def test_components_path_above_exhaustive_k(self):
+        # 13 blocks: only the incidence components are tried
+        a, b = game_shape((1,) * 6), game_shape((1,) * 7)
+        rows = [r + (0,) * 7 for r in a.degrees] + [(0,) * 6 + r for r in b.degrees]
+        sp = product_split(validate(a.block_sizes + b.block_sizes, rows))
+        assert sp.first_blocks == (1, 2, 3, 4, 5, 6)
+        assert sp.first_rows == (1, 2, 3, 4, 5, 6)
+        assert (sp.first, sp.second) == (a, b)
+
+    def test_components_path_skips_a_component_short_of_equations(self):
+        # block 1 (size 2) has one equation of its own, so only the second
+        # component (12 size-1 blocks, 13 equations) can stand on top
+        game = game_shape((1,) * 12)
+        rows = [(1,) + (0,) * 12] + [(0,) + r for r in game.degrees] + [(0,) + (1,) * 12]
+        sp = product_split(validate((2,) + (1,) * 12, rows))
+        assert sp.first_blocks == tuple(range(2, 14))
+        assert sp.first_rows == tuple(range(2, 14))
+        assert sp.first == game
+        assert sp.second == validate((2,), [[1], [0]])
+
+    def test_single_component_above_exhaustive_k_has_no_split(self):
+        assert product_split(game_shape((1,) * 13)) is None
 
 
 class TestScaling:
@@ -254,6 +282,43 @@ class TestSimpleReducibility:
                 sub = blocks[: step_block - 1] + (blocks[step_block - 1] - 1,) + blocks[step_block:]
                 blocks, rows = _canonical(sub, rest)
 
+
+# Reducibility witnesses and forced-pivot counts, recorded from the row and
+# column expansions before they shared one expansion step.
+GOLDEN = [
+    # block sizes, degrees, witness (None: not reducible), row pivots, column pivots
+    ((3,), [[2], [3], [1]], ((1, 1), (1, 1), (1, 1)), [6, 6, 6], [6]),
+    ((1, 1), [[2, 0], [0, 3]], ((1, 2), (1, 2)), [6, 6], [6, 6]),
+    ((1, 1), [[1, 1], [1, 1]], None, [2, 2], [2, 2]),
+    ((1, 1), [[1, 2], [2, 1]], None, [5, 5], [5, 5]),
+    ((1, 2), [[0, 1], [1, 0], [1, 0]], ((1, None),), [0, 0, 0], [0, 0]),
+    ((2, 1), [[1, 0], [2, 0], [3, 4]], ((1, 2), (1, 2), (1, 2)), [8, 8, 8], [8, 8]),
+    ((1, 1), [[0, 0], [1, 2]], ((1, None),), [0, 0], [0, 0]),
+    ((1, 2, 0), [[1, 2, 3], [0, 1, 1], [2, 1, 0]], None, [5, 5, 5], [5, 5, None]),
+    ((2, 0, 1), [[1, 1, 0], [0, 3, 1], [2, 0, 2]], ((1, 3), (1, 3), (1, 3)), [2, 2, 2], [2, None, 2]),
+]
+
+
+class TestGoldenExpansion:
+    @pytest.mark.parametrize("sizes, degrees, witness, row_counts, col_counts", GOLDEN)
+    def test_witness_and_forced_pivots(self, sizes, degrees, witness, row_counts, col_counts):
+        spec = validate(sizes, degrees)
+        res = is_simply_reducible(spec)
+        assert (res.reducible, res.witness) == (witness is not None, witness)
+        assert [bkk_recursive(spec, ("row", i)).count for i in range(1, spec.n + 1)] == row_counts
+        assert [
+            bkk_recursive(spec, ("column", j)).count if nj > 0 else None
+            for j, nj in enumerate(sizes, start=1)
+        ] == col_counts
+
+
+class TestRecursionDepth:
+    def test_deep_shape_is_refused_before_the_recursion_limit(self):
+        spec = validate((1100,), [[1]] * 1100)
+        with pytest.raises(MatrixTooLargeError, match="recursion limit"):
+            bkk_recursive(spec)
+        with pytest.raises(MatrixTooLargeError, match="recursion limit"):
+            is_simply_reducible(spec)
 
 class TestScale:
     def test_game_large_recursion_is_exact_bigint(self):

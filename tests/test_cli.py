@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from mhroots import cli
 from mhroots.cli import main
 
 BILINEAR = {"block_sizes": [1, 1], "degrees": [[1, 1], [1, 1]]}
@@ -170,6 +171,18 @@ class TestExitCodes:
         big = {"block_sizes": [40], "degrees": [[1]] * 40}
         assert main(["bounds", _write_shape(tmp_path, big)]) == 3
 
+    def test_bkk_past_the_recursion_limit(self, tmp_path, capsys):
+        deep = {"block_sizes": [1100], "degrees": [[1]] * 1100}
+        assert main(["bkk", _write_shape(tmp_path, deep)]) == 3
+        assert capsys.readouterr().err.startswith("resource cap: exact recursion on n=1100")
+
+    def test_bkk_deep_within_the_recursion_limit(self, tmp_path, capsys):
+        deep = {"block_sizes": [900], "degrees": [[1]] * 900}
+        code, rep = _run(capsys, ["bkk", _write_shape(tmp_path, deep)])
+        assert code == 0
+        assert rep["results"]["bkk"]["value"] == 1
+        assert "bkk_permanent_check" not in rep["results"]
+
     @pytest.mark.parametrize(
         "command, shape, samples",
         [
@@ -249,6 +262,22 @@ class TestVerifyCommand:
             rows = list(csv.reader(fh))
         assert rows[0] == ["check", "index", "status", "detail"]
         assert len(rows) == len(rep["results"]["checks"]) + 1
+
+    def test_no_ryser_oracle_above_its_cap(self, monkeypatch):
+        calls = []
+        original = cli.bkk_permanent
+        monkeypatch.setattr(
+            cli, "bkk_permanent", lambda spec: calls.append(spec.n) or original(spec)
+        )
+        # seed 2, index 0 draws block sizes (7, 7): n = 14 > PERMANENT_CHECK_MAX_N
+        args = cli.build_parser().parse_args(
+            ["verify", "--n-max", "16", "--count", "1", "--samples", "1000", "--seed", "2"]
+        )
+        checks = cli._verify_checks(args)
+        line = next(c for c, _ in checks if c["check"] == "bkk_consistency")
+        assert "'block_sizes': [7, 7]" in line["detail"]
+        assert line["status"] == "PASS" and "permanent=None" in line["detail"]
+        assert calls == []
 
     @pytest.mark.parametrize(
         "flag, value, message",

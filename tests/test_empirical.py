@@ -14,6 +14,7 @@ from mhroots.empirical import (
     ZeroPolynomialError,
     _batch_univariate,
     _count_univariate_scalar,
+    _decompose,
     count_real_roots_bilinear,
     count_real_roots_univariate,
     empirical_expectation,
@@ -251,6 +252,27 @@ class TestFamilies:
         with pytest.raises(UnsupportedFamilyError):
             empirical_expectation(game_shape((1, 1, 1)), 100, seed=26)
 
+
+class TestDecompose:
+    @pytest.mark.parametrize(
+        "sizes, degrees, kinds",
+        [
+            # (kind, rows, blocks), 0-based, in component order
+            ((1, 0), [[2, 0]], [("univariate", (0,), (0,)), ("null", (), (1,))]),
+            ((1,), [[0]], [("unsupported", (), (0,)), ("zero_row", (0,), ())]),
+            ((1, 1), [[1, 1], [1, 1]], [("bilinear", (0, 1), (0, 1))]),
+            ((1, 1), [[1, 2], [2, 1]], [("unsupported", (0, 1), (0, 1))]),
+            ((2,), [[1], [1]], [("unsupported", (0, 1), (0,))]),
+            (
+                (1, 1, 1),
+                [[3, 0, 0], [0, 1, 1], [0, 1, 1]],
+                [("univariate", (0,), (0,)), ("bilinear", (1, 2), (1, 2))],
+            ),
+        ],
+    )
+    def test_kinds_rows_and_blocks(self, sizes, degrees, kinds):
+        comps = _decompose(validate(sizes, degrees))
+        assert [(c.kind, c.rows, c.blocks) for c in comps] == kinds
 
 class TestUniformity:
     def test_linear_roots_uniform(self):

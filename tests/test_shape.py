@@ -20,6 +20,7 @@ from mhroots.shape import (
     expand_delta,
     from_json,
     game_shape,
+    incidence_components,
     monomial_weight,
     support_size,
     support_variances,
@@ -238,3 +239,25 @@ class TestWeightIdentity:
                             mono *= z**e
                     total += float(1 / monomial_weight(a)) * mono * mono
                 assert total == pytest.approx(1.0, rel=1e-10)
+
+
+class TestIncidenceComponents:
+    def test_degree_zero_equation_is_its_own_component(self):
+        spec = validate((1, 1), [[0, 0], [1, 1]])
+        assert incidence_components(spec) == [((0, 1), (1,)), ((), (0,))]
+
+    def test_untouched_block_is_its_own_component(self):
+        spec = validate((1, 0, 1), [[2, 0, 0], [0, 0, 3]])
+        assert incidence_components(spec) == [((0,), (0,)), ((1,), ()), ((2,), (1,))]
+
+    def test_order_is_by_smallest_member_blocks_first(self):
+        # equation 1 joins blocks 1 and 3; equation 2 stays in block 2
+        spec = validate((1, 1, 0), [[1, 0, 1], [0, 4, 0]])
+        assert incidence_components(spec) == [((0, 2), (0,)), ((1,), (1,))]
+        # relabelling the rows does not reorder the components
+        swapped = validate((1, 1, 0), [[0, 4, 0], [1, 0, 1]])
+        assert incidence_components(swapped) == [((0, 2), (1,)), ((1,), (0,))]
+
+    def test_connected_game_is_one_component(self):
+        spec = game_shape((1, 1, 1))
+        assert incidence_components(spec) == [((0, 1, 2), (0, 1, 2))]

@@ -10,6 +10,18 @@ sub-shapes, the exact closed form available when the degree matrix factors
 as d_i * e_j over nonnegative integers, an exact zero when the generic
 complex-root count vanishes, and otherwise Monte Carlo estimation of the
 determinant factor.
+
+Every result is a pure function of (seed, canonical shape, samples): the
+dispatcher first maps a shape to its canonical representative under row
+permutations and block relabellings (``bkk._canonical``), which leave the
+expectation unchanged, and a Monte Carlo estimate draws its streams from
+``derive_seed(seed, canonical shape)``.  So an estimate's ``mc.seed`` is
+that derived seed, and ``sample_matrix`` replays it on the canonical
+shape's variance profile.  Results are memoized in _EXPECTATION_MEMO, at
+most EXPECTATION_MEMO_SIZE of them, so a run that asks for one shape
+again under the same seed and sample count, as ``bounds`` and each
+``row_recursion_check`` of a shape do, estimates it once.  The memo holds
+only what recomputing would give; ``_EXPECTATION_MEMO.clear()`` empties it.
 """
 
 from __future__ import annotations
@@ -17,10 +29,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .bkk import bkk_count, is_simply_reducible, product_split
+from .bkk import _canonical, bkk_count, is_simply_reducible, product_split
 from .gaussian import MCEstimate, mc_abs_det, variance_profile
 from .permanent import has_zero_block, permanent_float
 from .shape import ShapeSpec, _factorial_product, expand_delta, validate
@@ -28,6 +40,11 @@ from .specialfn import SQRT_PI, gamma_half
 
 DEFAULT_SAMPLES = 100_000
 LOG_PREFACTOR_DIM = 60
+# Results kept by the dispatcher; the least recently used goes first.  The
+# README's verify run (100 shapes) stores 330.
+EXPECTATION_MEMO_SIZE = 4096
+
+_EXPECTATION_MEMO: dict = {}
 
 
 @dataclass(frozen=True)
@@ -113,9 +130,9 @@ class RowRecursionReport:
         )
 
 
-def derive_seed(seed: int, spec: ShapeSpec, tag: str) -> int:
-    """Stable sub-stream seed from a parent seed, a shape, and a role tag."""
-    payload = json.dumps({"shape": spec.to_json(), "tag": tag}, sort_keys=True)
+def derive_seed(seed: int, spec: ShapeSpec) -> int:
+    """Stable sub-stream seed from a parent seed and a shape."""
+    payload = json.dumps({"shape": spec.to_json()}, sort_keys=True)
     digest = hashlib.sha256(payload.encode()).digest()
     h = int.from_bytes(digest[:8], "big")
     return (seed * 0x9E3779B97F4A7C15 + h) % (1 << 64)
@@ -224,6 +241,30 @@ def _zero_result(spec: ShapeSpec) -> ExpectationResult:
     return ExpectationResult(0.0, "zero", prefactor(spec))
 
 
+def _error_terms(res: ExpectationResult) -> dict:
+    """First-order standard error of ``res``, one term per Monte Carlo
+    estimate it rests on, keyed by the estimate's (seed, samples, mean).
+
+    Equal canonical sub-shapes share one estimate, so a sum over results
+    must add their terms before squaring, as ``_combine`` does.
+    """
+    if res.mc is not None:
+        return {(res.mc.seed, res.mc.samples, res.mc.mean): res.stderr}
+    if res.parts is None:
+        return {}
+    left, right = res.parts
+    return _combine(((right.value, _error_terms(left)), (left.value, _error_terms(right))))
+
+
+def _combine(weighted) -> dict:
+    """Error terms of sum_i w_i * x_i from (w_i, error terms of x_i) pairs."""
+    out: dict = {}
+    for weight, terms in weighted:
+        for key, term in terms.items():
+            out[key] = out.get(key, 0.0) + weight * term
+    return out
+
+
 def split_expectation(
     spec: ShapeSpec, samples: int = DEFAULT_SAMPLES, seed: int = 0, workers: int = 1
 ) -> ExpectationResult | None:
@@ -235,13 +276,12 @@ def split_expectation(
     sp = product_split(spec)
     if sp is None:
         return None
-    left = expectation(sp.first, samples, derive_seed(seed, sp.first, "split-left"), workers)
-    right = expectation(sp.second, samples, derive_seed(seed, sp.second, "split-right"), workers)
-    value = left.value * right.value
-    stderr = math.hypot(right.value * left.stderr, left.value * right.stderr)
-    return ExpectationResult(
-        value, "product", prefactor(spec), stderr=stderr, parts=(left, right)
+    left = expectation(sp.first, samples, seed, workers)
+    right = expectation(sp.second, samples, seed, workers)
+    res = ExpectationResult(
+        left.value * right.value, "product", prefactor(spec), parts=(left, right)
     )
+    return replace(res, stderr=math.hypot(*_error_terms(res).values()))
 
 
 def expectation(
@@ -251,7 +291,21 @@ def expectation(
 
     Dispatch order: product decomposition, rank-one closed form, exact zero
     when the generic complex-root count vanishes, Monte Carlo otherwise.
+    The shape is resolved as its canonical representative, through the
+    memo; ``workers`` never changes a result, so it is not part of the key.
     """
+    blocks, rows = _canonical(spec.block_sizes, spec.degrees)
+    key = (blocks, rows, samples, seed)
+    res = _EXPECTATION_MEMO.pop(key, None)
+    if res is None:
+        res = _dispatch(ShapeSpec(blocks, rows), samples, seed, workers)
+        if len(_EXPECTATION_MEMO) >= EXPECTATION_MEMO_SIZE:
+            del _EXPECTATION_MEMO[next(iter(_EXPECTATION_MEMO))]
+    _EXPECTATION_MEMO[key] = res
+    return res
+
+
+def _dispatch(spec: ShapeSpec, samples: int, seed: int, workers: int) -> ExpectationResult:
     prod = split_expectation(spec, samples, seed, workers)
     if prod is not None:
         return prod
@@ -261,7 +315,7 @@ def expectation(
     if _generic_count_is_zero(spec):
         return _zero_result(spec)
     pf = prefactor(spec)
-    mc = mc_abs_det(variance_profile(spec), samples, seed, workers)
+    mc = mc_abs_det(variance_profile(spec), samples, derive_seed(seed, spec), workers)
     return ExpectationResult(pf * mc.mean, "monte_carlo", pf, stderr=pf * mc.stderr, mc=mc)
 
 
@@ -316,31 +370,29 @@ def row_recursion_check(
     subs = []
     upper = 0.0
     lower_sq = 0.0
-    var_upper = 0.0
-    lower_grad_sq = 0.0
     contributing = 0
     for j, nj in enumerate(spec.block_sizes, start=1):
         if nj <= 0 or degrees[j - 1] <= 0:
             continue
         dij = degrees[j - 1]
         sub = _remove_row_shape(spec, row, j)
-        res = expectation(sub, samples, derive_seed(seed, sub, f"row{row}-block{j}"), workers)
+        res = expectation(sub, samples, seed, workers)
         subs.append((j, float(dij), res))
         upper += math.sqrt(dij) * res.value
         lower_sq += dij * res.value**2
-        var_upper += dij * res.stderr**2
-        lower_grad_sq += (dij * res.value * res.stderr) ** 2
         if not _generic_count_is_zero(sub):
             contributing += 1
     lower = math.sqrt(lower_sq)
-    lower_stderr = math.sqrt(lower_grad_sq) / lower if lower > 0 else 0.0
-    middle = expectation(spec, samples, derive_seed(seed, spec, f"row{row}-middle"), workers)
+    upper_terms = _combine((math.sqrt(d), _error_terms(res)) for _, d, res in subs)
+    lower_terms = _combine((d * res.value, _error_terms(res)) for _, d, res in subs)
+    lower_stderr = math.hypot(*lower_terms.values()) / lower if lower > 0 else 0.0
+    middle = expectation(spec, samples, seed, workers)
     return RowRecursionReport(
         row=row,
         upper=upper,
         lower=lower,
         middle=middle,
-        upper_stderr=math.sqrt(var_upper),
+        upper_stderr=math.hypot(*upper_terms.values()),
         lower_stderr=lower_stderr,
         equality_expected=contributing <= 1,
         subs=tuple(subs),

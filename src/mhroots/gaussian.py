@@ -143,11 +143,16 @@ def _dets(z: np.ndarray, sigma_flat: np.ndarray, n: int) -> np.ndarray:
 def _batch_absdet_moments(sigma_flat: np.ndarray, n: int, seed: int, start: int, count: int):
     rows = DET_CHUNK if n <= SMALL_DET_DIM else None
     pieces = rng.normal_pieces(seed, start, count, n * n, rows)
-    d = np.concatenate([_dets(z, sigma_flat, n) for z in pieces])
-    if n <= LOGDET_DIM:
-        a = np.abs(d)
-        return count, float(a.sum()), float((a * a).sum()), None
-    return count, None, None, d
+    if n > LOGDET_DIM:
+        return count, None, None, np.concatenate([_dets(z, sigma_flat, n) for z in pieces])
+    # folded piece by piece, in stream order: no batch-sized array of determinants
+    s1 = 0.0
+    s2 = 0.0
+    for z in pieces:
+        a = np.abs(_dets(z, sigma_flat, n))
+        s1 += float(a.sum())
+        s2 += float((a * a).sum())
+    return count, s1, s2, None
 
 
 def mc_abs_det(variances, samples: int, seed: int, workers: int = 1) -> MCEstimate:

@@ -1,4 +1,16 @@
+import importlib
 import sys
+
+import pytest
+
+# The package re-exports the function ``expectation`` under the module's name.
+_expectation_module = importlib.import_module("mhroots.expectation")
+
+
+@pytest.fixture(autouse=True)
+def _empty_expectation_memo():
+    """Start every test with an empty expectation memo, as a new process has."""
+    _expectation_module._EXPECTATION_MEMO.clear()
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

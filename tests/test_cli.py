@@ -1,13 +1,18 @@
 """Command-line interface: reports, exit codes, determinism, dumps."""
 
 import csv
+import importlib
 import json
 import math
 
 import pytest
 
-from mhroots import cli
+from mhroots import cli, rng
+from mhroots.bkk import _canonical
 from mhroots.cli import main
+
+# The package re-exports the function ``expectation`` under the module's name.
+mx = importlib.import_module("mhroots.expectation")
 
 BILINEAR = {"block_sizes": [1, 1], "degrees": [[1, 1], [1, 1]]}
 QUARTIC = {"block_sizes": [1], "degrees": [[4]]}
@@ -213,6 +218,7 @@ class TestReportContract:
     def test_byte_identical_modulo_wall_time(self, tmp_path, capsys):
         argv = ["expect", _write_shape(tmp_path, MIXED), "--samples", "20000", "--seed", "9"]
         _, rep1 = _run(capsys, argv)
+        mx._EXPECTATION_MEMO.clear()
         _, rep2 = _run(capsys, argv)
         rep1.pop("wall_time_s")
         rep2.pop("wall_time_s")
@@ -233,6 +239,7 @@ class TestReportContract:
         argv = ["expect", _write_shape(tmp_path, MIXED), "--samples", "20000", "--workers", "1"]
         _, rep1 = _run(capsys, argv)
         monkeypatch.setenv("MHROOTS_THREADS", "2")
+        mx._EXPECTATION_MEMO.clear()
         _, rep2 = _run(capsys, argv)
         assert rep2["workers"] == 2
         assert (
@@ -278,6 +285,44 @@ class TestVerifyCommand:
         assert "'block_sizes': [7, 7]" in line["detail"]
         assert line["status"] == "PASS" and "permanent=None" in line["detail"]
         assert calls == []
+
+    def test_one_estimate_per_canonical_shape(self, monkeypatch):
+        estimated = []
+        original_mc = mx.mc_abs_det
+        monkeypatch.setattr(
+            mx, "mc_abs_det",
+            lambda var, samples, seed, workers=1: estimated.append(seed)
+            or original_mc(var, samples, seed, workers),
+        )
+        resolved = []
+        original_expectation = mx.expectation
+
+        def counting(spec, *args, **kwargs):
+            res = original_expectation(spec, *args, **kwargs)
+            if res.kind == "monte_carlo":
+                resolved.append(_canonical(spec.block_sizes, spec.degrees))
+            return res
+
+        monkeypatch.setattr(mx, "expectation", counting)
+        monkeypatch.setattr(cli, "expectation", counting)
+        assert main(["verify", "--count", "10", "--samples", "2000", "--seed", "3"]) == 0
+        assert len(estimated) == len(set(estimated)) == len(set(resolved)) > 0
+        assert len(resolved) > len(estimated)
+
+    def test_report_independent_of_workers(self, capsys, monkeypatch):
+        # one-block batches, so every estimate of 4096 samples folds four batches
+        monkeypatch.setattr(rng, "MAX_BATCH", rng.SAMPLE_BLOCK)
+        reports = []
+        for workers in ("1", "2"):
+            mx._EXPECTATION_MEMO.clear()
+            argv = ["verify", "--count", "10", "--samples", "4096", "--seed", "4",
+                    "--workers", workers]
+            code, rep = _run(capsys, argv)
+            assert code == 0 and rep["workers"] == int(workers)
+            for key in ("wall_time_s", "workers"):
+                rep.pop(key)
+            reports.append(json.dumps(rep, sort_keys=True))
+        assert reports[0] == reports[1]
 
     @pytest.mark.parametrize(
         "flag, value, message",

@@ -1,15 +1,18 @@
 """Expectation dispatcher: closed forms, splits, bounds, row recursions."""
 
+import importlib
 import math
 from fractions import Fraction
 
 import pytest
 
-from mhroots.bkk import bkk_count
+from mhroots.bkk import _canonical, bkk_count
 from mhroots.corpus import random_rank_one_shape, random_shape
 from mhroots.expectation import (
+    EXPECTATION_MEMO_SIZE,
     bounds,
     closed_form,
+    derive_seed,
     expectation,
     prefactor,
     rank_one_factors,
@@ -18,7 +21,10 @@ from mhroots.expectation import (
     split_expectation,
 )
 from mhroots.gaussian import mc_abs_det, variance_profile
-from mhroots.shape import game_shape, validate
+from mhroots.shape import ShapeSpec, game_shape, validate
+
+# The package re-exports the function ``expectation`` under the module's name.
+mx = importlib.import_module("mhroots.expectation")
 
 BILINEAR = validate((1, 1), [[1, 1], [1, 1]])
 
@@ -246,3 +252,80 @@ class TestRowRecursion:
             for i in range(1, spec.n + 1):
                 rep = row_recursion_check(spec, i, samples=20_000, seed=400 + t)
                 assert rep.holds, (spec, i)
+
+
+# not rank one, no product split, nonzero count: the Monte Carlo path
+MC_SHAPE = validate((1, 2), [[1, 2], [2, 1], [1, 3]])
+# the same shape with its blocks swapped and its rows reversed
+MC_SHAPE_PERMUTED = validate((2, 1), [[3, 1], [1, 2], [2, 1]])
+
+
+class TestCanonicalMemo:
+    def test_permuted_shape_is_bitwise_equal(self):
+        first = expectation(MC_SHAPE, samples=4_000, seed=6)
+        mx._EXPECTATION_MEMO.clear()
+        second = expectation(MC_SHAPE_PERMUTED, samples=4_000, seed=6)
+        assert first.kind == second.kind == "monte_carlo"
+        assert (first.value, first.stderr) == (second.value, second.stderr)
+        assert first.mc.seed == second.mc.seed
+
+    def test_mc_seed_is_derived_from_the_canonical_shape(self):
+        res = expectation(MC_SHAPE_PERMUTED, samples=4_000, seed=6)
+        canonical = ShapeSpec(*_canonical(MC_SHAPE.block_sizes, MC_SHAPE.degrees))
+        assert res.mc.seed == derive_seed(6, canonical)
+        direct = mc_abs_det(variance_profile(canonical), 4_000, res.mc.seed)
+        assert res.mc.mean == direct.mean and res.mc.stderr == direct.stderr
+
+    def test_repeat_is_served_from_the_memo_whatever_the_workers(self):
+        first = expectation(MC_SHAPE, samples=4_000, seed=6, workers=1)
+        assert expectation(MC_SHAPE_PERMUTED, samples=4_000, seed=6, workers=2) is first
+        assert expectation(MC_SHAPE, samples=4_000, seed=7) is not first
+        assert expectation(MC_SHAPE, samples=5_000, seed=6) is not first
+
+    def test_memo_is_bounded_and_drops_the_least_recently_used(self, monkeypatch):
+        assert len(mx._EXPECTATION_MEMO) == 0 and EXPECTATION_MEMO_SIZE > 0
+        monkeypatch.setattr(mx, "EXPECTATION_MEMO_SIZE", 3)
+        shapes = [validate((1,), [[d]]) for d in range(1, 6)]
+        for spec in shapes[:3]:
+            expectation(spec, seed=1)
+        expectation(shapes[0], seed=1)  # now the most recently used
+        for spec in shapes[3:]:
+            expectation(spec, seed=1)
+        assert len(mx._EXPECTATION_MEMO) == 3
+        assert [key[1] for key in mx._EXPECTATION_MEMO] == [((1,),), ((4,),), ((5,),)]
+        mx._EXPECTATION_MEMO.clear()
+        assert len(mx._EXPECTATION_MEMO) == 0
+
+
+class TestSharedEstimateErrors:
+    def test_row_recursion_adds_the_terms_of_one_estimate(self):
+        spec = validate((2, 2), [[1, 1], [1, 2], [2, 1], [1, 1]])
+        rep = row_recursion_check(spec, 1, samples=4_000, seed=5)
+        (_, d1, e1), (_, d2, e2) = rep.subs
+        assert d1 == d2 == 1.0
+        assert e1.kind == "monte_carlo" and e1 is e2
+        value, se = e1.value, e1.stderr
+        assert rep.upper_stderr == pytest.approx(2 * se, rel=1e-12)
+        # d/dE sqrt(E**2 + E**2) = sqrt(2)
+        assert rep.lower_stderr == pytest.approx(2 * value * se / rep.lower, rel=1e-12)
+        assert rep.lower_stderr == pytest.approx(math.sqrt(2) * se, rel=1e-12)
+
+    def test_product_of_one_estimate_with_itself(self):
+        spec = validate(
+            (1, 1, 1, 1), [[1, 2, 0, 0], [2, 1, 0, 0], [0, 0, 1, 2], [0, 0, 2, 1]]
+        )
+        res = expectation(spec, samples=4_000, seed=5)
+        left, right = res.parts
+        assert res.kind == "product" and left.kind == "monte_carlo" and left is right
+        linear = abs(left.value) * right.stderr + abs(right.value) * left.stderr
+        assert res.stderr == pytest.approx(linear, rel=1e-12)
+
+    def test_independent_parts_still_add_in_quadrature(self):
+        spec = validate(
+            (1, 1, 1, 1), [[1, 2, 0, 0], [2, 1, 0, 0], [0, 0, 1, 3], [0, 0, 2, 1]]
+        )
+        res = expectation(spec, samples=4_000, seed=5)
+        left, right = res.parts
+        assert left.kind == right.kind == "monte_carlo" and left.mc.seed != right.mc.seed
+        quadrature = math.hypot(left.value * right.stderr, right.value * left.stderr)
+        assert res.stderr == pytest.approx(quadrature, rel=1e-12)

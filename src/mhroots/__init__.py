@@ -22,8 +22,7 @@ from .empirical import (
     UnsupportedFamilyError,
     UniformityReport,
     ZeroPolynomialError,
-    count_real_roots_bilinear,
-    count_real_roots_univariate,
+    count_real_roots,
     empirical_expectation,
     evaluate,
     rotate_sample,
@@ -58,9 +57,7 @@ from .gaussian import (
 )
 from .permanent import (
     MatrixTooLargeError,
-    PermanentResult,
     has_zero_block,
-    permanent,
     permanent_bruteforce,
     permanent_exact,
     permanent_float,

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -134,6 +135,17 @@ def _workers(args) -> int:
     if not (env.isdecimal() and int(env) >= 1):
         raise InvalidInputError(f"MHROOTS_THREADS must be a positive integer, got {env!r}")
     return int(env)
+
+
+def _check_tolerances(args) -> None:
+    """Reject tolerance flags outside their ranges instead of skewing results."""
+    for flag, value, ok, rule in (
+        ("--tau-imag", args.tau_imag, 0.0 <= args.tau_imag < math.inf, "finite and nonnegative"),
+        ("--stderr-mult", args.stderr_mult, 0.0 < args.stderr_mult < math.inf, "finite and positive"),
+        ("--miss-budget", args.miss_budget, 0.0 <= args.miss_budget <= 1.0, "in [0, 1]"),
+    ):
+        if not ok:
+            raise InvalidInputError(f"{flag} must be {rule}, got {value}")
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
@@ -387,6 +399,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.workers = _workers(args)
+        _check_tolerances(args)
         return args.func(args)
     except (
         ShapeError,

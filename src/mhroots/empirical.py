@@ -5,16 +5,21 @@ reciprocal invariant monomial weights.  Counting is exactly solvable for a
 restricted family of shapes: systems whose row/block incidence graph
 decomposes into univariate pieces (one equation in one size-1 block), the
 bilinear 2x2 pattern, degree-zero rows (constant equations, which force zero
-roots), and empty blocks.  Univariate counting goes through companion-matrix
-eigenvalues; bilinear counting eliminates one block and reads the sign of a
-binary quadratic's discriminant.
+roots), and empty blocks.
+
+Each family has one batch counter over (N, size) coefficient rows:
+univariate counting goes through companion-matrix eigenvalues; bilinear
+counting eliminates one block and reads the sign of a binary quadratic's
+discriminant.  ``_count`` multiplies the counts of a shape's components and
+merges their flags; ``sample_counts`` calls it once per batch, and
+``count_real_roots`` counts a single system as a one-row batch.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +27,6 @@ from . import rng
 from .gaussian import MCEstimate, check_samples
 from .shape import (
     ShapeSpec,
-    SupportTooLargeError,
     enumerate_support,
     incidence_components,
     support_exponent_matrix,
@@ -47,19 +51,15 @@ class UnsupportedFamilyError(ValueError):
     """Shape outside the exactly countable families."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class SystemSample:
     """One coefficient draw for every equation of a shape.
 
     ``coefficients[i]`` is aligned with ``enumerate_support(spec, i + 1)``.
-    ``root_count`` is filled after counting; ``flags`` records boundary
-    events (roots at infinity, near-multiple roots, ...).
     """
 
     spec: ShapeSpec
     coefficients: list[np.ndarray]
-    root_count: int | None = None
-    flags: tuple[str, ...] = field(default_factory=tuple)
 
 
 def _coefficient_layout(spec: ShapeSpec):
@@ -120,69 +120,20 @@ def theta_norm_sq(spec: ShapeSpec, i: int, point) -> float:
 
 
 # ---------------------------------------------------------------------------
-# univariate counting
+# real-root counters, one per family, over batches of coefficient rows
 
 
-def _count_univariate_scalar(
-    coeffs: np.ndarray, tau: float = IMAG_TOL, inf_tol: float = INFINITY_TOL
-) -> tuple[int, tuple[str, ...], list[float]]:
-    """Count real projective roots of one binary form; returns angles too.
+def _count_univariate(coeffs: np.ndarray, tau: float = IMAG_TOL, want_angles: bool = False):
+    """Real projective root counts of binary forms, one per (N, d+1) row.
 
     Coefficients are ordered from the highest power of the first coordinate
-    downward.  Roots at infinity (leading coefficients numerically zero) add
-    one flagged root; near-coincident real eigenvalues are flagged.
-    """
-    c = np.asarray(coeffs, dtype=np.float64)
-    cmax = float(np.max(np.abs(c))) if c.size else 0.0
-    if cmax == 0.0:
-        raise ZeroPolynomialError("all coefficients are zero")
-    flags: list[str] = []
-    lead = 0
-    while abs(c[lead]) < inf_tol * cmax:
-        lead += 1
-    angles: list[float] = []
-    count = 0
-    if lead > 0:
-        flags.append("infinity_root")
-        count += 1
-        angles.append(0.0)
-    p = c[lead:]
-    if p.size > 1:
-        roots = np.roots(p)
-        real_mask = np.abs(roots.imag) <= tau * (1.0 + np.abs(roots))
-        reals = np.sort(roots.real[real_mask])
-        count += int(real_mask.sum())
-        angles.extend(float(math.atan2(1.0, r) % math.pi) for r in reals)
-        if reals.size >= 2:
-            gaps = np.diff(reals)
-            if np.any(gaps <= tau * (1.0 + np.abs(reals[:-1]))):
-                flags.append("multiple_root")
-    return count, tuple(flags), angles
-
-
-def count_real_roots_univariate(
-    sample: SystemSample, tau: float = IMAG_TOL, inf_tol: float = INFINITY_TOL
-) -> tuple[int, tuple[str, ...]]:
-    """Real projective root count for the one-equation, one-block family."""
-    spec = sample.spec
-    if spec.k != 1 or spec.block_sizes != (1,):
-        raise UnsupportedFamilyError(
-            f"univariate counter needs one size-1 block, got {spec.block_sizes}"
-        )
-    count, flags, _ = _count_univariate_scalar(sample.coefficients[0], tau, inf_tol)
-    sample.root_count = count
-    sample.flags = flags
-    return count, flags
-
-
-def _batch_univariate(
-    coeffs: np.ndarray, tau: float = IMAG_TOL, inf_tol: float = INFINITY_TOL, want_angles: bool = False
-):
-    """Vectorized root counts for (N, d+1) coefficient rows.
-
-    Returns (counts, flag_rows, angles) where flag_rows maps row -> flags for
-    the rare boundary rows and angles concatenates the projective angles of
-    all counted roots (only when requested).
+    downward.  Returns (counts, flag_rows, angles): flag_rows maps row ->
+    flags for the rare boundary rows, and angles concatenates the projective
+    angles of all counted roots (only when requested).  Leading coefficients
+    below INFINITY_TOL of the row's largest, of any multiplicity, count one
+    root at infinity (angle 0.0) flagged ``infinity_root``, plus the roots
+    of the rest of the row; near-coincident real roots flag
+    ``multiple_root``.  A width-1 row is a nonzero constant: no roots.
     """
     c = np.asarray(coeffs, dtype=np.float64)
     n_rows, width = c.shape
@@ -197,7 +148,7 @@ def _batch_univariate(
     cmax = np.max(np.abs(c), axis=1)
     if np.any(cmax == 0.0):
         raise ZeroPolynomialError("all coefficients are zero")
-    bad = np.abs(c[:, 0]) < inf_tol * cmax
+    bad = np.abs(c[:, 0]) < INFINITY_TOL * cmax
     good = np.nonzero(~bad)[0]
     if good.size:
         d = width - 1
@@ -219,18 +170,14 @@ def _batch_univariate(
             vals = eig.real[real_mask]
             angle_parts.append(np.arctan2(1.0, vals) % math.pi)
     for row in np.nonzero(bad)[0]:
-        cnt, flags, angles = _count_univariate_scalar(c[row], tau, inf_tol)
-        counts[row] = cnt
-        if flags:
-            flag_rows[int(row)] = flags
-        if want_angles and angles:
-            angle_parts.append(np.asarray(angles))
+        lead = int(np.argmax(np.abs(c[row]) >= INFINITY_TOL * cmax[row]))
+        rest, rest_flags, rest_angles = _count_univariate(c[row : row + 1, lead:], tau, want_angles)
+        counts[row] = 1 + rest[0]
+        flag_rows[int(row)] = ("infinity_root",) + rest_flags.get(0, ())
+        if want_angles:
+            angle_parts.append(np.concatenate([[0.0], rest_angles]))
     all_angles = np.concatenate(angle_parts) if angle_parts else np.zeros(0)
     return counts, flag_rows, all_angles
-
-
-# ---------------------------------------------------------------------------
-# bilinear counting
 
 
 def _bilinear_quadratic(m1: np.ndarray, m2: np.ndarray, direction: str):
@@ -273,32 +220,22 @@ def _quadratic_root_count(a, b, c):
     return counts.astype(np.int64), boundary & ~degenerate, degenerate
 
 
-def count_real_roots_bilinear(
-    sample: SystemSample, direction: str = "first"
-) -> tuple[int, tuple[str, ...]]:
-    """Real root count in the product of two projective lines for the
-    bilinear two-equation shape.
+def _count_bilinear(e1: np.ndarray, e2: np.ndarray):
+    """Real root counts in P1 x P1 of bilinear pairs, from the (N, 4)
+    coefficient rows of the two equations.
 
-    The two equations are written as quadratic forms y1' M_i y2; eliminating
-    one block leaves a real binary quadratic whose projective real roots
+    Each equation is a quadratic form y1' M_i y2; eliminating the second
+    block leaves a real binary quadratic whose projective real roots
     (generically 0 or 2 by the sign of the discriminant) biject with system
-    roots.  A vanishing discriminant counts 1 and is flagged ``boundary``.
+    roots.  Returns (counts, flag_rows): a vanishing discriminant counts 1
+    and is flagged ``boundary``, a vanishing quadratic ``degenerate``.
     """
-    spec = sample.spec
-    if spec.block_sizes != (1, 1) or spec.degrees != ((1, 1), (1, 1)):
-        raise UnsupportedFamilyError("bilinear counter needs the 2x2 all-ones shape")
-    m1 = np.asarray(sample.coefficients[0], dtype=np.float64).reshape(2, 2)
-    m2 = np.asarray(sample.coefficients[1], dtype=np.float64).reshape(2, 2)
-    a, b, c = _bilinear_quadratic(m1, m2, direction)
-    if max(abs(a), abs(b), abs(c)) < DEGENERATE_TOL:
-        raise DegenerateSystemError("elimination quadratic vanishes identically")
-    counts, boundary, _ = _quadratic_root_count(
-        np.asarray([a]), np.asarray([b]), np.asarray([c])
-    )
-    flags = ("boundary",) if boundary[0] else ()
-    sample.root_count = int(counts[0])
-    sample.flags = flags
-    return int(counts[0]), flags
+    n_rows = e1.shape[0]
+    a, b, c = _bilinear_quadratic(e1.reshape(n_rows, 2, 2), e2.reshape(n_rows, 2, 2), "first")
+    counts, boundary, degenerate = _quadratic_root_count(a, b, c)
+    flag_rows = {int(i): ("boundary",) for i in np.nonzero(boundary)[0]}
+    flag_rows.update((int(i), ("degenerate",)) for i in np.nonzero(degenerate)[0])
+    return counts, flag_rows
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +272,65 @@ def _decompose(spec: ShapeSpec) -> list[_Component]:
     return comps
 
 
+def _counted_components(spec: ShapeSpec) -> list[_Component]:
+    """The components whose counts multiply to a system's root count.
+
+    A degree-zero equation (a nonzero constant, almost surely) leaves no
+    roots whatever the rest of the shape; otherwise every component must be
+    countable, else UnsupportedFamilyError.
+    """
+    comps = _decompose(spec)
+    zero_rows = [c for c in comps if c.kind == "zero_row"]
+    if zero_rows:
+        return zero_rows[:1]
+    bad = [c for c in comps if c.kind == "unsupported"]
+    if bad:
+        raise UnsupportedFamilyError(
+            f"shape is not in a countable family (component blocks {bad[0].blocks}, "
+            f"rows {bad[0].rows})"
+        )
+    return [c for c in comps if c.kind != "null"]
+
+
+def _count(comps: list[_Component], coeffs: list[np.ndarray], tau: float):
+    """Root counts of a batch of systems: the product of the component
+    counts, with the components' flags merged per row.
+
+    ``coeffs[i]`` holds the (N, size_i) coefficient rows of equation i.
+    A zero_row equation is a width-1 row, which the univariate counter
+    counts as 0.
+    """
+    counts = None
+    flags: dict[int, tuple[str, ...]] = {}
+    for comp in comps:
+        if comp.kind == "bilinear":
+            part, part_flags = _count_bilinear(*(coeffs[i] for i in comp.rows))
+        else:
+            part, part_flags, _ = _count_univariate(coeffs[comp.rows[0]], tau)
+        if counts is None:
+            counts = part
+        else:
+            counts *= part
+        for i, fl in part_flags.items():
+            flags[i] = flags.get(i, ()) + fl
+    return counts, flags
+
+
+def count_real_roots(sample: SystemSample, tau: float = IMAG_TOL) -> tuple[int, tuple[str, ...]]:
+    """Real root count and flags of one system in a countable family.
+
+    Raises UnsupportedFamilyError on the shapes ``sample_counts`` rejects,
+    ZeroPolynomialError when a univariate equation vanishes, and
+    DegenerateSystemError when a bilinear elimination quadratic vanishes.
+    """
+    coeffs = [np.asarray(c, dtype=np.float64)[None, :] for c in sample.coefficients]
+    counts, flags = _count(_counted_components(sample.spec), coeffs, tau)
+    row_flags = flags.get(0, ())
+    if "degenerate" in row_flags:
+        raise DegenerateSystemError("elimination quadratic vanishes identically")
+    return int(counts[0]), row_flags
+
+
 def sample_counts(
     spec: ShapeSpec, samples: int, seed: int, tau: float = IMAG_TOL
 ) -> tuple[np.ndarray, dict[int, tuple[str, ...]]]:
@@ -345,38 +341,15 @@ def sample_counts(
     almost surely has no roots); other unsupported components raise
     UnsupportedFamilyError.
     """
-    comps = _decompose(spec)
-    if any(c.kind == "zero_row" for c in comps):
-        # a degree-zero equation is a nonzero constant almost surely: no roots
-        return np.zeros(samples, dtype=np.int64), {}
-    bad = [c for c in comps if c.kind == "unsupported"]
-    if bad:
-        raise UnsupportedFamilyError(
-            f"shape is not in a countable family (component blocks {bad[0].blocks}, "
-            f"rows {bad[0].rows})"
-        )
-    counters = [c for c in comps if c.kind in ("univariate", "bilinear")]
-    counts = np.ones(samples, dtype=np.int64)
+    comps = _counted_components(spec)
+    counts = np.empty(samples, dtype=np.int64)
     flags: dict[int, tuple[str, ...]] = {}
     width = sum(support_size(spec, i) for i in range(1, spec.n + 1))
     for start, size in rng.batches(samples, width):
         batch = _coefficient_batch(spec, seed, start, size)
-        for comp in counters:
-            if comp.kind == "univariate":
-                ccounts, cflags, _ = _batch_univariate(batch[comp.rows[0]], tau)
-            else:
-                i1, i2 = sorted(comp.rows)
-                m1 = batch[i1].reshape(size, 2, 2)
-                m2 = batch[i2].reshape(size, 2, 2)
-                a, b, c = _bilinear_quadratic(m1, m2, "first")
-                ccounts, boundary, degenerate = _quadratic_root_count(a, b, c)
-                cflags = {int(i): ("boundary",) for i in np.nonzero(boundary)[0]}
-                for i in np.nonzero(degenerate)[0]:
-                    cflags[int(i)] = cflags.get(int(i), ()) + ("degenerate",)
-            counts[start : start + size] *= ccounts
-            for i, fl in cflags.items():
-                gi = start + i
-                flags[gi] = flags.get(gi, ()) + fl
+        counts[start : start + size], batch_flags = _count(comps, batch, tau)
+        for i, fl in batch_flags.items():
+            flags[start + i] = fl
     return counts, flags
 
 
@@ -428,7 +401,7 @@ def uniformity_check(
     for start, size in rng.batches(samples, d + 1):
         coeffs = rng.normals(seed, start, size, d + 1)
         coeffs *= sigma
-        _, _, angles = _batch_univariate(coeffs, want_angles=True)
+        _, _, angles = _count_univariate(coeffs, want_angles=True)
         angles_parts.append(angles)
     angles = np.concatenate(angles_parts)
     counts, _ = np.histogram(angles, bins=bins, range=(0.0, math.pi))

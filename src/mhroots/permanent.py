@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,12 +21,6 @@ BRUTEFORCE_CAP = 9
 
 class MatrixTooLargeError(RuntimeError):
     """Matrix size above the configured cap for this method."""
-
-
-@dataclass(frozen=True)
-class PermanentResult:
-    value: object  # int for exact paths, float otherwise
-    method: str  # "ryser" | "expansion" | "brute_force"
 
 
 def _as_rows(matrix) -> list[list]:
@@ -150,18 +143,6 @@ def permanent_float(matrix) -> float:
             if v < 0:
                 raise ValueError(f"entry ({i + 1},{j + 1}) must be nonnegative: {v!r}")
     return float(_ryser_square([[float(v) for v in row] for row in rows], 0.0, 1.0))
-
-
-def permanent(matrix, exact: bool | None = None) -> PermanentResult:
-    """Permanent with the method recorded; exact when the input is integral."""
-    arr = np.asarray(matrix)
-    if exact is None:
-        exact = bool(np.issubdtype(arr.dtype, np.integer)) or (
-            arr.size > 0 and np.all(arr == np.floor(arr))
-        )
-    if exact:
-        return PermanentResult(permanent_exact(arr.astype(np.int64)), "ryser")
-    return PermanentResult(permanent_float(arr), "ryser")
 
 
 def _max_matching(adj: list[list[int]], n_cols: int) -> tuple[int, list[int], list[int]]:

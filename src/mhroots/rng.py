@@ -1,6 +1,6 @@
 """Deterministic random streams addressed by sample index.
 
-Uniforms (``uniforms``, ``integers``; they feed the shape corpora) address
+Uniforms (``uniforms``; they feed the shape corpora) address
 each draw by a global counter g = sample_index * draws_per_sample +
 draw_index, hashed through a keyed splitmix64-style finalizer.
 
@@ -157,11 +157,3 @@ def batches(samples: int, count: int) -> list[tuple[int, int]]:
     """(first sample, sample count) of each batch covering ``samples`` samples."""
     size = batch_size(count)
     return [(start, min(size, samples - start)) for start in range(0, samples, size)]
-
-
-def integers(seed: int, first_sample: int, n_samples: int, draws: int, bound: int) -> np.ndarray:
-    """(n_samples, draws) ints uniform on [0, bound); for corpus generation."""
-    if bound <= 0:
-        raise ValueError(f"bound must be positive, got {bound}")
-    u = uniforms(seed, first_sample, n_samples, draws)
-    return np.minimum((u * bound).astype(np.int64), bound - 1)

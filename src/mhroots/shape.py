@@ -90,10 +90,6 @@ class ExponentVector:
 
     blocks: tuple[tuple[int, ...], ...]
 
-    def block_degree(self, j: int) -> int:
-        """Total degree within block j (1-based)."""
-        return sum(self.blocks[j - 1])
-
     def flat(self) -> tuple[int, ...]:
         """All exponents concatenated in block order."""
         return tuple(itertools.chain.from_iterable(self.blocks))

@@ -1,0 +1,24 @@
+"""Public API guard: the demos use only names the package exports."""
+
+import ast
+import importlib
+import pathlib
+
+import mhroots
+
+DEMOS = sorted((pathlib.Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+
+
+def test_demos_import_only_exported_names():
+    assert len(DEMOS) >= 5
+    for demo in DEMOS:
+        for node in ast.walk(ast.parse(demo.read_text(), filename=str(demo))):
+            if not isinstance(node, ast.ImportFrom) or (node.module or "").split(".")[0] != "mhroots":
+                continue
+            for alias in node.names:
+                if node.module == "mhroots":
+                    assert alias.name in mhroots.__all__, f"{demo.name}: {alias.name}"
+                else:
+                    assert hasattr(importlib.import_module(node.module), alias.name), (
+                        f"{demo.name}: {node.module}.{alias.name}"
+                    )

@@ -330,9 +330,20 @@ class TestVerifyCommand:
             ("--n-max", "0", "--n-max must be at least 1, got 0"),
             ("--n-max", "-3", "--n-max must be at least 1, got -3"),
             ("--count", "-1", "--count must be nonnegative, got -1"),
+            ("--tau-imag", "-1", "--tau-imag must be finite and nonnegative, got -1.0"),
+            ("--tau-imag", "nan", "--tau-imag must be finite and nonnegative, got nan"),
+            ("--tau-imag", "inf", "--tau-imag must be finite and nonnegative, got inf"),
+            ("--stderr-mult", "-5", "--stderr-mult must be finite and positive, got -5.0"),
+            ("--stderr-mult", "0", "--stderr-mult must be finite and positive, got 0.0"),
+            ("--stderr-mult", "nan", "--stderr-mult must be finite and positive, got nan"),
+            ("--miss-budget", "-1", "--miss-budget must be in [0, 1], got -1.0"),
+            ("--miss-budget", "1.5", "--miss-budget must be in [0, 1], got 1.5"),
+            ("--miss-budget", "nan", "--miss-budget must be in [0, 1], got nan"),
         ],
     )
-    def test_out_of_range_arguments(self, capsys, flag, value, message):
-        assert main(["verify", flag, value, "--samples", "100"]) == 2
+    def test_out_of_range_arguments(self, tmp_path, capsys, flag, value, message):
+        # the imaginary-part tolerance skews simulate's counts; the others, verify's verdict
+        command = ["simulate", _write_shape(tmp_path, QUARTIC)] if flag == "--tau-imag" else ["verify"]
+        assert main(command + [flag, value, "--samples", "100"]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err == f"invalid input: {message}\n"

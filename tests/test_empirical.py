@@ -8,15 +8,15 @@ from scipy.stats import chi2
 
 from mhroots import rng
 from mhroots.empirical import (
+    IMAG_TOL,
+    INFINITY_TOL,
     DegenerateSystemError,
     SystemSample,
     UnsupportedFamilyError,
     ZeroPolynomialError,
-    _batch_univariate,
-    _count_univariate_scalar,
+    _count_univariate,
     _decompose,
-    count_real_roots_bilinear,
-    count_real_roots_univariate,
+    count_real_roots,
     empirical_expectation,
     evaluate,
     rotate_sample,
@@ -58,10 +58,13 @@ class TestSampling:
         assert not np.allclose(a.coefficients[0], b.coefficients[0])
 
     def test_sample_system_replays_the_counted_system(self):
-        counts, _ = sample_counts(UNI4, 3000, seed=4)
-        for index in (0, rng.SAMPLE_BLOCK + 3, 2999):
-            sample = sample_system(UNI4, seed=4, index=index)
-            assert count_real_roots_univariate(sample)[0] == counts[index]
+        # the univariate counter alone, and a product of two counters
+        uni_x_bilinear = validate((1, 1, 1), [[3, 0, 0], [0, 1, 1], [0, 1, 1]])
+        for spec in (UNI4, uni_x_bilinear):
+            counts, flags = sample_counts(spec, 3000, seed=4)
+            for index in (0, rng.SAMPLE_BLOCK + 3, 2999):
+                sample = sample_system(spec, seed=4, index=index)
+                assert count_real_roots(sample) == (counts[index], flags.get(index, ()))
 
 
 class TestEvaluate:
@@ -105,41 +108,52 @@ class TestEvaluate:
 class TestUnivariateCounting:
     def test_no_real_roots(self):
         sample = SystemSample(UNI2, [np.array([1.0, 0.0, 1.0])])  # x^2 + y^2
-        assert count_real_roots_univariate(sample)[0] == 0
+        assert count_real_roots(sample)[0] == 0
 
     def test_two_real_roots(self):
         sample = SystemSample(UNI2, [np.array([1.0, 0.0, -1.0])])  # x^2 - y^2
-        assert count_real_roots_univariate(sample)[0] == 2
+        assert count_real_roots(sample)[0] == 2
 
     def test_zero_polynomial_raises(self):
         sample = SystemSample(UNI2, [np.zeros(3)])
         with pytest.raises(ZeroPolynomialError):
-            count_real_roots_univariate(sample)
+            count_real_roots(sample)
 
     def test_infinity_root_rule(self):
         # numerically vanishing leading coefficient: one flagged root at infinity
-        count, flags, angles = _count_univariate_scalar(np.array([1e-15, 1.0, 1.0]))
-        assert count == 2  # root at infinity plus root of x + 1
-        assert "infinity_root" in flags
-        assert angles[0] == 0.0
+        sample = SystemSample(UNI2, [np.array([1e-15, 1.0, 1.0])])
+        # root at infinity plus root of x + 1
+        assert count_real_roots(sample) == (2, ("infinity_root",))
 
     def test_double_root_flagged(self):
         # (x - y)^2 = x^2 - 2xy + y^2
-        count, flags, _ = _count_univariate_scalar(np.array([1.0, -2.0, 1.0]))
-        assert count == 2
-        assert "multiple_root" in flags
+        sample = SystemSample(UNI2, [np.array([1.0, -2.0, 1.0])])
+        assert count_real_roots(sample) == (2, ("multiple_root",))
 
     def test_statistical_sqrt_d(self):
         est = empirical_expectation(UNI4, samples=20_000, seed=9)
         assert abs(est.mean - 2.0) <= 4 * est.stderr
 
-    def test_batch_matches_scalar(self):
-        coeffs = rng.normals(10, 0, 500, 5) * np.sqrt(support_variances(UNI4, 1))
-        counts, flag_rows, _ = _batch_univariate(coeffs)
-        for row in range(500):
-            count, flags, _ = _count_univariate_scalar(coeffs[row])
-            assert counts[row] == count
-            assert flag_rows.get(row, ()) == flags
+    def test_vanishing_leads_in_a_batch(self):
+        def roots_oracle(row):
+            # one root at infinity for vanishing leads, plus numpy.roots on the rest
+            lead = int(np.argmax(np.abs(row) >= INFINITY_TOL * np.abs(row).max()))
+            roots = np.roots(row[lead:])
+            return (lead > 0) + int((np.abs(roots.imag) <= IMAG_TOL * (1 + np.abs(roots))).sum())
+
+        # x^2 - y^2, then y (x + y) with a vanishing lead, then x^2 + y^2
+        rows = np.array([[1.0, 0.0, -1.0], [1e-15, 1.0, 1.0], [1.0, 0.0, 1.0]])
+        counts, flag_rows, angles = _count_univariate(rows, want_angles=True)
+        assert counts.tolist() == [2, 2, 0] == [roots_oracle(r) for r in rows]
+        assert flag_rows == {1: ("infinity_root",)}
+        expected = [0.0, math.pi / 4, 3 * math.pi / 4, 3 * math.pi / 4]
+        assert np.sort(angles) == pytest.approx(expected)
+        # two vanishing leads are one root at infinity; the rest keeps its flags
+        rows = np.array([[1e-15, 1e-16, 1.0, 1.0], [1e-15, 1.0, -2.0, 1.0]])
+        counts, flag_rows, angles = _count_univariate(rows, want_angles=True)
+        assert counts.tolist() == [2, 3] == [roots_oracle(r) for r in rows]
+        assert flag_rows == {0: ("infinity_root",), 1: ("infinity_root", "multiple_root")}
+        assert np.sort(angles) == pytest.approx([0.0, 0.0, math.pi / 4, math.pi / 4, 3 * math.pi / 4])
 
     def test_linear_always_one_root(self):
         est = empirical_expectation(validate((1,), [[1]]), samples=5_000, seed=11)
@@ -160,18 +174,18 @@ class TestBilinearCounting:
         m1 = np.eye(2).ravel()
         m2 = np.array([[1.0, 0.0], [0.0, -1.0]]).ravel()
         sample = SystemSample(BILINEAR, [m1, m2])
-        assert count_real_roots_bilinear(sample)[0] == 2
+        assert count_real_roots(sample)[0] == 2
 
     def test_hand_example_no_roots(self):
         m1 = np.eye(2).ravel()
         m2 = np.array([[0.0, -1.0], [1.0, 0.0]]).ravel()  # rotation by 90 degrees
         sample = SystemSample(BILINEAR, [m1, m2])
-        assert count_real_roots_bilinear(sample)[0] == 0
+        assert count_real_roots(sample)[0] == 0
 
     def test_degenerate_raises(self):
         sample = SystemSample(BILINEAR, [np.zeros(4), np.zeros(4)])
         with pytest.raises(DegenerateSystemError):
-            count_real_roots_bilinear(sample)
+            count_real_roots(sample)
 
     def test_statistical_half_pi(self):
         est = empirical_expectation(BILINEAR, samples=100_000, seed=13)
@@ -209,15 +223,15 @@ class TestRotationInvariance:
         gen = np.random.default_rng(16)
         for idx in range(200):
             sample = sample_system(UNI4, seed=17, index=idx)
-            base = count_real_roots_univariate(sample)[0]
+            base = count_real_roots(sample)[0]
             rotated = rotate_sample(sample, [_rotation(float(gen.uniform(0, math.pi)))])
-            assert count_real_roots_univariate(rotated)[0] == base
+            assert count_real_roots(rotated)[0] == base
 
     def test_bilinear_counts_preserved(self):
         gen = np.random.default_rng(18)
         for idx in range(200):
             sample = sample_system(BILINEAR, seed=19, index=idx)
-            base = count_real_roots_bilinear(sample)[0]
+            base = count_real_roots(sample)[0]
             rotated = rotate_sample(
                 sample,
                 [
@@ -225,7 +239,7 @@ class TestRotationInvariance:
                     _rotation(float(gen.uniform(0, math.pi))),
                 ],
             )
-            assert count_real_roots_bilinear(rotated)[0] == base
+            assert count_real_roots(rotated)[0] == base
 
 
 class TestFamilies:
@@ -239,18 +253,25 @@ class TestFamilies:
         assert abs(est.mean - left.mean * right.mean) <= 4 * joint
 
     def test_zero_degree_row_forces_zero(self):
-        counts, _ = sample_counts(validate((1,), [[0]]), 500, seed=24)
+        spec = validate((1,), [[0]])
+        counts, _ = sample_counts(spec, 500, seed=24)
         assert (counts == 0).all()
+        assert count_real_roots(sample_system(spec, seed=24)) == (0, ())
 
     def test_unsupported_coupled_shape(self):
+        spec = validate((1, 1), [[1, 2], [2, 1]])
         with pytest.raises(UnsupportedFamilyError):
-            empirical_expectation(validate((1, 1), [[1, 2], [2, 1]]), 100, seed=25)
+            empirical_expectation(spec, 100, seed=25)
+        with pytest.raises(UnsupportedFamilyError):
+            count_real_roots(sample_system(spec, seed=25))
 
     def test_unsupported_three_block_game(self):
         from mhroots.shape import game_shape
 
         with pytest.raises(UnsupportedFamilyError):
             empirical_expectation(game_shape((1, 1, 1)), 100, seed=26)
+        with pytest.raises(UnsupportedFamilyError):
+            count_real_roots(sample_system(game_shape((1, 1, 1)), seed=26))
 
 
 class TestDecompose:

@@ -9,7 +9,6 @@ import pytest
 from mhroots.permanent import (
     MatrixTooLargeError,
     has_zero_block,
-    permanent,
     permanent_bruteforce,
     permanent_exact,
     permanent_float,
@@ -55,10 +54,6 @@ class TestExamples:
             n = rng.integers(m, 5)
             mat = rng.integers(0, 5, size=(m, n))
             assert permanent_exact(mat) == permanent_bruteforce(mat)
-
-    def test_result_wrapper(self):
-        res = permanent([[1, 2], [3, 4]])
-        assert res.value == 10 and res.method == "ryser"
 
 
 class TestAgainstOracle:

@@ -292,28 +292,24 @@ def _counted_components(spec: ShapeSpec) -> list[_Component]:
     return [c for c in comps if c.kind != "null"]
 
 
-def _count(comps: list[_Component], coeffs: list[np.ndarray], tau: float):
-    """Root counts of a batch of systems: the product of the component
-    counts, with the components' flags merged per row.
+def _count(comps: list[_Component], coeffs: list[np.ndarray], tau: float, out: np.ndarray):
+    """Multiply the component counts of a batch of systems into ``out``, one
+    entry per system, and return the components' flags merged per row.
 
     ``coeffs[i]`` holds the (N, size_i) coefficient rows of equation i.
     A zero_row equation is a width-1 row, which the univariate counter
-    counts as 0.
+    counts as 0; with no components ``out`` keeps its empty product.
     """
-    counts = None
     flags: dict[int, tuple[str, ...]] = {}
     for comp in comps:
         if comp.kind == "bilinear":
             part, part_flags = _count_bilinear(*(coeffs[i] for i in comp.rows))
         else:
             part, part_flags, _ = _count_univariate(coeffs[comp.rows[0]], tau)
-        if counts is None:
-            counts = part
-        else:
-            counts *= part
+        out *= part
         for i, fl in part_flags.items():
             flags[i] = flags.get(i, ()) + fl
-    return counts, flags
+    return flags
 
 
 def count_real_roots(sample: SystemSample, tau: float = IMAG_TOL) -> tuple[int, tuple[str, ...]]:
@@ -324,8 +320,8 @@ def count_real_roots(sample: SystemSample, tau: float = IMAG_TOL) -> tuple[int, 
     DegenerateSystemError when a bilinear elimination quadratic vanishes.
     """
     coeffs = [np.asarray(c, dtype=np.float64)[None, :] for c in sample.coefficients]
-    counts, flags = _count(_counted_components(sample.spec), coeffs, tau)
-    row_flags = flags.get(0, ())
+    counts = np.ones(1, dtype=np.int64)
+    row_flags = _count(_counted_components(sample.spec), coeffs, tau, counts).get(0, ())
     if "degenerate" in row_flags:
         raise DegenerateSystemError("elimination quadratic vanishes identically")
     return int(counts[0]), row_flags
@@ -342,12 +338,15 @@ def sample_counts(
     UnsupportedFamilyError.
     """
     comps = _counted_components(spec)
-    counts = np.empty(samples, dtype=np.int64)
+    if comps and comps[0].kind == "zero_row":
+        # known without drawing: the rest of the shape's supports may be huge
+        return np.zeros(samples, dtype=np.int64), {}
+    counts = np.ones(samples, dtype=np.int64)
     flags: dict[int, tuple[str, ...]] = {}
     width = sum(support_size(spec, i) for i in range(1, spec.n + 1))
     for start, size in rng.batches(samples, width):
         batch = _coefficient_batch(spec, seed, start, size)
-        counts[start : start + size], batch_flags = _count(comps, batch, tau)
+        batch_flags = _count(comps, batch, tau, counts[start : start + size])
         for i, fl in batch_flags.items():
             flags[start + i] = fl
     return counts, flags

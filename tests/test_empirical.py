@@ -258,6 +258,20 @@ class TestFamilies:
         assert (counts == 0).all()
         assert count_real_roots(sample_system(spec, seed=24)) == (0, ())
 
+    def test_zero_degree_row_draws_nothing(self):
+        # the other supports exceed SUPPORT_CAP: drawing them would raise
+        spec = validate((3,), [[0], [400], [400]])
+        counts, flags = sample_counts(spec, 100_000, seed=24)
+        assert (counts == 0).all() and flags == {}
+
+    @pytest.mark.parametrize("sizes", [(0,), (0, 0)])
+    def test_null_shape_counts_one(self, sizes):
+        # no equations and no unknowns: the one empty solution
+        spec = validate(sizes, [])
+        counts, flags = sample_counts(spec, 500, seed=24)
+        assert (counts == 1).all() and flags == {}
+        assert count_real_roots(sample_system(spec, seed=24)) == (1, ())
+
     def test_unsupported_coupled_shape(self):
         spec = validate((1, 1), [[1, 2], [2, 1]])
         with pytest.raises(UnsupportedFamilyError):

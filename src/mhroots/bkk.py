@@ -65,24 +65,34 @@ def _canonical(blocks: tuple[int, ...], rows: tuple[tuple[int, ...], ...]):
 def _row_terms(blocks, rows, idx):
     """(block j, degree, canonical sub-state) for each nonzero term of the
     expansion along row ``idx``: the sub-state drops the row and one
-    variable of block j."""
+    variable of block j.  Each sub-state is ``_canonical(sub_blocks, rest)``;
+    the rest is sorted and transposed once for all terms."""
     row = rows[idx]
     rest = rows[:idx] + rows[idx + 1 :]
+    cols = list(zip(*sorted(rest))) or [()] * len(blocks)
+    pairs = list(zip(blocks, cols))
     for j, nj in enumerate(blocks):
         if nj > 0 and row[j] > 0:
-            yield j, row[j], _canonical(blocks[:j] + (nj - 1,) + blocks[j + 1 :], rest)
+            pairs[j] = (nj - 1, cols[j])
+            blocks1, cols1 = zip(*sorted(pairs))
+            pairs[j] = (nj, cols[j])
+            yield j, row[j], (blocks1, tuple(sorted(zip(*cols1))))
 
 
 def _bkk_state(blocks: tuple[int, ...], rows: tuple[tuple[int, ...], ...]) -> int:
-    """Exact count for a canonical state; row expansion with min-branch pivot."""
+    """Exact count for a canonical state; row expansion with min-branch pivot.
+
+    The pivot is the first row with the fewest nonzero degrees on blocks of
+    positive size; canonical states list the size-0 blocks first."""
     if not rows:
         return 1
     key = (blocks, rows)
     cached = _BKK_MEMO.get(key)
     if cached is not None:
         return cached
-    live = [j for j, nj in enumerate(blocks) if nj > 0]
-    pivot = min(range(len(rows)), key=lambda i: sum(rows[i][j] > 0 for j in live))
+    dead = blocks.count(0)
+    zeros = [row[dead:].count(0) for row in rows]
+    pivot = zeros.index(max(zeros))
     total = 0
     for _, degree, sub in _row_terms(blocks, rows, pivot):
         # through the module global, so a wrapper sees every state lookup

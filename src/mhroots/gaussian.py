@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .permanent import permanent_float
+from .permanent import _check_finite_nonnegative, permanent_float
 from .shape import ShapeSpec, expand_delta
 from .specialfn import SQRT_PI, gamma_half
 
@@ -68,8 +68,7 @@ def _check_profile(variances) -> np.ndarray:
     arr = np.asarray(variances, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"variance profile must be square, got shape {arr.shape}")
-    if arr.size and arr.min() < 0:
-        raise ValueError("variances must be nonnegative")
+    _check_finite_nonnegative(arr, "variance")
     return arr
 
 

@@ -8,7 +8,8 @@ Normals (``normals``; they feed every Monte Carlo estimator) come from
 numpy's Philox counter generator (Salmon et al., SC'11) with its ziggurat
 ``standard_normal`` (Marsaglia & Tsang, JSS 2000).  The sample range is cut
 into blocks of SAMPLE_BLOCK rows; block b is drawn, row after row, from
-Philox keyed by (seed, b).  So any range of rows is a pure function of
+Philox keyed by (seed, b) (each call makes one generator and re-keys it per
+block).  So any range of rows is a pure function of
 (seed, row, count), whatever partition of the range over workers or
 batches produced it.  SAMPLE_BLOCK is part of the stream contract, and the
 values are pinned to the installed numpy's ziggurat.
@@ -69,14 +70,31 @@ def _piece_rows(count: int) -> int:
     return max(1, PIECE_ELEMENTS // max(count, 1))
 
 
-def _block_generator(seed64: int, block: int, skip: int, count: int) -> np.random.Generator:
-    """Block ``block``'s generator, advanced past its first ``skip`` rows.
+def _generator() -> np.random.Generator:
+    """A Philox generator for ``_start_block`` to key.  Seeded with 0, so
+    that making it reads no OS entropy: each block sets key and counter."""
+    return np.random.Generator(np.random.Philox(0))
 
-    Ziggurat rejection gives no skip-ahead, so the skipped rows are drawn and
-    dropped, PIECE_ELEMENTS draws at a time.
+
+def _start_block(
+    gen: np.random.Generator, seed64: int, block: int, skip: int, count: int
+) -> np.random.Generator:
+    """Re-key ``gen`` to block ``block``'s stream, advanced past its first
+    ``skip`` rows.
+
+    The stream is that of Philox(key=seed64 | block << 64): key words
+    [seed64, block], counter 0 and an empty buffer.  Ziggurat rejection gives
+    no skip-ahead, so the skipped rows are drawn and dropped, PIECE_ELEMENTS
+    draws at a time.
     """
-    # a 128-bit integer key is the word pair [seed64, block]
-    gen = np.random.Generator(np.random.Philox(key=seed64 | block << 64))
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, np.uint64), "key": np.array([seed64, block], np.uint64)},
+        "buffer": np.zeros(4, np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
     step = _piece_rows(count)
     for done in range(0, skip, step):
         gen.standard_normal((min(step, skip - done), count))
@@ -94,13 +112,14 @@ def normals(seed: int, first_sample: int, n_samples: int, count: int) -> np.ndar
     if count == 0:
         return out
     seed64 = int(seed) & _MASK64
+    gen = _generator()
     row = int(first_sample)
     end = row + n_samples
     pos = 0
     while row < end:
         block, offset = divmod(row, SAMPLE_BLOCK)
         take = min(SAMPLE_BLOCK - offset, end - row)
-        _block_generator(seed64, block, offset, count).standard_normal(out=out[pos : pos + take])
+        _start_block(gen, seed64, block, offset, count).standard_normal(out=out[pos : pos + take])
         row += take
         pos += take
     return out
@@ -130,10 +149,11 @@ def normal_pieces(
             row = stop
         return
     seed64 = int(seed) & _MASK64
+    gen = _generator()
     while row < end:
         block, offset = divmod(row, SAMPLE_BLOCK)
         stop = min(end, (block + 1) * SAMPLE_BLOCK)
-        gen = _block_generator(seed64, block, offset, count)
+        _start_block(gen, seed64, block, offset, count)
         for first in range(row, stop, rows):
             piece = np.empty((min(rows, stop - first), count), dtype=np.float64)
             gen.standard_normal(out=piece)

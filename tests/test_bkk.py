@@ -325,3 +325,48 @@ class TestScale:
         value = bkk_recursive(game_shape((3,) * 8)).count
         assert value > 2**53
         assert isinstance(value, int)
+
+
+class TestRowTerms:
+    def test_sub_states_are_canonical_forms(self):
+        # rows in any order, as the forced ("row", i) pivot passes them
+        from mhroots.bkk import _row_terms
+
+        rng = np.random.default_rng(74)
+        for _ in range(300):
+            k = int(rng.integers(1, 6))
+            blocks = tuple(int(b) for b in rng.integers(0, 4, size=k))
+            degrees = rng.choice([0, 0, 1, 2, 3], size=(int(rng.integers(1, 8)), k))
+            rows = tuple(tuple(int(d) for d in row) for row in degrees)
+            for idx, row in enumerate(rows):
+                rest = rows[:idx] + rows[idx + 1 :]
+                expected = [
+                    (j, row[j], _canonical(blocks[:j] + (nj - 1,) + blocks[j + 1 :], rest))
+                    for j, nj in enumerate(blocks)
+                    if nj > 0 and row[j] > 0
+                ]
+                assert list(_row_terms(blocks, rows, idx)) == expected
+
+
+class TestMemoStates:
+    # States the recursion visits on the benchmark's game shapes: a change of
+    # pivot rule or canonical form shows up here before it shows up in time.
+    @pytest.mark.parametrize(
+        "sizes, count, states, with_reducibility",
+        [
+            ((3,) * 6, 5691917785, 1532, 1694),
+            ((4,) * 5, 3993445276, 3481, 3604),
+            ((2,) * 9, 1596005408152, 946, 1410),
+            ((3,) * 8, 16086070907249329, 8772, 10876),
+        ],
+    )
+    def test_game_shapes(self, monkeypatch, sizes, count, states, with_reducibility):
+        from mhroots import bkk
+
+        monkeypatch.setattr(bkk, "_BKK_MEMO", {})
+        monkeypatch.setattr(bkk, "_REDUCIBLE_MEMO", {})
+        spec = game_shape(sizes)
+        assert bkk_count(spec) == count
+        assert len(bkk._BKK_MEMO) == states
+        assert not is_simply_reducible(spec).reducible
+        assert len(bkk._BKK_MEMO) == with_reducibility

@@ -237,3 +237,23 @@ class TestMinorExpansion:
             upper, lower = permanent_sandwich(var)
             slack = 4 * est.stderr + 1e-9
             assert upper + slack >= est.mean >= lower - slack, (t, var)
+
+
+class TestNonFiniteProfiles:
+    # NaN compares False with everything, so a bare `min() < 0` test let it through
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "entry_point",
+        [
+            lambda var: mc_abs_det(var, 1024, seed=1),
+            lambda var: sample_matrix(var, seed=1),
+            permanent_sandwich,
+            lambda var: minor_expansion_bounds(var, 1, [1.0, 1.0]),
+        ],
+        ids=["mc_abs_det", "sample_matrix", "permanent_sandwich", "minor_expansion_bounds"],
+    )
+    def test_rejected_naming_the_entry(self, entry_point, bad):
+        var = np.ones((2, 2))
+        var[1, 0] = bad
+        with pytest.raises(ValueError, match=r"variance \(2,1\) must be finite and nonnegative"):
+            entry_point(var)

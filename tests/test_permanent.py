@@ -170,3 +170,97 @@ class TestCaps:
     def test_negative_entries_rejected(self):
         with pytest.raises(ValueError):
             permanent_exact([[-1, 0], [0, 1]])
+
+
+def _sequential_ryser(rows, zero, one):
+    """Ryser's Gray-code loop one step at a time: the kernel's oracle, whose
+    every sum and product, and so every rounding, the kernel must repeat."""
+    n = len(rows)
+    if n == 0:
+        return one
+    cols = [[rows[i][j] for i in range(n)] for j in range(n)]
+    rowsums = [zero] * n
+    total = zero
+    gray = 0
+    for s in range(1, 1 << n):
+        bit = s & -s
+        j = bit.bit_length() - 1
+        gray ^= bit
+        col = cols[j]
+        if gray & bit:
+            for i in range(n):
+                rowsums[i] += col[i]
+        else:
+            for i in range(n):
+                rowsums[i] -= col[i]
+        prod = one
+        for v in rowsums:
+            prod *= v
+            if prod == 0:
+                break
+        if (gray.bit_count() & 1) == (n & 1):
+            total += prod
+        else:
+            total -= prod
+    return total
+
+
+def _mixed_matrices(seed, count, n_max=12):
+    """Seeded square matrices with zeros and magnitudes from 1e-8 to 1e8."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(1, n_max + 1))
+        scale = 10.0 ** rng.uniform(-8, 8, size=(n, n))
+        yield rng.random((n, n)) * scale * (rng.random((n, n)) > 0.3)
+
+
+class TestGrayKernel:
+    def test_float_is_bitwise_the_sequential_loop(self):
+        for mat in _mixed_matrices(71, 200):
+            expected = _sequential_ryser(mat.tolist(), 0.0, 1.0)
+            assert np.float64(permanent_float(mat)).tobytes() == np.float64(expected).tobytes()
+
+    def test_int_equals_the_sequential_loop(self):
+        rng = np.random.default_rng(72)
+        for _ in range(200):
+            n = int(rng.integers(1, 13))
+            mat = rng.integers(0, 6, size=(n, n)) * (rng.random((n, n)) > 0.3)
+            big = mat * 10**12  # past int64 once multiplied out
+            assert permanent_exact(mat) == _sequential_ryser(mat.tolist(), 0, 1)
+            assert permanent_exact(big) == _sequential_ryser(big.tolist(), 0, 1)
+
+    @pytest.mark.parametrize("chunk", [2, 3, 16])
+    def test_chunk_boundaries_do_not_move_the_rounding(self, monkeypatch, chunk):
+        from mhroots import permanent
+
+        monkeypatch.setattr(permanent, "RYSER_CHUNK", chunk)
+        for mat in _mixed_matrices(73, 20, n_max=8):
+            expected = _sequential_ryser(mat.tolist(), 0.0, 1.0)
+            assert np.float64(permanent_float(mat)).tobytes() == np.float64(expected).tobytes()
+            ints = (mat > 0).astype(int) * 3
+            assert permanent_exact(ints) == _sequential_ryser(ints.tolist(), 0, 1)
+
+    @pytest.mark.parametrize(
+        "n, upper",
+        [(14, 439295.99985478807), (16, 3294720.0144438245), (18, 24893440.925856154)],
+    )
+    def test_rank_one_upper_bounds_keep_their_recorded_rounding(self, n, upper):
+        # perfbench/reference.json records these Ryser roundings as the
+        # expected bounds() upper bound; exact: 2^(n/2) * C(n, n/2)
+        from mhroots.expectation import bounds
+        from mhroots.shape import validate
+
+        spec = validate((n // 2, n // 2), [[1, 2], [2, 4]] * (n // 2))
+        assert bounds(spec).upper == upper
+
+
+class TestNonFiniteEntries:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_float_path(self, bad):
+        with pytest.raises(ValueError, match=r"entry \(1,2\) must be finite and nonnegative"):
+            permanent_float([[1.0, bad], [1.0, 1.0]])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_exact_path(self, bad):
+        with pytest.raises(ValueError, match=r"entry \(1,1\) must be a nonnegative integer"):
+            permanent_exact([[bad]])

@@ -65,13 +65,13 @@ class TestNormalPieces:
         count = 7
         monkeypatch.setattr(rng, "PIECE_ELEMENTS", 300 * count)
         opened = []
-        block_generator = rng._block_generator
+        start_block = rng._start_block
         monkeypatch.setattr(
-            rng, "_block_generator", lambda *a: opened.append(a[1]) or block_generator(*a)
+            rng, "_start_block", lambda *a: opened.append(a[2]) or start_block(*a)
         )
         pieces = list(rng.normal_pieces(44, first, n_samples, count))
         assert max(z.size for z in pieces) <= rng.PIECE_ELEMENTS
-        # one generator per block touched: no block is drawn twice
+        # one keying per block touched: no block is drawn twice
         assert opened == list(range(first // B, (first + n_samples - 1) // B + 1))
         whole = np.concatenate([_whole_block(44, b, count) for b in range(3)])
         expected = whole[first : first + n_samples]
@@ -122,3 +122,21 @@ class TestCorpus:
         for t, (sizes, degrees) in golden.items():
             spec = random_shape(0, t)
             assert (spec.block_sizes, spec.degrees) == (sizes, degrees)
+
+
+class TestRekeying:
+    def test_one_generator_rekeyed_per_block(self, monkeypatch):
+        made = []
+        generator = rng._generator
+        monkeypatch.setattr(rng, "_generator", lambda: made.append(1) or generator())
+        seed = 2**64 - 5
+        first = B - 7
+        z = rng.normals(seed, first, 2 * B + 5, 3)  # 3 blocks, unaligned start
+        assert len(made) == 1
+        fresh = np.concatenate(
+            [
+                np.random.Generator(np.random.Philox(key=seed | b << 64)).standard_normal((B, 3))
+                for b in range(3)
+            ]
+        )
+        assert np.array_equal(z, fresh[first : first + 2 * B + 5])

@@ -43,7 +43,7 @@ from .gaussian import (
     mc_abs_det,
     variance_profile,
 )
-from .permanent import MatrixTooLargeError
+from .permanent import RYSER_CAP, MatrixTooLargeError
 from .shape import ShapeError, ShapeSpec, SupportTooLargeError, from_json
 
 EXIT_OK = 0
@@ -233,6 +233,22 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _corpus(args) -> list[ShapeSpec]:
+    """The run's corpus shapes; MatrixTooLargeError names the first one that
+    ``bounds`` cannot take (its float permanent is capped at RYSER_CAP)."""
+    shapes = [
+        corpus.random_shape(args.seed, t, max_n=args.n_max, max_degree=args.delta_max)
+        for t in range(args.count)
+    ]
+    for t, spec in enumerate(shapes):
+        if spec.n > RYSER_CAP:
+            raise MatrixTooLargeError(
+                f"corpus shape {t} has n={spec.n}; bounds() caps its float permanent "
+                f"at n={RYSER_CAP}"
+            )
+    return shapes
+
+
 def _verify_checks(args):
     """One dict per check; status PASS, WARN (an MC miss), or FAIL.
 
@@ -242,6 +258,7 @@ def _verify_checks(args):
     """
     mult = args.stderr_mult
     workers = args.workers
+    shapes = _corpus(args)
 
     def line(check, index, status, detail):
         return {"check": check, "index": index, "status": status, "detail": detail}
@@ -255,8 +272,7 @@ def _verify_checks(args):
             f"n={n} mc={est.mean:.6g} closed={target:.6g} stderr={est.stderr:.3g}",
         ), True
 
-    for t in range(args.count):
-        spec = corpus.random_shape(args.seed, t, max_n=args.n_max, max_degree=args.delta_max)
+    for t, spec in enumerate(shapes):
         perm = bkk_permanent(spec).count if spec.n <= PERMANENT_CHECK_MAX_N else None
         rec = bkk_recursive(spec).count
         pivots_ok = all(

@@ -7,12 +7,15 @@ decomposes into univariate pieces (one equation in one size-1 block), the
 bilinear 2x2 pattern, degree-zero rows (constant equations, which force zero
 roots), and empty blocks.
 
-Each family has one batch counter over (N, size) coefficient rows:
-univariate counting goes through companion-matrix eigenvalues; bilinear
-counting eliminates one block and reads the sign of a binary quadratic's
-discriminant.  ``_count`` multiplies the counts of a shape's components and
-merges their flags; ``sample_counts`` calls it once per batch, and
-``count_real_roots`` counts a single system as a one-row batch.
+Each family has one batch counter over (N, size) coefficient rows.
+Univariate counting reads sign variations of each row's Sturm chain, run
+over the whole batch; the rows whose chain comes too close to a vanishing
+leading coefficient (near-multiple roots, nearly real complex pairs) and
+rows with a root at infinity are counted by companion-matrix eigenvalues.
+Bilinear counting eliminates one block and reads the sign of a binary
+quadratic's discriminant.  ``_count`` multiplies the counts of a shape's
+components and merges their flags; ``sample_counts`` calls it once per
+batch, and ``count_real_roots`` counts a single system as a one-row batch.
 """
 
 from __future__ import annotations
@@ -37,6 +40,8 @@ from .shape import (
 IMAG_TOL = 1e-8
 INFINITY_TOL = 1e-12
 DEGENERATE_TOL = 1e-12
+# Rows per Sturm chain pass: the two live members of a pass stay in cache.
+STURM_CHUNK = 8192
 
 
 class ZeroPolynomialError(ValueError):
@@ -123,31 +128,139 @@ def theta_norm_sq(spec: ShapeSpec, i: int, point) -> float:
 # real-root counters, one per family, over batches of coefficient rows
 
 
-def _count_univariate(coeffs: np.ndarray, tau: float = IMAG_TOL, want_angles: bool = False):
+def _count_univariate(coeffs: np.ndarray, tau: float = IMAG_TOL, bins: int = 0):
     """Real projective root counts of binary forms, one per (N, d+1) row.
 
     Coefficients are ordered from the highest power of the first coordinate
-    downward.  Returns (counts, flag_rows, angles): flag_rows maps row ->
-    flags for the rare boundary rows, and angles concatenates the projective
-    angles of all counted roots (only when requested).  Leading coefficients
-    below INFINITY_TOL of the row's largest, of any multiplicity, count one
-    root at infinity (angle 0.0) flagged ``infinity_root``, plus the roots
-    of the rest of the row; near-coincident real roots flag
-    ``multiple_root``.  A width-1 row is a nonzero constant: no roots.
+    downward.  Returns (counts, flag_rows, binned): flag_rows maps row ->
+    flags for the rare boundary rows, and binned counts the roots of all
+    rows whose projective angle arctan2(1, t) falls in each of ``bins``
+    equal bins of [0, pi).  Rows are counted by ``_sturm_count``; the rows
+    it is unsure of, and rows with vanishing leading coefficients, go
+    through ``_eig_count`` and keep its flags.
     """
     c = np.asarray(coeffs, dtype=np.float64)
+    n_rows, width = c.shape
+    cmax = np.max(np.abs(c), axis=1)
+    if np.any(cmax == 0.0):
+        raise ZeroPolynomialError("all coefficients are zero")
+    counts = np.zeros(n_rows, dtype=np.int64)
+    binned = np.zeros(bins, dtype=np.int64)
+    if width == 1:
+        # constant equations never vanish (almost surely): zero roots
+        return counts, {}, binned
+    rest = np.abs(c[:, 0]) < INFINITY_TOL * cmax
+    # a pass keeps bins - 1 sign-variation counts per row: 8 x STURM_CHUNK at most
+    step = max(1, STURM_CHUNK * 8 // max(bins, 8))
+    for lo in range(0, n_rows, step):
+        hi = min(lo + step, n_rows)
+        p = np.ascontiguousarray(c[lo:hi].T) / cmax[lo:hi]
+        sure, counts[lo:hi], part = _sturm_count(p, ~rest[lo:hi], tau, bins)
+        rest[lo:hi] = ~sure
+        binned += part
+    flag_rows: dict[int, tuple[str, ...]] = {}
+    idx = np.nonzero(rest)[0]
+    if idx.size:
+        counts[idx], eig_flags, angles = _eig_count(c[idx], tau, want_angles=bins > 0)
+        flag_rows = {int(idx[i]): fl for i, fl in eig_flags.items()}
+        if bins:
+            binned += np.histogram(angles, bins=bins, range=(0.0, math.pi))[0]
+    return counts, flag_rows, binned
+
+
+def _sturm_count(p: np.ndarray, sure: np.ndarray, tau: float, bins: int):
+    """Real root counts of the polynomials in the columns of p, (d+1, N)
+    with d >= 1, from sign variations of their Sturm chains.
+
+    Column r holds the coefficients of p_r(t), highest power first, scaled
+    to max-abs 1; only the columns marked in ``sure`` can stay sure.  The
+    chain runs p, p', then the negated remainders of dividing each member
+    by the next, each rescaled to max-abs 1; only the last two members are
+    kept.  The count is V(-inf) - V(+inf), read from the signs of the
+    leading coefficients.  A column stays sure while every member's leading
+    coefficient exceeds ``tau`` on the unit scale, both before and after
+    its rescaling (so no column is sure at tau >= 1).
+
+    Returns (sure, counts, binned): binned sums V(cot theta_{k+1}) -
+    V(cot theta_k) over the sure columns, the roots whose angle
+    arctan2(1, t) lies in [theta_k, theta_{k+1}), for ``bins`` equal bins
+    of [0, pi).
+    """
+    d = p.shape[0] - 1
+    sure = sure & (np.abs(p[0]) > tau)
+    neg = p[0] < 0
+    changes = np.zeros(p.shape[1], dtype=np.int64)
+    if bins:
+        theta = np.linspace(0.0, math.pi, bins + 1)[1:-1]
+        edges = (np.cos(theta) / np.sin(theta))[:, None]
+        edge_neg = _horner(p, edges) < 0
+        edge_changes = np.zeros(edge_neg.shape, dtype=np.int64)
+    a = p
+    b = p[:-1] * np.arange(d, 0, -1, dtype=np.float64)[:, None]
+    # unsure columns may overflow or divide by zero; their results are dropped
+    with np.errstate(all="ignore"):
+        while True:
+            scale = np.max(np.abs(b), axis=0)
+            sure &= np.abs(b[0]) > tau * np.maximum(scale, 1.0)
+            b /= scale
+            b_neg = b[0] < 0
+            changes += b_neg != neg
+            neg = b_neg
+            if bins:
+                b_edge_neg = _horner(b, edges) < 0
+                edge_changes += b_edge_neg != edge_neg
+                edge_neg = b_edge_neg
+            if b.shape[0] == 1:
+                break
+            # a - (q1 t + q0) b, negated: two multiply-adds per coefficient
+            tail = b[1:]
+            q1 = a[0] / b[0]
+            top = a[1:-1] - q1 * tail
+            q0 = top[0] / b[0]
+            rem = q0 * tail
+            rem[:-1] -= top[1:]
+            rem[-1] -= a[-1]
+            a, b = b, rem
+    counts = d - 2 * changes
+    if not bins:
+        return sure, counts, np.zeros(0, dtype=np.int64)
+    # V at +inf, at the interior edges (decreasing), and at -inf
+    variations = np.concatenate(
+        [[changes[sure].sum()], edge_changes[:, sure].sum(axis=1), [(d - changes[sure]).sum()]]
+    )
+    return sure, counts, np.diff(variations)
+
+
+def _horner(p: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Values (len(x), N) of the polynomials in the columns of p at x, a column."""
+    out = np.broadcast_to(p[0], (x.shape[0], p.shape[1])).copy()
+    for coeff in p[1:]:
+        out *= x
+        out += coeff
+    return out
+
+
+def _eig_count(c: np.ndarray, tau: float, want_angles: bool = False):
+    """Real projective root counts of binary forms from companion-matrix
+    eigenvalues, one per (N, d+1) row of ``c`` (no row zero).
+
+    Returns (counts, flag_rows, angles): angles concatenates the projective
+    angles of all counted roots (only when requested).  An eigenvalue is
+    real when its imaginary part is at most ``tau * (1 + |lambda|)``.
+    Leading coefficients below INFINITY_TOL of the row's largest, of any
+    multiplicity, count one root at infinity (angle 0.0) flagged
+    ``infinity_root``, plus the roots of the rest of the row; near-coincident
+    real roots flag ``multiple_root``.  A width-1 row is a nonzero constant:
+    no roots.
+    """
     n_rows, width = c.shape
     counts = np.zeros(n_rows, dtype=np.int64)
     flag_rows: dict[int, tuple[str, ...]] = {}
     angle_parts: list[np.ndarray] = []
     if width == 1:
         # constant equations never vanish (almost surely): zero roots
-        if np.any(np.all(c == 0.0, axis=1)):
-            raise ZeroPolynomialError("all coefficients are zero")
         return counts, flag_rows, np.zeros(0)
     cmax = np.max(np.abs(c), axis=1)
-    if np.any(cmax == 0.0):
-        raise ZeroPolynomialError("all coefficients are zero")
     bad = np.abs(c[:, 0]) < INFINITY_TOL * cmax
     good = np.nonzero(~bad)[0]
     if good.size:
@@ -171,7 +284,7 @@ def _count_univariate(coeffs: np.ndarray, tau: float = IMAG_TOL, want_angles: bo
             angle_parts.append(np.arctan2(1.0, vals) % math.pi)
     for row in np.nonzero(bad)[0]:
         lead = int(np.argmax(np.abs(c[row]) >= INFINITY_TOL * cmax[row]))
-        rest, rest_flags, rest_angles = _count_univariate(c[row : row + 1, lead:], tau, want_angles)
+        rest, rest_flags, rest_angles = _eig_count(c[row : row + 1, lead:], tau, want_angles)
         counts[row] = 1 + rest[0]
         flag_rows[int(row)] = ("infinity_root",) + rest_flags.get(0, ())
         if want_angles:
@@ -388,22 +501,23 @@ def uniformity_check(
 
     Roots of the univariate family are mapped to their arc position on the
     real projective line (angle in [0, pi)) and binned; under the invariant
-    ensemble the positions are uniform.  ``invariant_weights=False`` draws
+    ensemble the positions are uniform.  A bin's count is the difference of
+    Sturm sign variations at its edges, so no root is located, except in the
+    rows counted by eigenvalues.  ``invariant_weights=False`` draws
     all coefficients with unit variance instead, a deliberately miscalibrated
     ensemble whose root positions are not uniform (the weights matter).
     """
     if spec.k != 1 or spec.block_sizes != (1,):
         raise UnsupportedFamilyError("uniformity check supports the univariate family")
+    if bins < 1:
+        raise ValueError(f"bins must be at least 1, got {bins}")
     d = spec.degrees[0][0]
     sigma = np.sqrt(support_variances(spec, 1)) if invariant_weights else np.ones(d + 1)
-    angles_parts = []
+    counts = np.zeros(bins, dtype=np.int64)
     for start, size in rng.batches(samples, d + 1):
         coeffs = rng.normals(seed, start, size, d + 1)
         coeffs *= sigma
-        _, _, angles = _count_univariate(coeffs, want_angles=True)
-        angles_parts.append(angles)
-    angles = np.concatenate(angles_parts)
-    counts, _ = np.histogram(angles, bins=bins, range=(0.0, math.pi))
+        counts += _count_univariate(coeffs, bins=bins)[2]
     total = int(counts.sum())
     expected = total / bins
     chi2 = float(((counts - expected) ** 2 / expected).sum()) if expected > 0 else 0.0

@@ -4,6 +4,7 @@ import csv
 import importlib
 import json
 import math
+import time
 
 import pytest
 
@@ -285,6 +286,18 @@ class TestVerifyCommand:
         assert "'block_sizes': [7, 7]" in line["detail"]
         assert line["status"] == "PASS" and "permanent=None" in line["detail"]
         assert calls == []
+
+    def test_over_cap_corpus_refused_up_front(self, capsys):
+        # seed 0: shape 0 has n = 29 (a full Ryser bound), shape 3 has n = 35
+        t0 = time.perf_counter()
+        code = main(["verify", "--count", "4", "--n-max", "40", "--seed", "0"])
+        elapsed = time.perf_counter() - t0
+        out, err = capsys.readouterr()
+        assert code == 3 and out == ""
+        assert err == (
+            "resource cap: corpus shape 3 has n=35; bounds() caps its float permanent at n=34\n"
+        )
+        assert elapsed < 2.0
 
     def test_one_estimate_per_canonical_shape(self, monkeypatch):
         estimated = []

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from mhroots import rng
+from mhroots import empirical, rng
 from mhroots.empirical import (
     IMAG_TOL,
     INFINITY_TOL,
@@ -30,11 +30,66 @@ from mhroots.shape import support_variances, validate
 UNI2 = validate((1,), [[2]])
 UNI4 = validate((1,), [[4]])
 BILINEAR = validate((1, 1), [[1, 1], [1, 1]])
+# The eigenvalue solver itself, kept before any test wraps it.
+EIGVALS = np.linalg.eigvals
 
 
 def _rotation(theta: float) -> np.ndarray:
     c, s = math.cos(theta), math.sin(theta)
     return np.array([[c, -s], [s, c]])
+
+
+def _eigvals_oracle(rows: np.ndarray, tau: float = IMAG_TOL):
+    """(counts, flags, angles) of binary forms from companion-matrix eigenvalues.
+
+    The counter's rules written out row by row: an eigenvalue is real when
+    |imag| <= tau (1 + |lambda|); sorted real parts closer than
+    tau (1 + |x|) flag ``multiple_root``; leading coefficients below
+    INFINITY_TOL of the row's largest count one root at infinity (angle 0)
+    flagged ``infinity_root``, plus the roots of the rest of the row.
+    """
+    counts, flags, angles = [], {}, []
+    for r, row in enumerate(np.asarray(rows, dtype=np.float64)):
+        row_flags = ()
+        lead = int(np.argmax(np.abs(row) >= INFINITY_TOL * np.abs(row).max()))
+        if lead:
+            row_flags = ("infinity_root",)
+            angles.append(0.0)
+        rest = row[lead:]
+        d = rest.size - 1
+        count = int(lead > 0)
+        if d:
+            comp = np.zeros((1, d, d))
+            comp[0, np.arange(1, d), np.arange(0, d - 1)] = 1.0
+            comp[0, 0, :] = -rest[1:] / rest[0]
+            eig = EIGVALS(comp)[0]
+            real = np.sort(eig.real[np.abs(eig.imag) <= tau * (1.0 + np.abs(eig))])
+            count += real.size
+            if np.any(np.diff(real) <= tau * (1.0 + np.abs(real[:-1]))):
+                row_flags += ("multiple_root",)
+            angles.extend(np.arctan2(1.0, real) % math.pi)
+        counts.append(count)
+        if row_flags:
+            flags[r] = row_flags
+    return counts, flags, np.array(angles)
+
+
+def _kostlan_rows(d: int, count: int, seed: int) -> np.ndarray:
+    sigma = np.sqrt(support_variances(validate((1,), [[d]]), 1))
+    return rng.normals(seed, 0, count, d + 1) * sigma
+
+
+@pytest.fixture
+def eigvals_rows(monkeypatch):
+    """Row counts of every matrix stack the counters pass to numpy's eigvals."""
+    seen = []
+
+    def spy(a):
+        seen.append(a.shape[0])
+        return EIGVALS(a)
+
+    monkeypatch.setattr(empirical.np.linalg, "eigvals", spy)
+    return seen
 
 
 class TestSampling:
@@ -141,19 +196,24 @@ class TestUnivariateCounting:
             roots = np.roots(row[lead:])
             return (lead > 0) + int((np.abs(roots.imag) <= IMAG_TOL * (1 + np.abs(roots))).sum())
 
+        def positions(angles):
+            # root positions to within pi / 1001; no expected angle is near an edge
+            return np.histogram(angles, bins=1001, range=(0.0, math.pi))[0].tolist()
+
         # x^2 - y^2, then y (x + y) with a vanishing lead, then x^2 + y^2
         rows = np.array([[1.0, 0.0, -1.0], [1e-15, 1.0, 1.0], [1.0, 0.0, 1.0]])
-        counts, flag_rows, angles = _count_univariate(rows, want_angles=True)
+        counts, flag_rows, binned = _count_univariate(rows, bins=1001)
         assert counts.tolist() == [2, 2, 0] == [roots_oracle(r) for r in rows]
         assert flag_rows == {1: ("infinity_root",)}
-        expected = [0.0, math.pi / 4, 3 * math.pi / 4, 3 * math.pi / 4]
-        assert np.sort(angles) == pytest.approx(expected)
+        assert binned.tolist() == positions([0.0, math.pi / 4, 3 * math.pi / 4, 3 * math.pi / 4])
         # two vanishing leads are one root at infinity; the rest keeps its flags
         rows = np.array([[1e-15, 1e-16, 1.0, 1.0], [1e-15, 1.0, -2.0, 1.0]])
-        counts, flag_rows, angles = _count_univariate(rows, want_angles=True)
+        counts, flag_rows, binned = _count_univariate(rows, bins=1001)
         assert counts.tolist() == [2, 3] == [roots_oracle(r) for r in rows]
         assert flag_rows == {0: ("infinity_root",), 1: ("infinity_root", "multiple_root")}
-        assert np.sort(angles) == pytest.approx([0.0, 0.0, math.pi / 4, math.pi / 4, 3 * math.pi / 4])
+        assert binned.tolist() == positions(
+            [0.0, 0.0, math.pi / 4, math.pi / 4, 3 * math.pi / 4]
+        )
 
     def test_linear_always_one_root(self):
         est = empirical_expectation(validate((1,), [[1]]), samples=5_000, seed=11)
@@ -167,6 +227,61 @@ class TestUnivariateCounting:
         for tau in (1e-9, 1e-7):
             other, _ = sample_counts(spec, 20_000, seed=12, tau=tau)
             assert abs(other.mean() - base.mean()) <= max(se, 1e-12)
+
+
+class TestSturmCounting:
+    """The Sturm counter against the eigenvalue oracle, row by row."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 6, 12, 20, 30])
+    def test_kostlan_rows_match_the_oracle(self, d):
+        rows = _kostlan_rows(d, 4096, seed=40 + d)
+        counts, flags, _ = _count_univariate(rows)
+        want_counts, want_flags, _ = _eigvals_oracle(rows)
+        assert counts.tolist() == want_counts
+        assert flags == want_flags
+
+    def test_boundary_rows_go_to_eigenvalues(self, eigvals_rows):
+        rows = np.array([
+            [1.0, 2.0 - 1e-9, -2e-9, 0.0],  # t (t - 1e-9) (t + 2): real roots 1e-9 apart
+            [1.0, -2.0, 1e-20, -2e-20],  # (t^2 + 1e-20) (t - 2): imaginary parts 1e-10
+            [1e-15, 1.0, 1.0, 2.0],  # a vanishing leading coefficient
+            [1.0, 0.0, -1.0, 0.0],  # t (t - 1) (t + 1): counted by the Sturm chain
+        ])
+        counts, flags, _ = _count_univariate(rows)
+        assert counts.tolist() == [3, 3, 1, 3] == _eigvals_oracle(rows)[0]
+        assert flags == _eigvals_oracle(rows)[1] == {
+            0: ("multiple_root",), 1: ("multiple_root",), 2: ("infinity_root",)
+        }
+        # the first two rows, and the rest of the third; not the last row
+        assert sum(eigvals_rows) == 3
+
+    def test_vanishing_lead_skips_the_chain_at_zero_tau(self):
+        # at tau = 0 the chain would count y (1e-15 x + y) (x + y) as sure
+        rows = np.array([[1e-15, 1.0 + 1e-15, 1.0], [1.0, 0.0, -1.0]])
+        counts, flags, _ = _count_univariate(rows, tau=0.0)
+        assert (counts.tolist(), flags) == _eigvals_oracle(rows, tau=0.0)[:2]
+        assert flags == {0: ("infinity_root",)}
+
+    def test_every_row_unsure_at_large_tau(self, eigvals_rows):
+        rows = _kostlan_rows(6, 512, seed=47)
+        counts, flags, _ = _count_univariate(rows, tau=1e3)
+        assert eigvals_rows == [512]
+        assert (counts.tolist(), flags) == _eigvals_oracle(rows, tau=1e3)[:2]
+        assert (counts == 6).all()
+
+    @pytest.mark.parametrize("d, bins", [(1, 10), (2, 7), (6, 10), (12, 5)])
+    def test_bin_counts_match_the_oracle_angles(self, d, bins):
+        rows = _kostlan_rows(d, 4096, seed=50 + d)
+        rows[7, 0] = 1e-15 * np.abs(rows[7]).max()  # one root at infinity
+        _, _, binned = _count_univariate(rows, bins=bins)
+        angles = _eigvals_oracle(rows)[2]
+        assert binned.tolist() == np.histogram(angles, bins=bins, range=(0.0, math.pi))[0].tolist()
+
+    def test_few_rows_fall_back_to_eigenvalues(self, eigvals_rows):
+        # the Sturm chain counts all but a few boundary rows at the default tau
+        counts, _ = sample_counts(validate((1,), [[12]]), 65_536, seed=48)
+        assert counts.size == 65_536
+        assert sum(eigvals_rows) <= 0.005 * 65_536
 
 
 class TestBilinearCounting:
@@ -327,3 +442,14 @@ class TestUniformity:
     def test_bin_counts_sum(self):
         rep = uniformity_check(UNI2, samples=5_000, bins=8, seed=30)
         assert sum(rep.bin_counts) == rep.total_roots
+
+    @pytest.mark.parametrize("bins", [0, -1])
+    def test_bins_must_be_positive(self, bins):
+        with pytest.raises(ValueError, match=f"bins must be at least 1, got {bins}"):
+            uniformity_check(UNI2, samples=100, bins=bins, seed=30)
+
+    def test_vanishing_lead_root_in_bin_zero(self):
+        # y (x + y) with a vanishing lead: infinity at angle 0, the other at 3 pi / 4
+        _, flags, binned = _count_univariate(np.array([[1e-15, 1.0, 1.0]]), bins=5)
+        assert flags == {0: ("infinity_root",)}
+        assert binned.tolist() == [1, 0, 0, 1, 0]

@@ -1,12 +1,13 @@
 """Command-line front end: shape JSON in, machine-readable reports out.
 
-Subcommands: ``bkk``, ``expect``, ``bounds``, ``mc-det``, ``simulate``,
-``verify``.  Shapes are read from JSON files of the form
+Subcommands (``SUBCOMMANDS``) take only the flags they read; any other flag
+is a usage error.  Shapes are read from JSON files of the form
 ``{"block_sizes": [...], "degrees": [[...], ...]}``.  Reports are JSON on
-stdout (schema version 1); per-sample or per-check CSV goes to ``--dump``.
-Exit codes: 0 ok, 2 invalid input, 3 resource cap exceeded, 4 verification
-failure.  The environment variable MHROOTS_THREADS overrides ``--workers``;
-either must be a positive integer.
+stdout (schema version 1) and echo a setting only where it was applied;
+per-sample or per-check CSV goes to ``--dump``.  Exit codes: 0 ok, 2 invalid
+input, 3 resource cap exceeded, 4 verification failure.  MHROOTS_THREADS
+overrides ``--workers`` where that flag exists; either must be a positive
+integer.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ import math
 import os
 import sys
 import time
+from collections.abc import Callable
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -31,9 +34,11 @@ from .empirical import (
     sample_counts,
 )
 from .expectation import (
+    STDERR_MULT,
     ExpectationResult,
     bounds,
     expectation,
+    mc_slack,
     row_recursion_check,
 )
 from .gaussian import (
@@ -59,20 +64,51 @@ class InvalidInputError(ValueError):
     """A command-line or environment value outside its accepted range."""
 
 
+RANGES = {
+    "at least 1": lambda v: v >= 1,
+    "nonnegative": lambda v: v >= 0,
+    "finite and positive": lambda v: 0.0 < v < math.inf,
+    "finite and nonnegative": lambda v: 0.0 <= v < math.inf,
+    "in [0, 1]": lambda v: 0.0 <= v <= 1.0,
+}
+
+
+class Flag(NamedTuple):
+    """A setting a subcommand may take: its argparse type and default, the
+    ``RANGES`` rule its value must pass, and the ``tolerances`` it echoes."""
+
+    type: type
+    default: Any
+    rule: str | None = None
+    echo: Callable[[Any], dict] = lambda value: {}
+    help: str | None = None
+
+
+FLAGS = {
+    "--samples": Flag(int, 100_000),
+    "--seed": Flag(int, 0),
+    "--workers": Flag(int, 1, "at least 1"),
+    "--stderr-mult": Flag(float, STDERR_MULT, "finite and positive", lambda v: {"stderr_multiplier": v}),
+    "--miss-budget": Flag(float, 0.05, "in [0, 1]", lambda v: {"miss_budget": v}),
+    "--tau-imag": Flag(
+        float, 1e-8, "finite and nonnegative",
+        lambda v: {"imag_tau": v, "infinity_tol": INFINITY_TOL, "degenerate_tol": DEGENERATE_TOL},
+    ),
+    "--dump": Flag(str, None, help="CSV output path"),
+    "--count": Flag(int, 100, "nonnegative", help="number of corpus shapes"),
+    "--n-max": Flag(int, 5, "at least 1"),
+    "--delta-max": Flag(int, 3, "nonnegative"),
+}
+
+
+def _value(args, flag: str):
+    """The parsed value of ``flag``, stored under argparse's default name."""
+    return getattr(args, flag[2:].replace("-", "_"))
+
+
 def _load_shape(path: str) -> ShapeSpec:
-    with open(path) as fh:
-        data = json.load(fh)
-    return from_json(data)
-
-
-def _tolerances(args) -> dict:
-    return {
-        "imag_tau": args.tau_imag,
-        "infinity_tol": INFINITY_TOL,
-        "degenerate_tol": DEGENERATE_TOL,
-        "stderr_multiplier": args.stderr_mult,
-        "miss_budget": args.miss_budget,
-    }
+    with open(path, encoding="utf-8") as fh:
+        return from_json(json.load(fh))
 
 
 def _mc_json(est) -> dict:
@@ -106,45 +142,40 @@ def _expectation_json(res: ExpectationResult) -> dict:
     return out
 
 
-def _report(args, subcommand: str, spec: ShapeSpec | None, results: dict, t0: float) -> dict:
+def _report(args, spec: ShapeSpec | None, results: dict, t0: float) -> dict:
     return {
         "schema": 1,
         "version": __version__,
-        "subcommand": subcommand,
+        "subcommand": args.command,
         "shape": spec.to_json() if spec is not None else None,
         "seed": getattr(args, "seed", None),
         "samples": getattr(args, "samples", None),
-        "workers": args.workers,
-        "tolerances": _tolerances(args),
+        "workers": getattr(args, "workers", None),
+        "tolerances": {
+            key: value
+            for flag in args.flags
+            for key, value in FLAGS[flag].echo(_value(args, flag)).items()
+        },
         "results": results,
         "wall_time_s": time.perf_counter() - t0,
     }
 
 
-def _emit(report: dict) -> None:
-    print(json.dumps(report, sort_keys=True, indent=2))
-
-
 def _workers(args) -> int:
-    """MHROOTS_THREADS when set, else ``--workers``; a positive integer."""
+    """MHROOTS_THREADS when set, else ``--workers``."""
     env = os.environ.get("MHROOTS_THREADS")
     if not env:
-        if args.workers < 1:
-            raise InvalidInputError(f"--workers must be at least 1, got {args.workers}")
         return args.workers
     if not (env.isdecimal() and int(env) >= 1):
         raise InvalidInputError(f"MHROOTS_THREADS must be a positive integer, got {env!r}")
     return int(env)
 
 
-def _check_tolerances(args) -> None:
-    """Reject tolerance flags outside their ranges instead of skewing results."""
-    for flag, value, ok, rule in (
-        ("--tau-imag", args.tau_imag, 0.0 <= args.tau_imag < math.inf, "finite and nonnegative"),
-        ("--stderr-mult", args.stderr_mult, 0.0 < args.stderr_mult < math.inf, "finite and positive"),
-        ("--miss-budget", args.miss_budget, 0.0 <= args.miss_budget <= 1.0, "in [0, 1]"),
-    ):
-        if not ok:
+def _check_ranges(args) -> None:
+    """Reject flag values outside their ranges instead of skewing results."""
+    for flag in args.flags:
+        rule, value = FLAGS[flag].rule, _value(args, flag)
+        if rule and not RANGES[rule](value):
             raise InvalidInputError(f"{flag} must be {rule}, got {value}")
 
 
@@ -155,8 +186,7 @@ def _write_csv(path: str, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
-def cmd_bkk(args) -> int:
-    t0 = time.perf_counter()
+def cmd_bkk(args):
     spec = _load_shape(args.shape)
     value = bkk_recursive(spec)
     results: dict = {
@@ -168,20 +198,16 @@ def cmd_bkk(args) -> int:
     red = is_simply_reducible(spec)
     results["simply_reducible"] = red.reducible
     results["witness"] = [list(step) for step in red.witness] if red.witness else None
-    _emit(_report(args, "bkk", spec, results, t0))
-    return EXIT_OK
+    return spec, results, EXIT_OK
 
 
-def cmd_expect(args) -> int:
-    t0 = time.perf_counter()
+def cmd_expect(args):
     spec = _load_shape(args.shape)
     res = expectation(spec, args.samples, args.seed, args.workers)
-    _emit(_report(args, "expect", spec, {"expectation": _expectation_json(res)}, t0))
-    return EXIT_OK
+    return spec, {"expectation": _expectation_json(res)}, EXIT_OK
 
 
-def cmd_bounds(args) -> int:
-    t0 = time.perf_counter()
+def cmd_bounds(args):
     spec = _load_shape(args.shape)
     rep = bounds(spec, args.samples, args.seed, args.workers)
     results = {
@@ -193,24 +219,20 @@ def cmd_bounds(args) -> int:
         "margin_upper": rep.margin_upper,
         "margin_lower": rep.margin_lower,
     }
-    _emit(_report(args, "bounds", spec, results, t0))
-    slack = args.stderr_mult * rep.estimate.stderr + 1e-9 * max(1.0, rep.upper)
+    slack = mc_slack(rep.estimate.stderr, rep.upper, args.stderr_mult)
     if rep.margin_upper < -slack or rep.margin_lower < -slack:
         print("bounds violated beyond Monte Carlo slack", file=sys.stderr)
-        return EXIT_VERIFY_FAIL
-    return EXIT_OK
+        return spec, results, EXIT_VERIFY_FAIL
+    return spec, results, EXIT_OK
 
 
-def cmd_mc_det(args) -> int:
-    t0 = time.perf_counter()
+def cmd_mc_det(args):
     spec = _load_shape(args.shape)
     est = mc_abs_det(variance_profile(spec), args.samples, args.seed, args.workers)
-    _emit(_report(args, "mc-det", spec, {"mean_abs_det": _mc_json(est)}, t0))
-    return EXIT_OK
+    return spec, {"mean_abs_det": _mc_json(est)}, EXIT_OK
 
 
-def cmd_simulate(args) -> int:
-    t0 = time.perf_counter()
+def cmd_simulate(args):
     spec = _load_shape(args.shape)
     check_samples(args.samples)
     counts, flags = sample_counts(spec, args.samples, args.seed, tau=args.tau_imag)
@@ -229,8 +251,7 @@ def cmd_simulate(args) -> int:
             ),
         )
         results["dump"] = args.dump
-    _emit(_report(args, "simulate", spec, results, t0))
-    return EXIT_OK
+    return spec, results, EXIT_OK
 
 
 def _corpus(args) -> list[ShapeSpec]:
@@ -266,7 +287,7 @@ def _verify_checks(args):
     for n in range(1, 5):
         est = mc_abs_det(np.ones((n, n)), args.samples, args.seed + n, workers)
         target = abs_det_closed_standard(n)
-        miss = abs(est.mean - target) > mult * est.stderr
+        miss = abs(est.mean - target) > mc_slack(est.stderr, target, mult)
         yield line(
             "det_mean_closed_form", n, "WARN" if miss else "PASS",
             f"n={n} mc={est.mean:.6g} closed={target:.6g} stderr={est.stderr:.3g}",
@@ -290,7 +311,7 @@ def _verify_checks(args):
 
         rep = bounds(spec, args.samples, args.seed, workers)
         is_mc = rep.estimate.stderr > 0
-        slack = mult * rep.estimate.stderr + 1e-9 * max(1.0, rep.upper)
+        slack = mc_slack(rep.estimate.stderr, rep.upper, mult)
         sandwich_ok = rep.margin_upper >= -slack and rep.margin_lower >= -slack
         status = "PASS" if sandwich_ok else ("WARN" if is_mc else "FAIL")
         yield line(
@@ -311,19 +332,14 @@ def _verify_checks(args):
         for i in range(1, spec.n + 1):
             rr = row_recursion_check(spec, i, args.samples, args.seed, workers)
             is_mc_row = rr.middle.stderr > 0 or rr.upper_stderr > 0 or rr.lower_stderr > 0
-            status = "PASS" if rr.holds else ("WARN" if is_mc_row else "FAIL")
+            status = "PASS" if rr.holds_within(mult) else ("WARN" if is_mc_row else "FAIL")
             yield line(
                 "row_recursion", f"{t}:{i}", status,
                 f"upper={rr.upper:.6g} mid={rr.middle.value:.6g} lower={rr.lower:.6g}",
             ), is_mc_row
 
 
-def cmd_verify(args) -> int:
-    t0 = time.perf_counter()
-    if args.count < 0:
-        raise InvalidInputError(f"--count must be nonnegative, got {args.count}")
-    if args.n_max < 1:
-        raise InvalidInputError(f"--n-max must be at least 1, got {args.n_max}")
+def cmd_verify(args):
     checks = []
     mc_total = 0
     warns = 0
@@ -353,18 +369,22 @@ def cmd_verify(args) -> int:
             ((c["check"], c["index"], c["status"], c["detail"]) for c in checks),
         )
         results["dump"] = args.dump
-    _emit(_report(args, "verify", None, results, t0))
-    return EXIT_OK if ok else EXIT_VERIFY_FAIL
+    return None, results, EXIT_OK if ok else EXIT_VERIFY_FAIL
 
 
-def _add_common(parser, samples_default=100_000):
-    parser.add_argument("--samples", type=int, default=samples_default)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--workers", type=int, default=1)
-    parser.add_argument("--dump", type=str, default=None, help="CSV output path")
-    parser.add_argument("--tau-imag", dest="tau_imag", type=float, default=1e-8)
-    parser.add_argument("--stderr-mult", dest="stderr_mult", type=float, default=4.0)
-    parser.add_argument("--miss-budget", dest="miss_budget", type=float, default=0.05)
+MC_FLAGS = ("--samples", "--seed", "--workers")
+SIMULATE_FLAGS = ("--samples", "--seed", "--tau-imag", "--dump")
+VERIFY_FLAGS = MC_FLAGS + ("--stderr-mult", "--miss-budget", "--dump", "--count", "--n-max", "--delta-max")
+
+# name: (handler -> (shape or None, results, exit code), takes a shape, flags read, help)
+SUBCOMMANDS = {
+    "bkk": (cmd_bkk, True, (), "generic complex-root count and reducibility"),
+    "expect": (cmd_expect, True, MC_FLAGS, "expected real-root count"),
+    "bounds": (cmd_bounds, True, MC_FLAGS + ("--stderr-mult",), "two-sided bounds and point estimate"),
+    "mc-det": (cmd_mc_det, True, MC_FLAGS, "Monte Carlo mean |det| of the shape's matrix"),
+    "simulate": (cmd_simulate, True, SIMULATE_FLAGS, "sample systems and count real roots"),
+    "verify": (cmd_verify, False, VERIFY_FLAGS, "batch property verification on a random corpus"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -374,55 +394,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("bkk", help="generic complex-root count and reducibility")
-    p.add_argument("shape")
-    _add_common(p)
-    p.set_defaults(func=cmd_bkk)
-
-    p = sub.add_parser("expect", help="expected real-root count")
-    p.add_argument("shape")
-    _add_common(p)
-    p.set_defaults(func=cmd_expect)
-
-    p = sub.add_parser("bounds", help="two-sided bounds and point estimate")
-    p.add_argument("shape")
-    _add_common(p)
-    p.set_defaults(func=cmd_bounds)
-
-    p = sub.add_parser("mc-det", help="Monte Carlo mean |det| of the shape's matrix")
-    p.add_argument("shape")
-    _add_common(p)
-    p.set_defaults(func=cmd_mc_det)
-
-    p = sub.add_parser("simulate", help="sample systems and count real roots")
-    p.add_argument("shape")
-    _add_common(p)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("verify", help="batch property verification on a random corpus")
-    _add_common(p, samples_default=100_000)
-    p.add_argument("--count", type=int, default=100, help="number of corpus shapes")
-    p.add_argument("--n-max", dest="n_max", type=int, default=5)
-    p.add_argument("--delta-max", dest="delta_max", type=int, default=3)
-    p.set_defaults(func=cmd_verify)
-
+    for name, (func, takes_shape, flags, help_text) in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if takes_shape:
+            p.add_argument("shape")
+        for flag in flags:
+            decl = FLAGS[flag]
+            p.add_argument(flag, type=decl.type, default=decl.default, help=decl.help)
+        p.set_defaults(func=func, flags=flags)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    t0 = time.perf_counter()
     try:
-        args.workers = _workers(args)
-        _check_tolerances(args)
-        return args.func(args)
+        if "--workers" in args.flags:
+            args.workers = _workers(args)
+        _check_ranges(args)
+        spec, results, code = args.func(args)
     except (
         ShapeError,
         UnsupportedFamilyError,
         SampleCountError,
         InvalidInputError,
-        FileNotFoundError,
+        OSError,
+        UnicodeDecodeError,
         json.JSONDecodeError,
     ) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
@@ -430,6 +428,8 @@ def main(argv=None) -> int:
     except (MatrixTooLargeError, SupportTooLargeError) as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_TOO_LARGE
+    print(json.dumps(_report(args, spec, results, t0), sort_keys=True, indent=2))
+    return code
 
 
 if __name__ == "__main__":

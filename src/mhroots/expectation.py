@@ -40,11 +40,19 @@ from .specialfn import SQRT_PI, gamma_half
 
 DEFAULT_SAMPLES = 100_000
 LOG_PREFACTOR_DIM = 60
+# Standard errors a Monte Carlo comparison may miss by before it is flagged.
+STDERR_MULT = 4.0
 # Results kept by the dispatcher; the least recently used goes first.  The
 # README's verify run (100 shapes) stores 330.
 EXPECTATION_MEMO_SIZE = 4096
 
 _EXPECTATION_MEMO: dict = {}
+
+
+def mc_slack(stderr: float, scale: float, multiplier: float) -> float:
+    """How far a comparison with a Monte Carlo value may miss: ``multiplier``
+    standard errors plus a float allowance of 1e-9 relative to ``scale``."""
+    return multiplier * stderr + 1e-9 * max(1.0, scale)
 
 
 @dataclass(frozen=True)
@@ -122,8 +130,13 @@ class RowRecursionReport:
 
     @property
     def holds(self) -> bool:
-        slack_u = 4.0 * (self.upper_stderr + self.middle.stderr) + 1e-9 * max(1.0, self.upper)
-        slack_l = 4.0 * (self.lower_stderr + self.middle.stderr) + 1e-9 * max(1.0, self.upper)
+        """``holds_within`` at the default STDERR_MULT."""
+        return self.holds_within(STDERR_MULT)
+
+    def holds_within(self, multiplier: float) -> bool:
+        """Both inequalities hold up to ``mc_slack`` at ``multiplier``."""
+        slack_u = mc_slack(self.upper_stderr + self.middle.stderr, self.upper, multiplier)
+        slack_l = mc_slack(self.lower_stderr + self.middle.stderr, self.upper, multiplier)
         return (
             self.upper + slack_u >= self.middle.value
             and self.middle.value >= self.lower - slack_l

@@ -48,6 +48,11 @@ class SupportTooLargeError(RuntimeError):
     """Support enumeration would exceed the configured cap."""
 
 
+class WeightCapError(SupportTooLargeError, ValueError):
+    """A block degree above the monomial-weight cap: a resource cap, and a
+    ValueError as an argument the weight does not take."""
+
+
 @dataclass(frozen=True)
 class ShapeSpec:
     """Validated immutable problem instance.
@@ -100,7 +105,7 @@ def _as_int(value, what: str) -> int:
         raise NegativeDegreeError(f"{what} must be an integer, got {value!r}")
     try:
         out = int(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: infinities
         raise NegativeDegreeError(f"{what} must be an integer, got {value!r}") from exc
     if out != value:
         raise NegativeDegreeError(f"{what} must be integral, got {value!r}")
@@ -290,15 +295,15 @@ def monomial_weight(a: ExponentVector, degree_cap: int = WEIGHT_DEGREE_CAP) -> F
     multinomial coefficient (prod_h a_jh!) / (sum_h a_jh)!.
 
     The corresponding coefficient variance in the invariant Gaussian ensemble
-    is the reciprocal of this weight.  Exact rational arithmetic; block
-    degrees above ``degree_cap`` are rejected as a guard against runaway
-    factorials.
+    is the reciprocal of this weight.  Exact rational arithmetic; a block
+    degree above ``degree_cap`` raises WeightCapError, a guard against
+    runaway factorials.
     """
     out = Fraction(1)
     for block in a.blocks:
         total = sum(block)
         if total > degree_cap:
-            raise ValueError(
+            raise WeightCapError(
                 f"block degree {total} exceeds weight degree cap {degree_cap}"
             )
         out *= Fraction(_factorial_product(block), math.factorial(total))

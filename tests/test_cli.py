@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from mhroots import cli, rng
+from mhroots import cli, empirical, rng
 from mhroots.bkk import _canonical
 from mhroots.cli import main
 
@@ -21,8 +21,9 @@ MIXED = {"block_sizes": [1, 1], "degrees": [[1, 2], [2, 1]]}
 
 
 def _write_shape(tmp_path, data, name="shape.json"):
+    """``data`` as JSON, or verbatim when it is already text."""
     path = tmp_path / name
-    path.write_text(json.dumps(data))
+    path.write_text(data if isinstance(data, str) else json.dumps(data))
     return str(path)
 
 
@@ -158,8 +159,13 @@ class TestExitCodes:
         bad = {"block_sizes": [2], "degrees": [[1]]}
         assert main(["bkk", _write_shape(tmp_path, bad)]) == 2
 
-    def test_missing_file(self, capsys):
-        assert main(["bkk", "/nonexistent/shape.json"]) == 2
+    def test_missing_file(self, tmp_path, capsys):
+        not_utf8 = tmp_path / "latin1.json"
+        not_utf8.write_bytes(b'{"block_sizes": [1], "degrees": [[\xe9]]}')
+        # a missing file, a directory, and a file that is not UTF-8
+        for path in ("/nonexistent/shape.json", str(tmp_path), str(not_utf8)):
+            assert main(["bkk", path]) == 2
+            assert capsys.readouterr().err.startswith("invalid input: ")
 
     @pytest.mark.parametrize(
         "shape, message",
@@ -167,6 +173,7 @@ class TestExitCodes:
             ({"block_sizes": [1], "degrees": [2]}, "degree row 1 must be a list"),
             ({"block_sizes": [1], "degrees": [[True]]}, "degree (1,1) must be an integer"),
             ({"block_sizes": [True], "degrees": [[1]]}, "block size must be an integer"),
+            ('{"block_sizes": [1], "degrees": [[1e400]]}', "degree (1,1) must be an integer, got inf"),
         ],
     )
     def test_malformed_shape_json(self, tmp_path, capsys, shape, message):
@@ -176,6 +183,16 @@ class TestExitCodes:
     def test_resource_cap(self, tmp_path, capsys):
         big = {"block_sizes": [40], "degrees": [[1]] * 40}
         assert main(["bounds", _write_shape(tmp_path, big)]) == 3
+
+    def test_simulate_past_the_weight_cap(self, tmp_path, capsys):
+        # the coefficient variances of degree 61 exceed shape.WEIGHT_DEGREE_CAP;
+        # its expectation is a closed form and needs no weights
+        path = _write_shape(tmp_path, {"block_sizes": [1], "degrees": [[61]]})
+        assert main(["simulate", path, "--samples", "100"]) == 3
+        assert capsys.readouterr().err == (
+            "resource cap: block degree 61 exceeds weight degree cap 60\n"
+        )
+        assert main(["expect", path]) == 0
 
     def test_bkk_past_the_recursion_limit(self, tmp_path, capsys):
         deep = {"block_sizes": [1100], "degrees": [[1]] * 1100}
@@ -214,6 +231,54 @@ class TestExitCodes:
         assert main(["expect", _write_shape(tmp_path, MIXED), "--workers", "0"]) == 2
         assert capsys.readouterr().err.startswith("invalid input: --workers")
 
+    @pytest.mark.parametrize("command", ["bkk", "simulate"])
+    def test_threads_env_unread_without_workers_flag(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.setenv("MHROOTS_THREADS", "abc")
+        argv = [command, _write_shape(tmp_path, BILINEAR)]
+        code, rep = _run(capsys, argv + (["--samples", "100"] if command == "simulate" else []))
+        assert code == 0 and rep["workers"] is None
+
+
+# The flags each subcommand reads; every other flag is a usage error.
+MC_FLAGS = {"--samples", "--seed", "--workers"}
+KEPT_FLAGS = {
+    "bkk": set(),
+    "expect": MC_FLAGS,
+    "mc-det": MC_FLAGS,
+    "bounds": MC_FLAGS | {"--stderr-mult"},
+    "simulate": {"--samples", "--seed", "--tau-imag", "--dump"},
+    "verify": MC_FLAGS
+    | {"--stderr-mult", "--miss-budget", "--dump", "--count", "--n-max", "--delta-max"},
+}
+# A value for each flag but verify's corpus flags, which the exact-flags test covers.
+SHARED_FLAG_VALUES = {
+    "--samples": "5", "--seed": "9", "--workers": "2", "--stderr-mult": "1", "--miss-budget": "0.9",
+    "--tau-imag": "0.3", "--dump": "x.csv",
+}
+
+
+class TestDeclaredFlags:
+    def test_each_subcommand_takes_exactly_its_flags(self):
+        parser = cli.build_parser()
+        subparsers = next(a for a in parser._actions if a.dest == "command").choices
+        assert set(subparsers) == set(KEPT_FLAGS)
+        for command, sub in subparsers.items():
+            options = {o for a in sub._actions for o in a.option_strings} - {"-h", "--help"}
+            assert options == KEPT_FLAGS[command], command
+        assert sum(map(len, KEPT_FLAGS.values())) == 23
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [(c, f) for c, kept in KEPT_FLAGS.items() for f in SHARED_FLAG_VALUES if f not in kept],
+    )
+    def test_unread_flag_rejected(self, tmp_path, capsys, command, flag):
+        shape = [] if command == "verify" else [_write_shape(tmp_path, BILINEAR)]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *shape, flag, SHARED_FLAG_VALUES[flag]])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"unrecognized arguments: {flag}" in err
+
 
 class TestReportContract:
     def test_byte_identical_modulo_wall_time(self, tmp_path, capsys):
@@ -230,11 +295,24 @@ class TestReportContract:
         assert rep["shape"] == BILINEAR
 
     def test_schema_and_tolerances_present(self, tmp_path, capsys):
-        _, rep = _run(capsys, ["bkk", _write_shape(tmp_path, BILINEAR)])
-        assert rep["schema"] == 1
-        assert rep["tolerances"]["stderr_multiplier"] == 4.0
-        assert rep["tolerances"]["imag_tau"] == 1e-8
-        assert rep["tolerances"]["miss_budget"] == 0.05
+        # each report echoes the tolerances its subcommand applies, and no others
+        shape = _write_shape(tmp_path, BILINEAR)
+        expected = {
+            "simulate": {
+                "imag_tau": 1e-8,
+                "infinity_tol": empirical.INFINITY_TOL,
+                "degenerate_tol": empirical.DEGENERATE_TOL,
+            },
+            "bounds": {"stderr_multiplier": 4.0},
+            "verify": {"stderr_multiplier": 4.0, "miss_budget": 0.05},
+        }
+        for argv in (["simulate", shape], ["bounds", shape], ["verify", "--count", "1"]):
+            _, rep = _run(capsys, argv + ["--samples", "1000"])
+            assert rep["schema"] == 1
+            assert rep["tolerances"] == expected[argv[0]]
+        _, rep = _run(capsys, ["bkk", shape])
+        assert rep["tolerances"] == {}
+        assert rep["seed"] is rep["samples"] is rep["workers"] is None
 
     def test_threads_env_overrides_workers(self, tmp_path, capsys, monkeypatch):
         argv = ["expect", _write_shape(tmp_path, MIXED), "--samples", "20000", "--workers", "1"]
@@ -270,6 +348,18 @@ class TestVerifyCommand:
             rows = list(csv.reader(fh))
         assert rows[0] == ["check", "index", "status", "detail"]
         assert len(rows) == len(rep["results"]["checks"]) + 1
+
+    def test_stderr_mult_reaches_row_recursion(self, capsys):
+        argv = ["verify", "--count", "20", "--samples", "2000", "--seed", "3", "--miss-budget", "1"]
+        row_status = {}
+        for mult in ("4", "0.01"):
+            mx._EXPECTATION_MEMO.clear()
+            _, rep = _run(capsys, argv + ["--stderr-mult", mult])
+            row_status[mult] = [
+                c["status"] for c in rep["results"]["checks"] if c["check"] == "row_recursion"
+            ]
+        assert row_status["4"] and set(row_status["4"]) == {"PASS"}
+        assert "WARN" in row_status["0.01"] and "FAIL" not in row_status["0.01"]
 
     def test_no_ryser_oracle_above_its_cap(self, monkeypatch):
         calls = []
@@ -352,6 +442,7 @@ class TestVerifyCommand:
             ("--miss-budget", "-1", "--miss-budget must be in [0, 1], got -1.0"),
             ("--miss-budget", "1.5", "--miss-budget must be in [0, 1], got 1.5"),
             ("--miss-budget", "nan", "--miss-budget must be in [0, 1], got nan"),
+            ("--delta-max", "-1", "--delta-max must be nonnegative, got -1"),
         ],
     )
     def test_out_of_range_arguments(self, tmp_path, capsys, flag, value, message):

@@ -12,11 +12,24 @@ one term per block of positive size and degree, weighted by that degree,
 whose sub-state drops the equation and one variable of the block.  States
 are canonical up to row permutations and block relabellings, both of which
 leave the count invariant, and are memoized.
+
+The recursion ends on table leaves.  The count of a state is the
+coefficient of prod_j x_j^{n_j} in prod_i (sum_j d_ij x_j), so a state whose
+table of used capacities a <= n (prod (n_j + 1) cells over blocks of
+positive size) fits in ``DP_CELLS`` is counted by pushing the cells through
+its rows in order, c[a + e_j] += d_ij * c[a]; only a larger state expands a
+row.  The table runs in float64 when that pass ends below 2^52, in uint64
+when it ends below 2^62, and in Python integers otherwise, so every count
+is exact (see ``_table_count``).
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import shape as shape_mod
 from .permanent import MatrixTooLargeError, RYSER_CAP, permanent_exact
@@ -27,6 +40,14 @@ EXHAUSTIVE_SPLIT_K = 12
 # 3.11: `python -m mhroots.cli bkk` on the chain [[1]] * n still runs n <= 989
 # at the default limit, and refuses n = 990, where the recursion would fail).
 _DEPTH_HEADROOM = 2
+# Largest table of used block capacities, prod(n_j + 1) over blocks of
+# positive size, that a state is counted on; larger states expand a row.
+DP_CELLS = 1 << 16
+# Bounds on the float64 pass's result below which it, or a uint64 pass, is
+# exact: float64 holds integers below 2**53 and uint64 is exact mod 2**64;
+# the margins cover the float pass's rounding.
+_FLOAT_EXACT = 1 << 52
+_UINT_EXACT = 1 << 62
 
 _BKK_MEMO: dict = {}
 _REDUCIBLE_MEMO: dict = {}
@@ -79,11 +100,75 @@ def _row_terms(blocks, rows, idx):
             yield j, row[j], (blocks1, tuple(sorted(zip(*cols1))))
 
 
-def _bkk_state(blocks: tuple[int, ...], rows: tuple[tuple[int, ...], ...]) -> int:
-    """Exact count for a canonical state; row expansion with min-branch pivot.
+@functools.lru_cache(maxsize=8)
+def _table_plan(sizes: tuple[int, ...]) -> tuple[int, tuple[np.ndarray, ...]]:
+    """Cell count and per-layer gather maps of the table for positive block
+    sizes ``sizes``.
 
-    The pivot is the first row with the fewest nonzero degrees on blocks of
-    positive size; canonical states list the size-0 blocks first."""
+    A cell is a vector a <= sizes of used capacities.  Cells are stored by
+    layer |a| = m, row-major within a layer, and one zero slot follows the
+    last.  Entry [j, c] of layer m's map is the index of cell c minus e_j,
+    or the zero slot when a_j = 0.
+    """
+    axes = [np.arange(s + 1, dtype=np.min_scalar_type(sum(sizes))) for s in sizes]
+    layer = functools.reduce(np.add.outer, axes)
+    order = np.argsort(layer, axis=None, kind="stable")
+    index = np.empty(layer.size, np.intp)
+    index[order] = np.arange(layer.size)
+    index = index.reshape(layer.shape)
+    pull = np.empty((len(sizes),) + layer.shape, np.intp)
+    for j, block in enumerate(pull):
+        block = np.moveaxis(block, j, 0)
+        block[0] = layer.size
+        block[1:] = np.moveaxis(index, j, 0)[:-1]
+    pull = pull.reshape(len(sizes), -1)[:, order]
+    pull.flags.writeable = False  # shared by every caller through the cache
+    stops = np.cumsum(np.bincount(layer.ravel()))
+    return layer.size, tuple(pull[:, a:b] for a, b in zip(stops[:-1], stops[1:]))
+
+
+def _table_pass(plan, degrees: np.ndarray):
+    """Last cell of c[a + e_j] += d_ij * c[a] over the rows of ``degrees``,
+    one layer per row, in the dtype of ``degrees``."""
+    cells, maps = plan
+    table = np.zeros(cells + 1, degrees.dtype)
+    table[0] = 1
+    stop = 1
+    for row, pull in zip(degrees, maps):
+        start, stop = stop, stop + pull.shape[1]
+        table[start:stop] = row @ table[pull]
+    return table[cells - 1]
+
+
+def _table_count(sizes: tuple[int, ...], rows) -> int:
+    """Exact count of ``rows`` on blocks of positive sizes ``sizes`` (the
+    rows' last columns) by the layered table; on one block, a product.
+
+    Every term is nonnegative and each cell that feeds the last one is at
+    most the count, so a float64 pass that ends below 2**52 is exact; one
+    that ends below 2**62 makes a uint64 pass (exact mod 2**64) exact;
+    Python integers cover larger counts and degrees of 2**62 or more."""
+    p = len(sizes)
+    if p == 1:
+        return math.prod(row[-1] for row in rows)
+    plan = _table_plan(sizes)
+    cols = [row[-p:] for row in rows]
+    if max(map(max, cols)) < _UINT_EXACT:
+        approx = _table_pass(plan, np.array(cols, dtype=np.float64))
+        if approx < _FLOAT_EXACT:
+            return int(approx)
+        if approx < _UINT_EXACT:
+            return int(_table_pass(plan, np.array(cols, dtype=np.uint64)))
+    return int(_table_pass(plan, np.array(cols, dtype=object)))
+
+
+def _bkk_state(blocks: tuple[int, ...], rows: tuple[tuple[int, ...], ...]) -> int:
+    """Exact count for a canonical state.
+
+    A state whose table fits in DP_CELLS cells is counted on it; a larger
+    one is expanded along a row with the fewest branches, the first row
+    with the most zero degrees on blocks of positive size (canonical states
+    list the size-0 blocks first)."""
     if not rows:
         return 1
     key = (blocks, rows)
@@ -91,12 +176,15 @@ def _bkk_state(blocks: tuple[int, ...], rows: tuple[tuple[int, ...], ...]) -> in
     if cached is not None:
         return cached
     dead = blocks.count(0)
-    zeros = [row[dead:].count(0) for row in rows]
-    pivot = zeros.index(max(zeros))
-    total = 0
-    for _, degree, sub in _row_terms(blocks, rows, pivot):
-        # through the module global, so a wrapper sees every state lookup
-        total += degree * _bkk_state(*sub)
+    if math.prod(nj + 1 for nj in blocks) <= DP_CELLS:
+        total = _table_count(blocks[dead:], rows)
+    else:
+        zeros = [row[dead:].count(0) for row in rows]
+        pivot = zeros.index(max(zeros))
+        total = 0
+        for _, degree, sub in _row_terms(blocks, rows, pivot):
+            # through the module global, so a wrapper sees every state lookup
+            total += degree * _bkk_state(*sub)
     _BKK_MEMO[key] = total
     return total
 

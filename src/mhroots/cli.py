@@ -13,6 +13,7 @@ integer.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -179,11 +180,16 @@ def _check_ranges(args) -> None:
             raise InvalidInputError(f"{flag} must be {rule}, got {value}")
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+def _open_dump(path: str | None):
+    """The ``--dump`` file, opened before the work so that an unwritable path
+    exits 2 at once (a null context without ``--dump``)."""
+    return open(path, "w", newline="") if path else contextlib.nullcontext()
+
+
+def _write_csv(fh, header: list[str], rows) -> None:
+    writer = csv.writer(fh)
+    writer.writerow(header)
+    writer.writerows(rows)
 
 
 def cmd_bkk(args):
@@ -235,22 +241,23 @@ def cmd_mc_det(args):
 def cmd_simulate(args):
     spec = _load_shape(args.shape)
     check_samples(args.samples)
-    counts, flags = sample_counts(spec, args.samples, args.seed, tau=args.tau_imag)
-    est = count_mean(counts, args.seed)
-    results = {
-        "mean_roots": _mc_json(est),
-        "flagged_samples": len(flags),
-    }
-    if args.dump:
-        _write_csv(
-            args.dump,
-            ["sample", "root_count", "flags"],
-            (
-                (i, int(counts[i]), "|".join(flags.get(i, ())))
-                for i in range(args.samples)
-            ),
-        )
-        results["dump"] = args.dump
+    with _open_dump(args.dump) as dump:
+        counts, flags = sample_counts(spec, args.samples, args.seed, tau=args.tau_imag)
+        est = count_mean(counts, args.seed)
+        results = {
+            "mean_roots": _mc_json(est),
+            "flagged_samples": len(flags),
+        }
+        if dump:
+            _write_csv(
+                dump,
+                ["sample", "root_count", "flags"],
+                (
+                    (i, int(counts[i]), "|".join(flags.get(i, ())))
+                    for i in range(args.samples)
+                ),
+            )
+            results["dump"] = args.dump
     return spec, results, EXIT_OK
 
 
@@ -344,31 +351,32 @@ def cmd_verify(args):
     mc_total = 0
     warns = 0
     fails = 0
-    for check, is_mc in _verify_checks(args):
-        checks.append(check)
-        mc_total += bool(is_mc)
-        warns += check["status"] == "WARN"
-        fails += check["status"] == "FAIL"
-    warn_rate = warns / mc_total if mc_total else 0.0
-    ok = fails == 0 and warn_rate <= args.miss_budget
-    results = {
-        "checks": checks,
-        "counts": {
-            "pass": sum(c["status"] == "PASS" for c in checks),
-            "warn": warns,
-            "fail": fails,
-        },
-        "mc_checks": mc_total,
-        "warn_rate": warn_rate,
-        "ok": ok,
-    }
-    if args.dump:
-        _write_csv(
-            args.dump,
-            ["check", "index", "status", "detail"],
-            ((c["check"], c["index"], c["status"], c["detail"]) for c in checks),
-        )
-        results["dump"] = args.dump
+    with _open_dump(args.dump) as dump:
+        for check, is_mc in _verify_checks(args):
+            checks.append(check)
+            mc_total += bool(is_mc)
+            warns += check["status"] == "WARN"
+            fails += check["status"] == "FAIL"
+        warn_rate = warns / mc_total if mc_total else 0.0
+        ok = fails == 0 and warn_rate <= args.miss_budget
+        results = {
+            "checks": checks,
+            "counts": {
+                "pass": sum(c["status"] == "PASS" for c in checks),
+                "warn": warns,
+                "fail": fails,
+            },
+            "mc_checks": mc_total,
+            "warn_rate": warn_rate,
+            "ok": ok,
+        }
+        if dump:
+            _write_csv(
+                dump,
+                ["check", "index", "status", "detail"],
+                ((c["check"], c["index"], c["status"], c["detail"]) for c in checks),
+            )
+            results["dump"] = args.dump
     return None, results, EXIT_OK if ok else EXIT_VERIFY_FAIL
 
 

@@ -6,7 +6,9 @@ import math
 import numpy as np
 import pytest
 
+from mhroots import bkk
 from mhroots.bkk import (
+    DP_CELLS,
     _canonical,
     bkk_count,
     bkk_permanent,
@@ -348,6 +350,18 @@ class TestRowTerms:
                 assert list(_row_terms(blocks, rows, idx)) == expected
 
 
+def _fresh_memos(monkeypatch, cells):
+    """Empty memos and a table cap of ``cells`` (0: pure row expansion)."""
+    monkeypatch.setattr(bkk, "DP_CELLS", cells)
+    monkeypatch.setattr(bkk, "_BKK_MEMO", {})
+    monkeypatch.setattr(bkk, "_REDUCIBLE_MEMO", {})
+
+
+def _count_with(monkeypatch, spec, cells) -> int:
+    _fresh_memos(monkeypatch, cells)
+    return bkk_count(spec)
+
+
 class TestMemoStates:
     # States the recursion visits on the benchmark's game shapes: a change of
     # pivot rule or canonical form shows up here before it shows up in time.
@@ -361,12 +375,94 @@ class TestMemoStates:
         ],
     )
     def test_game_shapes(self, monkeypatch, sizes, count, states, with_reducibility):
-        from mhroots import bkk
-
-        monkeypatch.setattr(bkk, "_BKK_MEMO", {})
-        monkeypatch.setattr(bkk, "_REDUCIBLE_MEMO", {})
+        _fresh_memos(monkeypatch, 0)
         spec = game_shape(sizes)
         assert bkk_count(spec) == count
         assert len(bkk._BKK_MEMO) == states
         assert not is_simply_reducible(spec).reducible
         assert len(bkk._BKK_MEMO) == with_reducibility
+
+    @pytest.mark.parametrize(
+        "sizes, count, with_reducibility",
+        [
+            ((3,) * 6, 5691917785, 6),
+            ((4,) * 5, 3993445276, 5),
+            ((2,) * 9, 1596005408152, 9),
+            ((3,) * 8, 16086070907249329, 8),
+        ],
+    )
+    def test_game_shapes_on_table_leaves(self, monkeypatch, sizes, count, with_reducibility):
+        # each shape fits one table; reducibility adds its distinct sub-states
+        _fresh_memos(monkeypatch, DP_CELLS)
+        spec = game_shape(sizes)
+        assert bkk_count(spec) == count
+        assert len(bkk._BKK_MEMO) == 1
+        assert not is_simply_reducible(spec).reducible
+        assert len(bkk._BKK_MEMO) == with_reducibility
+
+
+def _random_state_shape(rng):
+    """Zero-size blocks, all-zero rows and degrees up to 5."""
+    k = int(rng.integers(1, 6))
+    sizes = [int(b) for b in rng.integers(0, 5, size=k)]
+    while sum(sizes) > 14:
+        sizes[int(rng.integers(k))] = 0
+    degrees = rng.integers(0, 6, size=(sum(sizes), k)) * (rng.random((sum(sizes), k)) < 0.8)
+    degrees[rng.random(sum(sizes)) < 0.02] = 0
+    return validate(sizes, degrees.tolist())
+
+
+class TestTableLeaves:
+    """Table leaves against pure row expansion (DP_CELLS = 0) as the oracle."""
+
+    def _pass_dtypes(self, monkeypatch):
+        seen = []
+        real = bkk._table_pass
+
+        def recording(plan, degrees):
+            seen.append(degrees.dtype.kind)
+            return real(plan, degrees)
+
+        monkeypatch.setattr(bkk, "_table_pass", recording)
+        return seen
+
+    @pytest.mark.parametrize(
+        "spec, passes",
+        [
+            (game_shape((3,) * 6), ["f"]),  # below 2**52
+            (game_shape((3,) * 8), ["f", "u"]),  # above 2**53, below 2**62
+            (scale_shape(game_shape((3,) * 6), [7] * 18, [1] * 6), ["f", "O"]),  # above 2**64
+            (validate((1, 1), [[2**70, 1], [1, 1]]), ["O"]),  # degree past uint64
+        ],
+    )
+    def test_each_exactness_guard_against_row_expansion(self, monkeypatch, spec, passes):
+        oracle = _count_with(monkeypatch, spec, 0)
+        seen = self._pass_dtypes(monkeypatch)
+        assert _count_with(monkeypatch, spec, DP_CELLS) == oracle
+        assert seen == passes
+
+    def test_game_2x12_above_2_64_through_expanded_rows(self, monkeypatch):
+        spec = game_shape((2,) * 12)
+        count = _count_with(monkeypatch, spec, DP_CELLS)
+        assert count == 19629681235869138841 > 2**64
+        assert _count_with(monkeypatch, spec, 0) == count
+
+    def test_random_states_against_row_expansion_and_permanent(self, monkeypatch):
+        rng = np.random.default_rng(1313)
+        for _ in range(300):
+            spec = _random_state_shape(rng)
+            count = _count_with(monkeypatch, spec, DP_CELLS)
+            assert count == _count_with(monkeypatch, spec, 0), spec
+            if spec.n <= 12:
+                assert count == bkk_permanent(spec).count, spec
+
+    @pytest.mark.parametrize("cells", [4, 64])
+    def test_small_caps_keep_counts_and_witnesses(self, monkeypatch, cells):
+        specs = [validate(sizes, degrees) for sizes, degrees, *_ in GOLDEN]
+        specs += [random_shape(7010, t, max_n=7, max_degree=3) for t in range(60)]
+        for spec in specs:
+            _fresh_memos(monkeypatch, 0)
+            expected = (bkk_count(spec), is_simply_reducible(spec))
+            _fresh_memos(monkeypatch, cells)
+            assert (bkk_count(spec), is_simply_reducible(spec)) == expected, spec
+

@@ -194,6 +194,23 @@ class TestExitCodes:
         )
         assert main(["expect", path]) == 0
 
+    @pytest.mark.parametrize(
+        "argv, work",
+        [
+            (["simulate", "SHAPE", "--samples", "1000000"], "sample_counts"),
+            (["verify", "--count", "100", "--samples", "100000"], "_verify_checks"),
+        ],
+    )
+    def test_unwritable_dump_refused_before_the_work(self, tmp_path, capsys, monkeypatch, argv, work):
+        def never(*args, **kwargs):
+            raise AssertionError(f"{work} ran before the dump path was opened")
+
+        monkeypatch.setattr(cli, work, never)
+        argv = [_write_shape(tmp_path, BILINEAR) if a == "SHAPE" else a for a in argv]
+        dump = tmp_path / "missing" / "x.csv"
+        assert main(argv + ["--dump", str(dump)]) == 2
+        assert capsys.readouterr().err.startswith("invalid input: ")
+
     def test_bkk_past_the_recursion_limit(self, tmp_path, capsys):
         deep = {"block_sizes": [1100], "degrees": [[1]] * 1100}
         assert main(["bkk", _write_shape(tmp_path, deep)]) == 3

@@ -7,10 +7,12 @@ recursions that scale far past the 2^n permanent cap; both routes are exact
 big-integer arithmetic and must agree everywhere.
 
 One expansion step, ``_row_terms``, serves the recursion, the forced row
-pivot and the simple-reducibility search: expanding along an equation gives
-one term per block of positive size and degree, weighted by that degree,
-whose sub-state drops the equation and one variable of the block.  States
-are canonical up to row permutations and block relabellings, both of which
+pivot and the simple-reducibility walk (which needs no backtracking: the
+first row with at most one branch of positive sub-count decides, by the
+lemma in ``is_simply_reducible``): expanding along an equation gives one
+term per block of positive size and degree, weighted by that degree, whose
+sub-state drops the equation and one variable of the block.  States are
+canonical up to row permutations and block relabellings, both of which
 leave the count invariant, and are memoized.
 
 The recursion ends on table leaves.  The count of a state is the
@@ -36,10 +38,6 @@ from .permanent import MatrixTooLargeError, RYSER_CAP, permanent_exact
 from .shape import ShapeSpec, _factorial_product, expand_delta, validate
 
 EXHAUSTIVE_SPLIT_K = 12
-# Frames the recursion needs beyond one per equation (measured on CPython
-# 3.11: `python -m mhroots.cli bkk` on the chain [[1]] * n still runs n <= 989
-# at the default limit, and refuses n = 990, where the recursion would fail).
-_DEPTH_HEADROOM = 2
 # Largest table of used block capacities, prod(n_j + 1) over blocks of
 # positive size, that a state is counted on; larger states expand a row.
 DP_CELLS = 1 << 16
@@ -189,34 +187,17 @@ def _bkk_state(blocks: tuple[int, ...], rows: tuple[tuple[int, ...], ...]) -> in
     return total
 
 
-def _nest(levels: int) -> None:
-    if levels > 0:
-        _nest(levels - 1)
-
-
-def _check_depth(n: int) -> None:
-    """Raise MatrixTooLargeError where n nested states (one per equation)
-    would pass the recursion limit, probed by a trivial recursion as deep:
-    the limit counts interpreter entries from C as well as frames."""
-    try:
-        _nest(n + _DEPTH_HEADROOM)
-    except RecursionError:
-        raise MatrixTooLargeError(
-            f"exact recursion on n={n} equations would pass the recursion limit"
-        ) from None
-
-
 def bkk_recursive(spec: ShapeSpec, pivot: tuple[str, int] | None = None) -> BkkValue:
     """Generic complex-root count by exact expansion recursion.
 
     ``pivot`` optionally forces the first expansion: ("row", i) expands along
     equation i, ("column", j) along block j (1-based; block j must have
     positive size).  The base case with no equations counts 1 (the null
-    system has one root).  No size cap; values are big integers.
+    system has one root).  No size cap; values are big integers; states
+    nesting past the interpreter's limit raise RecursionError.
     """
     blocks = spec.block_sizes
     rows = spec.degrees
-    _check_depth(spec.n)
     if pivot is None:
         count = _bkk_state(*_canonical(blocks, rows))
         return BkkValue(count, "row_recursion")
@@ -353,39 +334,44 @@ class SimpleReducibility:
 
 
 def _simply_reducible_state(blocks, rows) -> tuple[bool, tuple | None]:
-    if not rows:
-        return True, ()
-    key = (blocks, rows)
-    cached = _REDUCIBLE_MEMO.get(key)
-    if cached is not None:
-        return cached
-    result: tuple[bool, tuple | None] = (False, None)
-    for idx in range(len(rows)):
-        admissible = [
-            (j, sub) for j, _, sub in _row_terms(blocks, rows, idx) if _bkk_state(*sub) > 0
-        ]
-        if not admissible:
-            result = (True, ((idx + 1, None),))
-            break
-        if len(admissible) == 1:
-            j, sub = admissible[0]
-            ok, trace = _simply_reducible_state(*sub)
-            if ok:
-                result = (True, ((idx + 1, j + 1),) + trace)
+    """Walk along the first row with at most one admissible block until no
+    rows are left or every row has two or more; memoize each state walked."""
+    path = []  # (state, step) for each single-branch step taken
+    state = (blocks, rows)
+    while (result := _REDUCIBLE_MEMO.get(state)) is None and state[1]:
+        blocks, rows = state
+        for idx in range(len(rows)):
+            admissible = [
+                (j, sub) for j, _, sub in _row_terms(blocks, rows, idx) if _bkk_state(*sub) > 0
+            ]
+            if len(admissible) <= 1:
                 break
-    _REDUCIBLE_MEMO[key] = result
-    return result
+        if len(admissible) > 1:
+            _REDUCIBLE_MEMO[state] = (False, None)
+        elif not admissible:
+            _REDUCIBLE_MEMO[state] = (True, ((idx + 1, None),))
+        else:
+            ((j, sub),) = admissible
+            path.append((state, (idx + 1, j + 1)))
+            state = sub
+    ok, trace = result or (True, ())
+    for state, step in reversed(path):
+        if ok:
+            trace = (step,) + trace
+        _REDUCIBLE_MEMO[state] = (ok, trace)
+    return ok, trace
 
 
 def is_simply_reducible(spec: ShapeSpec) -> SimpleReducibility:
     """Whether the expansion recursion admits a single-branch reduction path.
 
-    Inductive criterion: some equation has at most one block with positive
-    size, positive degree, and positive sub-count, and the surviving
-    sub-shape is again simply reducible.  Exactly these shapes make the
-    two-sided root-count bounds tight.  Rows are scanned in order with
-    backtracking, so the boolean is order-independent.
+    Inductive criterion: some equation has at most one admissible block
+    (positive size, degree and sub-count), and the surviving sub-shape is
+    again simply reducible.  Exactly these shapes make the two-sided bounds
+    tight.  Lemma: by U(S) = sum_j sqrt(d_ij) U(S_ij) and BKK(S) = sum_j
+    d_ij BKK(S_ij), where a zero-count term has a zero upper term (same
+    support), one admissible block j scales both bounds by sqrt(d_ij), and
+    two or more in every row make U(S) > sqrt(BKK(S)).  So the first row in
+    canonical order with at most one decides; nothing backtracks.
     """
-    _check_depth(spec.n)
-    ok, trace = _simply_reducible_state(*_canonical(spec.block_sizes, spec.degrees))
-    return SimpleReducibility(ok, trace if ok else None)
+    return SimpleReducibility(*_simply_reducible_state(*_canonical(spec.block_sizes, spec.degrees)))

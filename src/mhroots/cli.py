@@ -433,7 +433,7 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except (MatrixTooLargeError, SupportTooLargeError) as exc:
+    except (MatrixTooLargeError, SupportTooLargeError, RecursionError) as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_TOO_LARGE
     print(json.dumps(_report(args, spec, results, t0), sort_keys=True, indent=2))

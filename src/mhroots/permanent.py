@@ -181,14 +181,23 @@ def _max_matching(adj: list[list[int]], n_cols: int) -> tuple[int, list[int], li
     match_row = [-1] * n_cols
     match_col = [-1] * len(adj)
 
-    def try_row(i: int, seen: list[bool]) -> bool:
-        for j in adj[i]:
-            if not seen[j]:
-                seen[j] = True
-                if match_row[j] == -1 or try_row(match_row[j], seen):
-                    match_row[j] = i
-                    match_col[i] = j
-                    return True
+    def try_row(root: int, seen: list[bool]) -> bool:
+        # depth-first on a stack of [row, its untried columns, column tried]
+        stack = [[root, iter(adj[root]), -1]]
+        while stack:
+            top = stack[-1]
+            for j in top[1]:
+                if not seen[j]:
+                    seen[j] = True
+                    top[2] = j
+                    if match_row[j] == -1:
+                        for i, _, j in stack:
+                            match_row[j], match_col[i] = i, j
+                        return True
+                    stack.append([match_row[j], iter(adj[match_row[j]]), -1])
+                    break
+            else:
+                stack.pop()
         return False
 
     size = 0

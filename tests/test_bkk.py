@@ -1,7 +1,9 @@
 """Generic root counts: permanent vs recursion routes, splits, scaling,
 and simple reducibility."""
 
+import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -19,7 +21,6 @@ from mhroots.bkk import (
 )
 from mhroots.corpus import random_shape
 from mhroots.permanent import (
-    MatrixTooLargeError,
     has_zero_block,
     permanent_bruteforce,
     permanent_float,
@@ -190,40 +191,51 @@ class TestScaling:
             scale_shape(spec, (-1,), (1,))
 
 
-def _simply_reducible_oracle(sizes: tuple, rows: tuple) -> bool:
-    """Independent checker: full existential search, brute-force counts."""
-
-    def brute_count(sz, rws):
-        cols = []
-        for j, nj in enumerate(sz):
-            cols.extend([j] * nj)
-        mat = [[rw[j] for j in cols] for rw in rws]
-        if not rws:
-            return 1
-        per = permanent_bruteforce(np.array(mat, dtype=int).reshape(len(rws), len(cols)))
-        div = 1
-        for nj in sz:
-            div *= math.factorial(nj)
-        return per // div
-
+def _brute_count(sizes, rows) -> int:
+    cols = []
+    for j, nj in enumerate(sizes):
+        cols.extend([j] * nj)
     if not rows:
-        return True
-    for idx, row in enumerate(rows):
-        rest = rows[:idx] + rows[idx + 1 :]
-        admissible = []
-        for j, nj in enumerate(sizes):
-            if nj > 0 and row[j] > 0:
-                sub = sizes[:j] + (nj - 1,) + sizes[j + 1 :]
-                if brute_count(sub, rest) > 0:
-                    admissible.append(j)
+        return 1
+    mat = [[rw[j] for j in cols] for rw in rows]
+    per = permanent_bruteforce(np.array(mat, dtype=int).reshape(len(rows), len(cols)))
+    div = 1
+    for nj in sizes:
+        div *= math.factorial(nj)
+    return per // div
+
+
+def _admissible(sizes, rows, idx) -> list:
+    """Blocks j (0-based) of positive size and degree in row ``idx`` whose
+    sub-shape has a positive brute-force count."""
+    rest = rows[:idx] + rows[idx + 1 :]
+    return [
+        j
+        for j, nj in enumerate(sizes)
+        if nj > 0
+        and rows[idx][j] > 0
+        and _brute_count(sizes[:j] + (nj - 1,) + sizes[j + 1 :], rest) > 0
+    ]
+
+
+def _simply_reducible_oracle(sizes: tuple, rows: tuple) -> tuple:
+    """Independent checker: full existential search with backtracking,
+    brute-force counts.  Returns (reducible, first-success witness); each
+    sub-shape is searched in canonical form, so on a canonical shape the
+    witness is in ``is_simply_reducible``'s indices."""
+    if not rows:
+        return True, ()
+    for idx in range(len(rows)):
+        admissible = _admissible(sizes, rows, idx)
         if len(admissible) == 0:
-            return True
+            return True, ((idx + 1, None),)
         if len(admissible) == 1:
             j = admissible[0]
             sub = sizes[:j] + (sizes[j] - 1,) + sizes[j + 1 :]
-            if _simply_reducible_oracle(sub, rest):
-                return True
-    return False
+            ok, trace = _simply_reducible_oracle(*_canonical(sub, rows[:idx] + rows[idx + 1 :]))
+            if ok:
+                return True, ((idx + 1, j + 1),) + trace
+    return False, None
 
 
 class TestSimpleReducibility:
@@ -243,8 +255,31 @@ class TestSimpleReducibility:
         for t in range(60):
             spec = random_shape(7006, t, max_n=5, max_degree=2)
             ours = is_simply_reducible(spec).reducible
-            oracle = _simply_reducible_oracle(spec.block_sizes, spec.degrees)
+            oracle, _ = _simply_reducible_oracle(spec.block_sizes, spec.degrees)
             assert ours == oracle, spec
+
+    def test_first_single_branch_row_decides(self):
+        # The walk follows the first row with at most one admissible block
+        # and never backtracks; the oracle backtracks.  Shapes with several
+        # blocks, zero-size blocks and zero degrees, among them shapes with
+        # a single-branch row that are still not reducible.
+        rng = np.random.default_rng(1616)
+        single_branch_not_reducible = 0
+        for _ in range(320):
+            k = int(rng.integers(2, 5))
+            sizes = [int(b) for b in rng.integers(0, 3, size=k)]
+            while not 0 < sum(sizes) <= 6:
+                sizes = [int(b) for b in rng.integers(0, 3, size=k)]
+            degrees = rng.integers(0, 4, size=(sum(sizes), k)) * (rng.random((sum(sizes), k)) < 0.7)
+            spec = validate(sizes, degrees.tolist())
+            canonical = _canonical(spec.block_sizes, spec.degrees)
+            res = is_simply_reducible(spec)
+            assert (res.reducible, res.witness) == _simply_reducible_oracle(*canonical), spec
+            if not res.reducible and any(
+                len(_admissible(*canonical, idx)) == 1 for idx in range(spec.n)
+            ):
+                single_branch_not_reducible += 1
+        assert single_branch_not_reducible >= 20
 
     def test_reducible_iff_bounds_coincide(self):
         for t in range(60):
@@ -315,12 +350,47 @@ class TestGoldenExpansion:
 
 
 class TestRecursionDepth:
-    def test_deep_shape_is_refused_before_the_recursion_limit(self):
+    def test_deep_chain_is_one_table_leaf(self):
         spec = validate((1100,), [[1]] * 1100)
-        with pytest.raises(MatrixTooLargeError, match="recursion limit"):
-            bkk_recursive(spec)
-        with pytest.raises(MatrixTooLargeError, match="recursion limit"):
-            is_simply_reducible(spec)
+        assert bkk_count(spec) == 1
+        res = is_simply_reducible(spec)
+        assert res.reducible and res.witness == ((1, 1),) * 1100
+
+    @pytest.mark.parametrize("wrapped", [False, True])
+    def test_refused_at_the_real_limit(self, monkeypatch, tmp_path, capsys, wrapped):
+        # 200 blocks of size 1 expand rows until the table fits: a recursion
+        # as deep as that raises RecursionError (the CLI exits 3), traced or
+        # not, and memoizes no partial state
+        from mhroots.cli import main
+
+        _fresh_memos(monkeypatch, DP_CELLS)
+        if wrapped:  # a pass-through wrapper, as perfbench's tracer installs
+            real = bkk._bkk_state
+            monkeypatch.setattr(bkk, "_bkk_state", lambda *state: real(*state))
+        spec = validate((1,) * 200, np.eye(200, dtype=int).tolist())
+        shallow, deep = tmp_path / "shallow.json", tmp_path / "deep.json"
+        for path, n in [(shallow, 20), (deep, 200)]:
+            degrees = np.eye(n, dtype=int).tolist()
+            path.write_text(json.dumps({"block_sizes": [1] * n, "degrees": degrees}))
+        limit = sys.getrecursionlimit()
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        sys.setrecursionlimit(depth + 150)
+        try:
+            with pytest.raises(RecursionError):
+                bkk_count(spec)
+            with pytest.raises(RecursionError):
+                is_simply_reducible(spec)
+            assert main(["bkk", str(shallow)]) == 0
+            capsys.readouterr()
+            assert main(["bkk", str(deep)]) == 3
+            assert capsys.readouterr().err.startswith("resource cap:")
+        finally:
+            sys.setrecursionlimit(limit)
+        assert bkk_count(spec) == 1
+        assert is_simply_reducible(spec).reducible
+
 
 class TestScale:
     def test_game_large_recursion_is_exact_bigint(self):

@@ -211,10 +211,14 @@ class TestExitCodes:
         assert main(argv + ["--dump", str(dump)]) == 2
         assert capsys.readouterr().err.startswith("invalid input: ")
 
-    def test_bkk_past_the_recursion_limit(self, tmp_path, capsys):
+    def test_bkk_on_a_chain_past_the_recursion_limit(self, tmp_path, capsys):
+        # one table leaf, and a reducibility walk that does not recurse
         deep = {"block_sizes": [1100], "degrees": [[1]] * 1100}
-        assert main(["bkk", _write_shape(tmp_path, deep)]) == 3
-        assert capsys.readouterr().err.startswith("resource cap: exact recursion on n=1100")
+        code, rep = _run(capsys, ["bkk", _write_shape(tmp_path, deep)])
+        assert code == 0
+        assert rep["results"]["bkk"]["value"] == 1
+        assert rep["results"]["simply_reducible"] is True
+        assert rep["results"]["witness"] == [[1, 1]] * 1100
 
     def test_bkk_deep_within_the_recursion_limit(self, tmp_path, capsys):
         deep = {"block_sizes": [900], "degrees": [[1]] * 900}
@@ -247,6 +251,25 @@ class TestExitCodes:
         monkeypatch.delenv("MHROOTS_THREADS", raising=False)
         assert main(["expect", _write_shape(tmp_path, MIXED), "--workers", "0"]) == 2
         assert capsys.readouterr().err.startswith("invalid input: --workers")
+
+    def test_no_traceback_on_a_long_cycle(self, tmp_path, capsys):
+        # row i has degree 1 in block i and 2 in block i + 1, the last row
+        # degree 1 in block 1: the zero test's matching augments along a
+        # path through every row
+        n = 1000
+        degrees = [[0] * n for _ in range(n)]
+        for i in range(n - 1):
+            degrees[i][i], degrees[i][i + 1] = 1, 2
+        degrees[n - 1][0] = 1
+        shape = _write_shape(tmp_path, {"block_sizes": [1] * n, "degrees": degrees})
+        for argv, code in [
+            (["expect", shape, "--samples", "2"], 0),
+            (["mc-det", shape, "--samples", "2"], 0),
+            (["bounds", shape], 3),  # the Ryser cap
+            (["simulate", shape], 2),
+        ]:
+            assert main(argv) == code, argv
+        capsys.readouterr()
 
     @pytest.mark.parametrize("command", ["bkk", "simulate"])
     def test_threads_env_unread_without_workers_flag(self, tmp_path, capsys, monkeypatch, command):

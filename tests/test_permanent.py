@@ -8,6 +8,7 @@ import pytest
 
 from mhroots.permanent import (
     MatrixTooLargeError,
+    _max_matching,
     has_zero_block,
     permanent_bruteforce,
     permanent_exact,
@@ -152,6 +153,40 @@ class TestZeroBlock:
     def test_rejects_non_binary(self):
         with pytest.raises(ValueError):
             has_zero_block([[2, 0], [0, 1]])
+
+    def test_matching_equals_the_recursive_search(self):
+        def recursive(adj, n_cols):
+            match_row, match_col = [-1] * n_cols, [-1] * len(adj)
+
+            def try_row(i, seen):
+                for j in adj[i]:
+                    if not seen[j]:
+                        seen[j] = True
+                        if match_row[j] == -1 or try_row(match_row[j], seen):
+                            match_row[j], match_col[i] = i, j
+                            return True
+                return False
+
+            size = sum(try_row(i, [False] * n_cols) for i in range(len(adj)))
+            return size, match_row, match_col
+
+        rng = np.random.default_rng(12)
+        for _ in range(500):
+            m = int(rng.integers(1, 10))
+            n = int(rng.integers(m, 12))
+            mat = rng.random((m, n)) < rng.uniform(0.1, 0.6)
+            adj = [np.flatnonzero(row).tolist() for row in mat]
+            assert _max_matching(adj, n) == recursive(adj, n)
+
+    def test_long_augmenting_path(self):
+        # row i covers columns i and i + 1, the last row only column 0: the
+        # last row's augmenting path runs through every other row
+        n = 1000
+        pattern = np.zeros((n, n), dtype=int)
+        pattern[np.arange(n - 1), np.arange(n - 1)] = 1
+        pattern[np.arange(n - 1), np.arange(1, n)] = 1
+        pattern[n - 1, 0] = 1
+        assert has_zero_block(pattern) == (False, None)
 
 
 class TestCaps:

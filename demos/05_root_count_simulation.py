@@ -2,8 +2,8 @@
 
 The invariant coefficient ensemble (variance = inverse multinomial weight)
 is the unique one whose root distribution is rotation invariant.  Counting
-real roots directly -- companion-matrix eigenvalues for binary forms,
-discriminant signs for the bilinear family -- reproduces the closed forms
+real roots directly -- Sturm chains of binary forms, a bilinear system
+first eliminated to a binary quadratic -- reproduces the closed forms
 and shows the uniform root distribution, which breaks for any other choice
 of coefficient weights.
 """

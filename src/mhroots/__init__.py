@@ -17,7 +17,6 @@ from .bkk import (
     scale_shape,
 )
 from .empirical import (
-    DegenerateSystemError,
     SystemSample,
     UnsupportedFamilyError,
     UniformityReport,

@@ -28,7 +28,6 @@ import numpy as np
 from . import __version__, corpus
 from .bkk import bkk_permanent, bkk_recursive, is_simply_reducible
 from .empirical import (
-    DEGENERATE_TOL,
     INFINITY_TOL,
     UnsupportedFamilyError,
     count_mean,
@@ -92,8 +91,7 @@ FLAGS = {
     "--stderr-mult": Flag(float, STDERR_MULT, "finite and positive", lambda v: {"stderr_multiplier": v}),
     "--miss-budget": Flag(float, 0.05, "in [0, 1]", lambda v: {"miss_budget": v}),
     "--tau-imag": Flag(
-        float, 1e-8, "finite and nonnegative",
-        lambda v: {"imag_tau": v, "infinity_tol": INFINITY_TOL, "degenerate_tol": DEGENERATE_TOL},
+        float, 1e-8, "finite and nonnegative", lambda v: {"imag_tau": v, "infinity_tol": INFINITY_TOL}
     ),
     "--dump": Flag(str, None, help="CSV output path"),
     "--count": Flag(int, 100, "nonnegative", help="number of corpus shapes"),

@@ -7,13 +7,14 @@ decomposes into univariate pieces (one equation in one size-1 block), the
 bilinear 2x2 pattern, degree-zero rows (constant equations, which force zero
 roots), and empty blocks.
 
-Each family has one batch counter over (N, size) coefficient rows.
-Univariate counting reads sign variations of each row's Sturm chain, run
-over the whole batch; the rows whose chain comes too close to a vanishing
-leading coefficient (near-multiple roots, nearly real complex pairs) and
-rows with a root at infinity are counted by companion-matrix eigenvalues.
-Bilinear counting eliminates one block and reads the sign of a binary
-quadratic's discriminant.  ``_count`` multiplies the counts of a shape's
+Every countable component reduces to one binary form per system: a
+univariate equation is its own form, and a bilinear pair eliminates its
+second block, leaving a quadratic in the first.  One counter counts the
+forms from sign variations of each row's Sturm chain; the rows whose chain
+comes too close to a vanishing leading coefficient (near-multiple roots,
+nearly real complex pairs) and rows with a root at infinity are counted by
+companion-matrix eigenvalues.  ``_count`` reduces and counts a batch
+STURM_CHUNK systems at a time, multiplies the counts of a shape's
 components and merges their flags; ``sample_counts`` calls it once per
 batch, and ``count_real_roots`` counts a single system as a one-row batch.
 """
@@ -39,17 +40,12 @@ from .shape import (
 
 IMAG_TOL = 1e-8
 INFINITY_TOL = 1e-12
-DEGENERATE_TOL = 1e-12
 # Rows per Sturm chain pass: the two live members of a pass stay in cache.
 STURM_CHUNK = 8192
 
 
 class ZeroPolynomialError(ValueError):
     """All coefficients vanish; no root count is defined."""
-
-
-class DegenerateSystemError(ValueError):
-    """The elimination quadratic vanishes identically."""
 
 
 class UnsupportedFamilyError(ValueError):
@@ -125,7 +121,7 @@ def theta_norm_sq(spec: ShapeSpec, i: int, point) -> float:
 
 
 # ---------------------------------------------------------------------------
-# real-root counters, one per family, over batches of coefficient rows
+# the real-root counter of binary forms, over batches of coefficient rows
 
 
 def _count_univariate(coeffs: np.ndarray, tau: float = IMAG_TOL, bins: int = 0):
@@ -137,29 +133,23 @@ def _count_univariate(coeffs: np.ndarray, tau: float = IMAG_TOL, bins: int = 0):
     rows whose projective angle arctan2(1, t) falls in each of ``bins``
     equal bins of [0, pi).  Rows are counted by ``_sturm_count``; the rows
     it is unsure of, and rows with vanishing leading coefficients, go
-    through ``_eig_count`` and keep its flags.
+    through ``_eig_count`` and keep its flags.  Every row is counted in one
+    pass, so callers hand over at most STURM_CHUNK rows at a time (fewer
+    with bins: ``uniformity_check``).
     """
     c = np.asarray(coeffs, dtype=np.float64)
-    n_rows, width = c.shape
-    cmax = np.max(np.abs(c), axis=1)
-    if np.any(cmax == 0.0):
+    # one coefficient per row of p: reducing across rows is fast, along them is not
+    p = np.ascontiguousarray(c.T)
+    scale = np.max(np.abs(p), axis=0)
+    if np.any(scale == 0.0):
         raise ZeroPolynomialError("all coefficients are zero")
-    counts = np.zeros(n_rows, dtype=np.int64)
-    binned = np.zeros(bins, dtype=np.int64)
-    if width == 1:
+    if c.shape[1] == 1:
         # constant equations never vanish (almost surely): zero roots
-        return counts, {}, binned
-    rest = np.abs(c[:, 0]) < INFINITY_TOL * cmax
-    # a pass keeps bins - 1 sign-variation counts per row: 8 x STURM_CHUNK at most
-    step = max(1, STURM_CHUNK * 8 // max(bins, 8))
-    for lo in range(0, n_rows, step):
-        hi = min(lo + step, n_rows)
-        p = np.ascontiguousarray(c[lo:hi].T) / cmax[lo:hi]
-        sure, counts[lo:hi], part = _sturm_count(p, ~rest[lo:hi], tau, bins)
-        rest[lo:hi] = ~sure
-        binned += part
+        return np.zeros(c.shape[0], dtype=np.int64), {}, np.zeros(bins, dtype=np.int64)
+    infinity = np.abs(p[0]) < INFINITY_TOL * scale
+    sure, counts, binned = _sturm_count(p / scale, ~infinity, tau, bins)
     flag_rows: dict[int, tuple[str, ...]] = {}
-    idx = np.nonzero(rest)[0]
+    idx = np.nonzero(~sure)[0]
     if idx.size:
         counts[idx], eig_flags, angles = _eig_count(c[idx], tau, want_angles=bins > 0)
         flag_rows = {int(idx[i]): fl for i, fl in eig_flags.items()}
@@ -293,62 +283,28 @@ def _eig_count(c: np.ndarray, tau: float, want_angles: bool = False):
     return counts, flag_rows, all_angles
 
 
-def _bilinear_quadratic(m1: np.ndarray, m2: np.ndarray, direction: str):
-    """Coefficients (A, B, C) of the elimination quadratic.
+def _bilinear_quadratic(e1: np.ndarray, e2: np.ndarray) -> np.ndarray:
+    """(N, 3) coefficient rows of the elimination quadratics of bilinear
+    pairs, from the (N, 4) coefficient rows of the two equations.
 
-    direction "first": roots range over the first block (eliminate the
-    second); "second": the reverse.  Works on stacked (..., 2, 2) inputs.
+    Each equation is a quadratic form y1' M_i y2 with M_i the row read as a
+    2x2 matrix.  A root's first block y1 makes the rows y1' M_1 and y1' M_2
+    dependent, so eliminating the second block leaves the binary form
+    det [y1' M_1; y1' M_2] in y1, whose real projective roots biject with
+    the system's.
     """
-    if direction == "first":
-        a = m1[..., 0, 0] * m2[..., 0, 1] - m1[..., 0, 1] * m2[..., 0, 0]
-        b = (
-            m1[..., 0, 0] * m2[..., 1, 1]
-            + m1[..., 1, 0] * m2[..., 0, 1]
-            - m1[..., 0, 1] * m2[..., 1, 0]
-            - m1[..., 1, 1] * m2[..., 0, 0]
-        )
-        c = m1[..., 1, 0] * m2[..., 1, 1] - m1[..., 1, 1] * m2[..., 1, 0]
-    elif direction == "second":
-        a = m1[..., 0, 0] * m2[..., 1, 0] - m1[..., 1, 0] * m2[..., 0, 0]
-        b = (
-            m1[..., 0, 0] * m2[..., 1, 1]
-            + m1[..., 0, 1] * m2[..., 1, 0]
-            - m1[..., 1, 0] * m2[..., 0, 1]
-            - m1[..., 1, 1] * m2[..., 0, 0]
-        )
-        c = m1[..., 0, 1] * m2[..., 1, 1] - m1[..., 1, 1] * m2[..., 0, 1]
-    else:
-        raise ValueError(f"direction must be 'first' or 'second', got {direction!r}")
-    return a, b, c
-
-
-def _quadratic_root_count(a, b, c):
-    """Projective real root counts (0, 1, or 2) of stacked binary quadratics."""
-    disc = b * b - 4.0 * a * c
-    scale = b * b + np.abs(4.0 * a * c)
-    boundary = np.abs(disc) <= DEGENERATE_TOL * scale
-    counts = np.where(disc > 0, 2, 0)
-    counts = np.where(boundary & (scale > 0), 1, counts)
-    degenerate = np.maximum(np.abs(a), np.maximum(np.abs(b), np.abs(c))) < DEGENERATE_TOL
-    return counts.astype(np.int64), boundary & ~degenerate, degenerate
-
-
-def _count_bilinear(e1: np.ndarray, e2: np.ndarray):
-    """Real root counts in P1 x P1 of bilinear pairs, from the (N, 4)
-    coefficient rows of the two equations.
-
-    Each equation is a quadratic form y1' M_i y2; eliminating the second
-    block leaves a real binary quadratic whose projective real roots
-    (generically 0 or 2 by the sign of the discriminant) biject with system
-    roots.  Returns (counts, flag_rows): a vanishing discriminant counts 1
-    and is flagged ``boundary``, a vanishing quadratic ``degenerate``.
-    """
-    n_rows = e1.shape[0]
-    a, b, c = _bilinear_quadratic(e1.reshape(n_rows, 2, 2), e2.reshape(n_rows, 2, 2), "first")
-    counts, boundary, degenerate = _quadratic_root_count(a, b, c)
-    flag_rows = {int(i): ("boundary",) for i in np.nonzero(boundary)[0]}
-    flag_rows.update((int(i), ("degenerate",)) for i in np.nonzero(degenerate)[0])
-    return counts, flag_rows
+    m1, m2 = e1.reshape(-1, 2, 2), e2.reshape(-1, 2, 2)
+    # filled one coefficient at a time, as the transpose ``_count_univariate`` reads
+    q = np.empty((3, m1.shape[0]))
+    q[0] = m1[:, 0, 0] * m2[:, 0, 1] - m1[:, 0, 1] * m2[:, 0, 0]
+    q[1] = (
+        m1[:, 0, 0] * m2[:, 1, 1]
+        + m1[:, 1, 0] * m2[:, 0, 1]
+        - m1[:, 0, 1] * m2[:, 1, 0]
+        - m1[:, 1, 1] * m2[:, 0, 0]
+    )
+    q[2] = m1[:, 1, 0] * m2[:, 1, 1] - m1[:, 1, 1] * m2[:, 1, 0]
+    return q.T
 
 
 # ---------------------------------------------------------------------------
@@ -410,18 +366,22 @@ def _count(comps: list[_Component], coeffs: list[np.ndarray], tau: float, out: n
     entry per system, and return the components' flags merged per row.
 
     ``coeffs[i]`` holds the (N, size_i) coefficient rows of equation i.
-    A zero_row equation is a width-1 row, which the univariate counter
-    counts as 0; with no components ``out`` keeps its empty product.
+    STURM_CHUNK systems at a time, each component becomes one binary form
+    per system, counted by ``_count_univariate``: a univariate equation is
+    its own form, a bilinear pair its elimination quadratic.  A zero_row
+    equation is a width-1 row, which counts 0; with no components ``out``
+    keeps its empty product.
     """
     flags: dict[int, tuple[str, ...]] = {}
-    for comp in comps:
-        if comp.kind == "bilinear":
-            part, part_flags = _count_bilinear(*(coeffs[i] for i in comp.rows))
-        else:
-            part, part_flags, _ = _count_univariate(coeffs[comp.rows[0]], tau)
-        out *= part
-        for i, fl in part_flags.items():
-            flags[i] = flags.get(i, ()) + fl
+    for lo in range(0, out.shape[0], STURM_CHUNK):
+        chunk = slice(lo, lo + STURM_CHUNK)
+        for comp in comps:
+            eqs = [coeffs[i][chunk] for i in comp.rows]
+            forms = _bilinear_quadratic(*eqs) if comp.kind == "bilinear" else eqs[0]
+            part, part_flags, _ = _count_univariate(forms, tau)
+            out[chunk] *= part
+            for i, fl in part_flags.items():
+                flags[lo + i] = flags.get(lo + i, ()) + fl
     return flags
 
 
@@ -429,14 +389,12 @@ def count_real_roots(sample: SystemSample, tau: float = IMAG_TOL) -> tuple[int, 
     """Real root count and flags of one system in a countable family.
 
     Raises UnsupportedFamilyError on the shapes ``sample_counts`` rejects,
-    ZeroPolynomialError when a univariate equation vanishes, and
-    DegenerateSystemError when a bilinear elimination quadratic vanishes.
+    and ZeroPolynomialError when a component's binary form vanishes: a
+    univariate equation, or a bilinear pair's elimination quadratic.
     """
     coeffs = [np.asarray(c, dtype=np.float64)[None, :] for c in sample.coefficients]
     counts = np.ones(1, dtype=np.int64)
     row_flags = _count(_counted_components(sample.spec), coeffs, tau, counts).get(0, ())
-    if "degenerate" in row_flags:
-        raise DegenerateSystemError("elimination quadratic vanishes identically")
     return int(counts[0]), row_flags
 
 
@@ -507,6 +465,7 @@ def uniformity_check(
     all coefficients with unit variance instead, a deliberately miscalibrated
     ensemble whose root positions are not uniform (the weights matter).
     """
+    check_samples(samples)
     if spec.k != 1 or spec.block_sizes != (1,):
         raise UnsupportedFamilyError("uniformity check supports the univariate family")
     if bins < 1:
@@ -514,8 +473,9 @@ def uniformity_check(
     d = spec.degrees[0][0]
     sigma = np.sqrt(support_variances(spec, 1)) if invariant_weights else np.ones(d + 1)
     counts = np.zeros(bins, dtype=np.int64)
-    for start, size in rng.batches(samples, d + 1):
-        coeffs = rng.normals(seed, start, size, d + 1)
+    # a pass keeps bins - 1 sign-variation counts per row: 8 x STURM_CHUNK at most
+    rows = max(1, STURM_CHUNK * 8 // max(bins, 8))
+    for coeffs in rng.normal_pieces(seed, 0, samples, d + 1, rows):
         coeffs *= sigma
         counts += _count_univariate(coeffs, bins=bins)[2]
     total = int(counts.sum())

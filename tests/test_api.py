@@ -1,12 +1,18 @@
-"""Public API guard: the demos use only names the package exports."""
+"""Public API guard: the demos use only names the package exports, and run."""
 
 import ast
 import importlib
+import os
 import pathlib
+import subprocess
+import sys
+
+import pytest
 
 import mhroots
 
-DEMOS = sorted((pathlib.Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def test_demos_import_only_exported_names():
@@ -22,3 +28,12 @@ def test_demos_import_only_exported_names():
                     assert hasattr(importlib.import_module(node.module), alias.name), (
                         f"{demo.name}: {node.module}.{alias.name}"
                     )
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
+def test_demo_runs(demo):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -338,11 +338,7 @@ class TestReportContract:
         # each report echoes the tolerances its subcommand applies, and no others
         shape = _write_shape(tmp_path, BILINEAR)
         expected = {
-            "simulate": {
-                "imag_tau": 1e-8,
-                "infinity_tol": empirical.INFINITY_TOL,
-                "degenerate_tol": empirical.DEGENERATE_TOL,
-            },
+            "simulate": {"imag_tau": 1e-8, "infinity_tol": empirical.INFINITY_TOL},
             "bounds": {"stderr_multiplier": 4.0},
             "verify": {"stderr_multiplier": 4.0, "miss_budget": 0.05},
         }

@@ -10,10 +10,12 @@ from mhroots import empirical, rng
 from mhroots.empirical import (
     IMAG_TOL,
     INFINITY_TOL,
-    DegenerateSystemError,
     SystemSample,
     UnsupportedFamilyError,
     ZeroPolynomialError,
+    _bilinear_quadratic,
+    _coefficient_batch,
+    _count,
     _count_univariate,
     _decompose,
     count_real_roots,
@@ -25,6 +27,7 @@ from mhroots.empirical import (
     theta_norm_sq,
     uniformity_check,
 )
+from mhroots.gaussian import SampleCountError
 from mhroots.shape import support_variances, validate
 
 UNI2 = validate((1,), [[2]])
@@ -72,6 +75,15 @@ def _eigvals_oracle(rows: np.ndarray, tau: float = IMAG_TOL):
         if row_flags:
             flags[r] = row_flags
     return counts, flags, np.array(angles)
+
+
+def _discriminant_oracle(e1: np.ndarray, e2: np.ndarray):
+    """(counts, flagged) of bilinear pairs by the sign of the elimination
+    quadratic's discriminant, a vanishing one (to 1e-12) counting 1."""
+    a, b, c = _bilinear_quadratic(e1, e2).T
+    disc, scale = b * b - 4.0 * a * c, b * b + np.abs(4.0 * a * c)
+    flagged = np.abs(disc) <= 1e-12 * scale
+    return np.where(flagged & (scale > 0), 1, np.where(disc > 0, 2, 0)), flagged
 
 
 def _kostlan_rows(d: int, count: int, seed: int) -> np.ndarray:
@@ -221,12 +233,12 @@ class TestUnivariateCounting:
 
     def test_imag_tolerance_robustness(self):
         # counts at tau/10 and tau*10 agree with the default within 1 stderr
-        spec = validate((1,), [[6]])
-        base, _ = sample_counts(spec, 20_000, seed=12, tau=1e-8)
-        se = base.std(ddof=1) / math.sqrt(base.size)
-        for tau in (1e-9, 1e-7):
-            other, _ = sample_counts(spec, 20_000, seed=12, tau=tau)
-            assert abs(other.mean() - base.mean()) <= max(se, 1e-12)
+        for spec in (validate((1,), [[6]]), BILINEAR):
+            base, _ = sample_counts(spec, 20_000, seed=12, tau=1e-8)
+            se = base.std(ddof=1) / math.sqrt(base.size)
+            for tau in (1e-9, 1e-7):
+                other, _ = sample_counts(spec, 20_000, seed=12, tau=tau)
+                assert abs(other.mean() - base.mean()) <= max(se, 1e-12)
 
 
 class TestSturmCounting:
@@ -268,6 +280,13 @@ class TestSturmCounting:
         assert eigvals_rows == [512]
         assert (counts.tolist(), flags) == _eigvals_oracle(rows, tau=1e3)[:2]
         assert (counts == 6).all()
+        # bilinear rows too: --tau-imag governs their elimination quadratics
+        eigvals_rows.clear()
+        counts, flags = sample_counts(BILINEAR, 512, seed=47, tau=1e3)
+        assert eigvals_rows == [512]
+        quadratics = _bilinear_quadratic(*_coefficient_batch(BILINEAR, 47, 0, 512))
+        assert (counts.tolist(), flags) == _eigvals_oracle(quadratics, tau=1e3)[:2]
+        assert (counts == 2).all()
 
     @pytest.mark.parametrize("d, bins", [(1, 10), (2, 7), (6, 10), (12, 5)])
     def test_bin_counts_match_the_oracle_angles(self, d, bins):
@@ -297,9 +316,26 @@ class TestBilinearCounting:
         sample = SystemSample(BILINEAR, [m1, m2])
         assert count_real_roots(sample)[0] == 0
 
+    def test_hand_example_is_scale_free(self):
+        # a projectively unchanged system: both equations times 1e-7
+        m1 = np.eye(2).ravel()
+        m2 = np.array([[1.0, 0.0], [0.0, -1.0]]).ravel()
+        scaled = count_real_roots(SystemSample(BILINEAR, [1e-7 * m1, 1e-7 * m2]))
+        assert scaled == count_real_roots(SystemSample(BILINEAR, [m1, m2]))
+        assert scaled[0] == 2
+
+    def test_double_root_counts_two(self):
+        # elimination quadratic s^2: one root of multiplicity two, as for a univariate s^2
+        m1 = np.eye(2).ravel()
+        m2 = np.array([[0.0, 1.0], [0.0, 0.0]]).ravel()
+        got = count_real_roots(SystemSample(BILINEAR, [m1, m2]))
+        assert got == (2, ("multiple_root",))
+        assert got == count_real_roots(SystemSample(UNI2, [np.array([1.0, 0.0, 0.0])]))
+
     def test_degenerate_raises(self):
+        # a vanishing elimination quadratic is a zero binary form
         sample = SystemSample(BILINEAR, [np.zeros(4), np.zeros(4)])
-        with pytest.raises(DegenerateSystemError):
+        with pytest.raises(ZeroPolynomialError):
             count_real_roots(sample)
 
     def test_statistical_half_pi(self):
@@ -313,18 +349,21 @@ class TestBilinearCounting:
         assert abs(freq - math.pi / 4) <= 4 * se
 
     def test_elimination_direction_symmetry(self):
-        from mhroots.empirical import (
-            _bilinear_quadratic,
-            _coefficient_batch,
-            _quadratic_root_count,
-        )
-
+        # eliminating the first block instead is the same count on the transposes M_i'
         batch = _coefficient_batch(BILINEAR, seed=14, start=0, count=10_000)
-        m1 = batch[0].reshape(-1, 2, 2)
-        m2 = batch[1].reshape(-1, 2, 2)
-        first, _, _ = _quadratic_root_count(*_bilinear_quadratic(m1, m2, "first"))
-        second, _, _ = _quadratic_root_count(*_bilinear_quadratic(m1, m2, "second"))
+        transposed = [e.reshape(-1, 2, 2).transpose(0, 2, 1).reshape(-1, 4) for e in batch]
+        first, second = np.ones((2, 10_000), dtype=np.int64)
+        _count(_decompose(BILINEAR), batch, IMAG_TOL, first)
+        _count(_decompose(BILINEAR), transposed, IMAG_TOL, second)
         assert (first == second).all()
+
+    def test_discriminant_rule_agrees(self):
+        # the one counter against the former special-case rule on 4 x 262,144 systems
+        for seed in (31, 32, 33, 34):
+            counts, flags = sample_counts(BILINEAR, 262_144, seed=seed)
+            want, flagged = _discriminant_oracle(*_coefficient_batch(BILINEAR, seed, 0, 262_144))
+            assert flags == {} and not flagged.any()
+            assert np.array_equal(counts, want)
 
     def test_counts_even_unless_flagged(self):
         counts, flags = sample_counts(BILINEAR, 10_000, seed=15)
@@ -442,6 +481,12 @@ class TestUniformity:
     def test_bin_counts_sum(self):
         rep = uniformity_check(UNI2, samples=5_000, bins=8, seed=30)
         assert sum(rep.bin_counts) == rep.total_roots
+
+    @pytest.mark.parametrize("samples", [0, 1, -4])
+    def test_samples_must_allow_a_statistic(self, samples):
+        # with no roots binned, a chi-square of 0 would pass every cut
+        with pytest.raises(SampleCountError):
+            uniformity_check(validate((1,), [(3,)]), samples, bins=3, seed=0)
 
     @pytest.mark.parametrize("bins", [0, -1])
     def test_bins_must_be_positive(self, bins):

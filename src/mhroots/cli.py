@@ -136,6 +136,8 @@ def _expectation_json(res: ExpectationResult) -> dict:
         }
     if res.mc is not None:
         out["mc"] = _mc_json(res.mc)
+    if res.peeled is not None:
+        out["peeled"] = res.peeled
     if res.parts is not None:
         out["parts"] = [_expectation_json(p) for p in res.parts]
     return out
@@ -238,7 +240,6 @@ def cmd_mc_det(args):
 
 def cmd_simulate(args):
     spec = _load_shape(args.shape)
-    check_samples(args.samples)
     with _open_dump(args.dump) as dump:
         counts, flags = sample_counts(spec, args.samples, args.seed, tau=args.tau_imag)
         est = count_mean(counts, args.seed)
@@ -419,6 +420,9 @@ def main(argv=None) -> int:
         if "--workers" in args.flags:
             args.workers = _workers(args)
         _check_ranges(args)
+        if "--samples" in args.flags:
+            # here, not in the estimator: exact routes never draw a sample
+            check_samples(args.samples)
         spec, results, code = args.func(args)
     except (
         ShapeError,

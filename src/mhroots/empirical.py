@@ -464,6 +464,8 @@ def uniformity_check(
     rows counted by eigenvalues.  ``invariant_weights=False`` draws
     all coefficients with unit variance instead, a deliberately miscalibrated
     ensemble whose root positions are not uniform (the weights matter).
+    Raises ValueError when the samples hold no real root at all: a
+    chi-square of nothing would pass every cut.
     """
     check_samples(samples)
     if spec.k != 1 or spec.block_sizes != (1,):
@@ -479,8 +481,10 @@ def uniformity_check(
         coeffs *= sigma
         counts += _count_univariate(coeffs, bins=bins)[2]
     total = int(counts.sum())
+    if total == 0:
+        raise ValueError(f"no real root in {samples} samples: no statistic to test")
     expected = total / bins
-    chi2 = float(((counts - expected) ** 2 / expected).sum()) if expected > 0 else 0.0
+    chi2 = float(((counts - expected) ** 2 / expected).sum())
     return UniformityReport(chi2, bins - 1, tuple(int(x) for x in counts), total, samples)
 
 

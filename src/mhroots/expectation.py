@@ -5,11 +5,20 @@ The central identity expresses the expectation as
     2**(-n/2) * prod_j [Gamma(1/2) / Gamma((n_j + 1)/2)] * E|det Z|
 
 where Z is the shape's structured Gaussian matrix.  The dispatcher resolves
-each shape through, in order: a product decomposition into independent
-sub-shapes, the exact closed form available when the degree matrix factors
-as d_i * e_j over nonnegative integers, an exact zero when the generic
-complex-root count vanishes, and otherwise Monte Carlo estimation of the
-determinant factor.
+each shape through, in order (the result's ``kind`` in brackets):
+
+1. a product decomposition into independent sub-shapes ("product");
+2. the exact closed form available when the degree matrix factors as
+   d_i * e_j over nonnegative integers ("closed_form");
+3. an exact zero when the generic complex-root count vanishes ("zero");
+4. the peel ("peel"): an equation whose support is one block of positive
+   size makes the paper's row inequalities an equality, E = sqrt(d_ij) *
+   E(sub-shape), so every such equation is dropped and its block shrunk,
+   to a fixed point, and the residual goes through the dispatcher again;
+5. for n = 2, the exact mean |det| of a 2 x 2 matrix, the perimeter of an
+   ellipse over 2 pi ("exact_2x2", see ``abs_det_2x2``);
+6. otherwise Monte Carlo estimation of the determinant factor
+   ("monte_carlo").
 
 Every result is a pure function of (seed, canonical shape, samples): the
 dispatcher first maps a shape to its canonical representative under row
@@ -20,8 +29,11 @@ that derived seed, and ``sample_matrix`` replays it on the canonical
 shape's variance profile.  Results are memoized in _EXPECTATION_MEMO, at
 most EXPECTATION_MEMO_SIZE of them, so a run that asks for one shape
 again under the same seed and sample count, as ``bounds`` and each
-``row_recursion_check`` of a shape do, estimates it once.  The memo holds
-only what recomputing would give; ``_EXPECTATION_MEMO.clear()`` empties it.
+``row_recursion_check`` of a shape do, estimates it once.  A shape that
+steps 4 or 5 resolve also has a Monte Carlo estimate of its own, under its
+own memo key, for the checks that must compare independent values
+(``expectation(..., reduce=False)``).  The memo holds only what
+recomputing would give; ``_EXPECTATION_MEMO.clear()`` empties it.
 """
 
 from __future__ import annotations
@@ -31,12 +43,15 @@ import json
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import compress
+
+import numpy as np
 
 from .bkk import _canonical, bkk_count, is_simply_reducible, product_split
 from .gaussian import MCEstimate, mc_abs_det, variance_profile
 from .permanent import has_zero_block, permanent_float
 from .shape import ShapeSpec, _factorial_product, expand_delta, validate
-from .specialfn import SQRT_PI, gamma_half
+from .specialfn import SQRT_PI, ellipe, gamma_half
 
 DEFAULT_SAMPLES = 100_000
 LOG_PREFACTOR_DIM = 60
@@ -45,6 +60,8 @@ STDERR_MULT = 4.0
 # Results kept by the dispatcher; the least recently used goes first.  The
 # README's verify run (100 shapes) stores 330.
 EXPECTATION_MEMO_SIZE = 4096
+# Kinds of the exact reductions that ``reduce=False`` replaces by Monte Carlo.
+REDUCED_KINDS = ("peel", "exact_2x2")
 
 _EXPECTATION_MEMO: dict = {}
 
@@ -76,10 +93,14 @@ class ClosedFormValue:
 class ExpectationResult:
     """Expected real-root count with provenance.
 
-    ``kind`` is one of "closed_form", "monte_carlo", "product", "zero";
-    ``closed`` carries the exact symbolic value on the closed-form path and
-    ``mc`` the raw |det| estimate on the Monte Carlo path.  ``prefactor`` is
-    the gamma-ratio factor multiplying the determinant mean.
+    ``kind`` is one of "closed_form", "product", "zero", "peel",
+    "exact_2x2", "monte_carlo"; ``closed`` carries the exact symbolic value
+    on the closed-form path and ``mc`` the raw |det| estimate on the Monte
+    Carlo path.  A product's ``parts`` are its two factors; a peel's
+    ``parts`` hold its residual (none when nothing is left) and ``peeled``
+    the exact product P of the peeled degrees, the value being sqrt(P) times
+    the residual's (times 1 without one).  ``prefactor`` is the gamma-ratio
+    factor multiplying the determinant mean.
     """
 
     value: float
@@ -89,6 +110,7 @@ class ExpectationResult:
     mc: MCEstimate | None = None
     closed: ClosedFormValue | None = None
     parts: tuple["ExpectationResult", ...] | None = None
+    peeled: int | None = None
 
 
 @dataclass(frozen=True)
@@ -265,6 +287,9 @@ def _error_terms(res: ExpectationResult) -> dict:
         return {(res.mc.seed, res.mc.samples, res.mc.mean): res.stderr}
     if res.parts is None:
         return {}
+    if res.peeled is not None:
+        (rest,) = res.parts
+        return _combine(((_sqrt_int(res.peeled), _error_terms(rest)),))
     left, right = res.parts
     return _combine(((right.value, _error_terms(left)), (left.value, _error_terms(right))))
 
@@ -298,20 +323,39 @@ def split_expectation(
 
 
 def expectation(
-    spec: ShapeSpec, samples: int = DEFAULT_SAMPLES, seed: int = 0, workers: int = 1
+    spec: ShapeSpec,
+    samples: int = DEFAULT_SAMPLES,
+    seed: int = 0,
+    workers: int = 1,
+    reduce: bool = True,
 ) -> ExpectationResult:
     """Expected number of real projective roots under the invariant ensemble.
 
     Dispatch order: product decomposition, rank-one closed form, exact zero
-    when the generic complex-root count vanishes, Monte Carlo otherwise.
-    The shape is resolved as its canonical representative, through the
-    memo; ``workers`` never changes a result, so it is not part of the key.
+    when the generic complex-root count vanishes, the peel, the exact 2 x 2
+    value, Monte Carlo otherwise.  With ``reduce=False`` a shape that the
+    peel or the 2 x 2 value would resolve gets its own Monte Carlo estimate
+    instead, memoized under its own key.  The shape is resolved as its
+    canonical representative, through the memo; ``workers`` never changes a
+    result, so it is not part of the key.
     """
     blocks, rows = _canonical(spec.block_sizes, spec.degrees)
+    canonical = ShapeSpec(blocks, rows)
     key = (blocks, rows, samples, seed)
+    res = _memoized(key, lambda: _dispatch(canonical, samples, seed, workers))
+    if not reduce and res.kind in REDUCED_KINDS:
+        res = _memoized(
+            key + ("monte_carlo",), lambda: _monte_carlo(canonical, samples, seed, workers)
+        )
+    return res
+
+
+def _memoized(key, compute) -> ExpectationResult:
+    """The memo's entry for ``key``, computed on a miss; the least recently
+    used entry goes first once the memo holds EXPECTATION_MEMO_SIZE."""
     res = _EXPECTATION_MEMO.pop(key, None)
     if res is None:
-        res = _dispatch(ShapeSpec(blocks, rows), samples, seed, workers)
+        res = compute()
         if len(_EXPECTATION_MEMO) >= EXPECTATION_MEMO_SIZE:
             del _EXPECTATION_MEMO[next(iter(_EXPECTATION_MEMO))]
     _EXPECTATION_MEMO[key] = res
@@ -327,9 +371,109 @@ def _dispatch(spec: ShapeSpec, samples: int, seed: int, workers: int) -> Expecta
         return ExpectationResult(cf.value, "closed_form", prefactor(spec), closed=cf)
     if _generic_count_is_zero(spec):
         return _zero_result(spec)
+    peel = _peel(spec)
+    if peel is not None:
+        peeled, residual = peel
+        factor = _sqrt_int(peeled)
+        if residual is None:
+            return ExpectationResult(factor, "peel", prefactor(spec), peeled=peeled)
+        rest = expectation(residual, samples, seed, workers)
+        return ExpectationResult(
+            factor * rest.value,
+            "peel",
+            prefactor(spec),
+            stderr=factor * rest.stderr,
+            parts=(rest,),
+            peeled=peeled,
+        )
+    if spec.n == 2:
+        pf = prefactor(spec)
+        return ExpectationResult(pf * abs_det_2x2(variance_profile(spec)), "exact_2x2", pf)
+    return _monte_carlo(spec, samples, seed, workers)
+
+
+def _monte_carlo(spec: ShapeSpec, samples: int, seed: int, workers: int) -> ExpectationResult:
     pf = prefactor(spec)
     mc = mc_abs_det(variance_profile(spec), samples, derive_seed(seed, spec), workers)
     return ExpectationResult(pf * mc.mean, "monte_carlo", pf, stderr=pf * mc.stderr, mc=mc)
+
+
+def _peel(spec: ShapeSpec) -> tuple[int, ShapeSpec | None] | None:
+    """Drop every equation whose support is exactly one block of positive
+    size, shrinking that block by one, until none is left; None when no
+    equation qualifies.
+
+    Returns (P, residual): P is the product of the dropped equations'
+    degrees in their blocks, and the residual keeps the remaining equations
+    on the blocks of positive size (None when no equation remains).  When
+    the generic root count is nonzero, E(spec) = sqrt(P) * E(residual), and
+    any order of drops gives the same residual.  One pass over per-row
+    counts of live blocks: a block's holders (rows of positive degree) are
+    visited once, when its size reaches zero, so the work is O(n * k).
+    """
+    sizes = list(spec.block_sizes)
+    rows = spec.degrees
+    # the rows where each block has positive degree
+    holders = [list(compress(range(len(rows)), col)) for col in zip(*rows)]
+    live = [0] * len(rows)
+    for nj, held in zip(sizes, holders):
+        if nj:
+            for r in held:
+                live[r] += 1
+    ready = [i for i, count in enumerate(live) if count == 1]
+    if not ready:
+        return None
+    dropped = [False] * len(rows)
+    peeled = 1
+    while ready:
+        i = ready.pop()
+        if live[i] != 1:  # its one block ran out under earlier drops
+            continue
+        row = rows[i]
+        j = next(j for j, (d, nj) in enumerate(zip(row, sizes)) if d and nj)
+        dropped[i] = True
+        peeled *= row[j]
+        sizes[j] -= 1
+        if sizes[j] == 0:
+            for r in holders[j]:
+                if not dropped[r]:
+                    live[r] -= 1
+                    if live[r] == 1:
+                        ready.append(r)
+    keep = [j for j, nj in enumerate(sizes) if nj > 0]
+    if not keep:
+        return peeled, None
+    residual = ShapeSpec(
+        tuple(sizes[j] for j in keep),
+        tuple(tuple(row[j] for j in keep) for row, gone in zip(rows, dropped) if not gone),
+    )
+    return peeled, residual
+
+
+def _sqrt_int(value: int) -> float:
+    """sqrt of a nonnegative integer, through its logarithm past float range."""
+    try:
+        return math.sqrt(value)
+    except OverflowError:
+        return math.exp(0.5 * math.log(value))
+
+
+def abs_det_2x2(variances) -> float:
+    """Exact E|det Z| of a 2 x 2 matrix of independent centred normal
+    entries with variances ``variances``.
+
+    det Z = a*g1*g2 - b*g3*g4 with a**2 = v11*v22 and b**2 = v12*v21, and
+    the mean of its absolute value is (2/pi) * max(a, b) * E(m) with
+    m = 1 - (min/max)**2 and E the complete elliptic integral of the second
+    kind: the perimeter of the ellipse with semi-axes a and b over 2 pi.
+    a = b = 1 gives 1 and b = 0 gives 2a/pi.
+    """
+    (v11, v12), (v21, v22) = np.asarray(variances, dtype=np.float64).tolist()
+    p, q = v11 * v22, v12 * v21
+    hi, lo = max(p, q), min(p, q)
+    if hi == 0.0:
+        return 0.0
+    return 2.0 / math.pi * math.sqrt(hi) * ellipe((hi - lo) / hi)
 
 
 def bounds(
@@ -375,7 +519,10 @@ def row_recursion_check(
     ``row`` deleted and block j shrunk by one is computed through the
     dispatcher; the report carries both bound values, the direct expectation
     of the full shape, propagated standard errors, and whether the exact
-    equality condition (at most one contributing block) holds.
+    equality condition (at most one contributing block) holds.  The direct
+    expectation is taken with ``reduce=False``, so a shape that the peel or
+    the 2 x 2 value resolves is compared with its own Monte Carlo estimate:
+    the peel is the very equality these rows test.
     """
     if not 1 <= row <= spec.n:
         raise ValueError(f"row index {row} outside 1..{spec.n}")
@@ -399,7 +546,7 @@ def row_recursion_check(
     upper_terms = _combine((math.sqrt(d), _error_terms(res)) for _, d, res in subs)
     lower_terms = _combine((d * res.value, _error_terms(res)) for _, d, res in subs)
     lower_stderr = math.hypot(*lower_terms.values()) / lower if lower > 0 else 0.0
-    middle = expectation(spec, samples, seed, workers)
+    middle = expectation(spec, samples, seed, workers, reduce=False)
     return RowRecursionReport(
         row=row,
         upper=upper,

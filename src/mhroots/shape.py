@@ -136,17 +136,21 @@ def validate(block_sizes: Sequence[int], degrees: Iterable[Sequence[int]]) -> Sh
             raise NegativeDegreeError(f"block {j} has negative size {b}")
     rows = []
     for idx, row in enumerate(_as_list(degrees, "degrees"), start=1):
-        entries = tuple(
-            _as_int(d, f"degree ({idx},{pos})")
-            for pos, d in enumerate(_as_list(row, f"degree row {idx}"), start=1)
-        )
+        entries = tuple(_as_list(row, f"degree row {idx}"))
+        # a row of nonnegative Python ints, the usual case, needs no message
+        plain = all(type(d) is int and d >= 0 for d in entries)
+        if not plain:
+            entries = tuple(
+                _as_int(d, f"degree ({idx},{pos})") for pos, d in enumerate(entries, start=1)
+            )
         if len(entries) != len(sizes):
             raise DimensionMismatchError(
                 f"degree row {idx} has {len(entries)} entries, expected k={len(sizes)}"
             )
-        for pos, d in enumerate(entries, start=1):
-            if d < 0:
-                raise NegativeDegreeError(f"degree ({idx},{pos}) is negative: {d}")
+        if not plain:
+            for pos, d in enumerate(entries, start=1):
+                if d < 0:
+                    raise NegativeDegreeError(f"degree ({idx},{pos}) is negative: {d}")
         rows.append(entries)
     n = sum(sizes)
     if len(rows) != n:

@@ -18,6 +18,8 @@ mx = importlib.import_module("mhroots.expectation")
 BILINEAR = {"block_sizes": [1, 1], "degrees": [[1, 1], [1, 1]]}
 QUARTIC = {"block_sizes": [1], "degrees": [[4]]}
 MIXED = {"block_sizes": [1, 1], "degrees": [[1, 2], [2, 1]]}
+# n = 3, neither factors, splits, peels nor vanishes: the Monte Carlo path
+MIXED_3 = {"block_sizes": [1, 2], "degrees": [[1, 2], [2, 1], [1, 3]]}
 
 
 def _write_shape(tmp_path, data, name="shape.json"):
@@ -76,7 +78,7 @@ class TestExpectCommand:
     def test_mixed_shape_monte_carlo(self, tmp_path, capsys):
         code, rep = _run(
             capsys,
-            ["expect", _write_shape(tmp_path, MIXED), "--samples", "20000", "--seed", "5"],
+            ["expect", _write_shape(tmp_path, MIXED_3), "--samples", "20000", "--seed", "5"],
         )
         res = rep["results"]["expectation"]
         assert res["provenance"] == "monte_carlo"
@@ -241,6 +243,22 @@ class TestExitCodes:
         code = main([command, _write_shape(tmp_path, shape), "--samples", samples])
         assert code == 2
         assert capsys.readouterr().err.startswith("invalid input: need at least 2 samples")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["expect", "MIXED", "--samples", "0"],  # the exact 2 x 2 value
+            ["bounds", "BILINEAR", "--samples", "1"],  # a closed form
+            ["verify", "--count", "3", "--samples", "1"],
+        ],
+    )
+    def test_too_few_samples_without_monte_carlo(self, tmp_path, capsys, argv):
+        # checked up front: an exactly resolved shape never reaches the estimator
+        shapes = {"MIXED": MIXED, "BILINEAR": BILINEAR}
+        argv = [_write_shape(tmp_path, shapes[a]) if a in shapes else a for a in argv]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "invalid input: need at least 2 samples, got " + argv[-1] + "\n"
 
     def test_non_integer_threads_env(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("MHROOTS_THREADS", "abc")

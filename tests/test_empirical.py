@@ -488,6 +488,11 @@ class TestUniformity:
         with pytest.raises(SampleCountError):
             uniformity_check(validate((1,), [(3,)]), samples, bins=3, seed=0)
 
+    def test_no_root_drawn_is_refused(self):
+        # two quadratics with no real root between them: no statistic to test
+        with pytest.raises(ValueError, match="no real root in 2 samples"):
+            uniformity_check(validate((1,), [[2]]), 2, bins=8, seed=12)
+
     @pytest.mark.parametrize("bins", [0, -1])
     def test_bins_must_be_positive(self, bins):
         with pytest.raises(ValueError, match=f"bins must be at least 1, got {bins}"):

@@ -4,12 +4,14 @@ import importlib
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from mhroots.bkk import _canonical, bkk_count
 from mhroots.corpus import random_rank_one_shape, random_shape
 from mhroots.expectation import (
     EXPECTATION_MEMO_SIZE,
+    abs_det_2x2,
     bounds,
     closed_form,
     derive_seed,
@@ -164,7 +166,7 @@ class TestDispatch:
             assert res.value == 0.0 and res.stderr == 0.0
 
     def test_monte_carlo_path(self):
-        res = expectation(validate((1, 1), [[1, 2], [2, 1]]), samples=50_000, seed=2)
+        res = expectation(validate((1, 2), [[1, 2], [2, 1], [1, 3]]), samples=50_000, seed=2)
         assert res.kind == "monte_carlo"
         assert res.mc is not None and res.stderr > 0
         assert res.value == pytest.approx(res.prefactor * res.mc.mean)
@@ -312,7 +314,8 @@ class TestSharedEstimateErrors:
 
     def test_product_of_one_estimate_with_itself(self):
         spec = validate(
-            (1, 1, 1, 1), [[1, 2, 0, 0], [2, 1, 0, 0], [0, 0, 1, 2], [0, 0, 2, 1]]
+            (1, 2, 1, 2),
+            [[1, 2, 0, 0], [2, 1, 0, 0], [1, 3, 0, 0], [0, 0, 1, 2], [0, 0, 2, 1], [0, 0, 1, 3]],
         )
         res = expectation(spec, samples=4_000, seed=5)
         left, right = res.parts
@@ -322,10 +325,126 @@ class TestSharedEstimateErrors:
 
     def test_independent_parts_still_add_in_quadrature(self):
         spec = validate(
-            (1, 1, 1, 1), [[1, 2, 0, 0], [2, 1, 0, 0], [0, 0, 1, 3], [0, 0, 2, 1]]
+            (1, 2, 1, 2),
+            [[1, 2, 0, 0], [2, 1, 0, 0], [1, 3, 0, 0], [0, 0, 1, 2], [0, 0, 2, 1], [0, 0, 1, 4]],
         )
         res = expectation(spec, samples=4_000, seed=5)
         left, right = res.parts
         assert left.kind == right.kind == "monte_carlo" and left.mc.seed != right.mc.seed
         quadrature = math.hypot(left.value * right.stderr, right.value * left.stderr)
         assert res.stderr == pytest.approx(quadrature, rel=1e-12)
+
+
+def cycle_shape(n: int, degree: int = 2) -> ShapeSpec:
+    """Row i has degree 1 in block i and ``degree`` in block i + 1; the last
+    row degree 1 in block 1.  One perfect matching, so the count is
+    degree**(n - 1); with n > 12 blocks no product split is searched for."""
+    degrees = [[0] * n for _ in range(n)]
+    for i in range(n - 1):
+        degrees[i][i], degrees[i][i + 1] = 1, degree
+    degrees[n - 1][0] = 1
+    return validate((1,) * n, degrees)
+
+
+# Row 1 lives in block 1 alone (size 2): the peel drops it, and its residual
+# (1, 2) [[1, 1], [2, 1], [1, 2]] goes to Monte Carlo.
+PEEL_SHAPE = validate((2, 2), [[3, 0], [1, 1], [2, 1], [1, 2]])
+PEEL_RESIDUAL = validate((1, 2), [[1, 1], [2, 1], [1, 2]])
+MIXED_2x2 = validate((1, 1), [[1, 2], [2, 1]])
+
+
+class TestExact2x2:
+    def test_exact_cases(self):
+        assert abs_det_2x2(np.ones((2, 2))) == pytest.approx(1.0, rel=1e-15)
+        assert abs_det_2x2([[4.0, 0.0], [3.0, 9.0]]) == pytest.approx(12 / math.pi, rel=1e-15)
+        assert abs_det_2x2([[0.0, 2.0], [3.0, 0.0]]) == pytest.approx(2 * math.sqrt(6) / math.pi)
+        assert abs_det_2x2(np.zeros((2, 2))) == 0.0
+        assert abs_det_2x2([[0.0, 5.0], [0.0, 7.0]]) == 0.0
+
+    def test_against_monte_carlo_on_random_profiles(self):
+        gen = np.random.default_rng(1801)
+        for t in range(10):
+            v = gen.uniform(0.2, 4.0, size=(2, 2))
+            est = mc_abs_det(v, 1_000_000, seed=1810 + t)
+            assert abs(abs_det_2x2(v) - est.mean) <= 4 * est.stderr, v
+
+    def test_every_2x2_shape_left_over_is_exact(self):
+        res = expectation(MIXED_2x2, samples=2, seed=2)
+        assert res.kind == "exact_2x2" and res.stderr == 0.0 and res.mc is None
+        assert res.value == res.prefactor * abs_det_2x2([[1, 2], [2, 1]])
+
+
+class TestPeel:
+    def test_value_is_the_residual_scaled_bitwise_under_permutations(self):
+        expected = math.sqrt(3) * expectation(PEEL_RESIDUAL, samples=4_000, seed=8).value
+        rows = PEEL_SHAPE.degrees
+        for perm_rows, swap in [(rows, False), (rows[::-1], False), (rows[1:] + rows[:1], True)]:
+            mx._EXPECTATION_MEMO.clear()
+            spec = validate((2, 2), [r[::-1] if swap else r for r in perm_rows])
+            res = expectation(spec, samples=4_000, seed=8)
+            assert res.kind == "peel" and res.peeled == 3
+            assert res.value == expected
+            (rest,) = res.parts
+            assert rest.kind == "monte_carlo"
+            assert res.stderr == math.sqrt(3) * rest.stderr
+
+    def test_agrees_with_the_full_shape_by_monte_carlo(self):
+        res = expectation(PEEL_SHAPE, samples=200_000, seed=9)
+        pf = prefactor(PEEL_SHAPE)
+        direct = mc_abs_det(variance_profile(PEEL_SHAPE), 200_000, seed=91)
+        assert abs(res.value - pf * direct.mean) <= 4 * math.hypot(res.stderr, pf * direct.stderr)
+
+    def test_fully_peeled_shape_is_its_lower_bound(self):
+        spec = cycle_shape(14)
+        rep = bounds(spec, seed=3)
+        assert rep.estimate.kind == "peel" and rep.estimate.parts is None
+        assert rep.estimate.value == rep.lower == math.sqrt(2**13)
+        assert rep.equality and rep.estimate.stderr == 0.0
+
+    def test_long_cycle_is_exact(self):
+        res = expectation(cycle_shape(1000), samples=2, seed=0)
+        assert res.kind == "peel" and res.peeled == 2**999
+        assert res.value == math.sqrt(2**999) == pytest.approx(2.3146e150, rel=1e-4)
+
+    def test_product_past_float_range_goes_through_the_log(self):
+        res = expectation(cycle_shape(18, degree=2**62), samples=2, seed=0)
+        assert res.peeled == 2 ** (62 * 17)
+        assert res.value == pytest.approx(2.0**527, rel=1e-12)
+
+
+class TestIndependentRowChecks:
+    @pytest.mark.parametrize("spec", [PEEL_SHAPE, MIXED_2x2], ids=["peel", "exact_2x2"])
+    def test_reduced_shape_is_compared_with_its_own_estimate(self, spec, monkeypatch):
+        canonical = ShapeSpec(*_canonical(spec.block_sizes, spec.degrees))
+        seed = derive_seed(10, canonical)
+        calls = []
+        original = mx.mc_abs_det
+        monkeypatch.setattr(
+            mx, "mc_abs_det",
+            lambda var, samples, s, workers=1: calls.append(s) or original(var, samples, s, workers),
+        )
+        reports = [row_recursion_check(spec, i, samples=4_000, seed=10) for i in range(1, spec.n + 1)]
+        for rep in reports:
+            assert rep.middle.kind == "monte_carlo" and rep.middle.mc.seed == seed
+            assert rep.middle is reports[0].middle
+            assert rep.holds
+        assert calls.count(seed) == 1
+        assert expectation(spec, samples=4_000, seed=10).kind in ("peel", "exact_2x2")
+
+    def test_memo_entries_do_not_depend_on_call_order(self):
+        first = expectation(PEEL_SHAPE, samples=4_000, seed=11)
+        first_mc = expectation(PEEL_SHAPE, samples=4_000, seed=11, reduce=False)
+        mx._EXPECTATION_MEMO.clear()
+        second_mc = expectation(PEEL_SHAPE, samples=4_000, seed=11, reduce=False)
+        second = expectation(PEEL_SHAPE, samples=4_000, seed=11)
+        # equal up to the timings that MCEstimate.elapsed records
+        for a, b in ((first, second), (first_mc, second_mc), (first.parts[0], second.parts[0])):
+            assert (a.kind, a.value, a.stderr) == (b.kind, b.value, b.stderr)
+        assert first.kind == "peel" and first_mc.kind == "monte_carlo"
+        assert first_mc.mc.seed == second_mc.mc.seed != first.parts[0].mc.seed
+
+    def test_other_kinds_are_served_unchanged(self):
+        for spec in (BILINEAR, MC_SHAPE):
+            assert expectation(spec, samples=4_000, seed=12, reduce=False) is expectation(
+                spec, samples=4_000, seed=12
+            )

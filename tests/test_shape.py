@@ -78,6 +78,28 @@ class TestValidate:
         assert spec == validate((1, 1), [[1, 2], [2, 1]])
         assert validate([np.uint8(1)], [[np.int64(3)]]).degrees == ((3,),)
 
+    @pytest.mark.parametrize(
+        "degrees, error, message",
+        [
+            ([[1, -1]], NegativeDegreeError, "degree (1,2) is negative: -1"),
+            ([[1, 2.5]], NegativeDegreeError, "degree (1,2) must be integral, got 2.5"),
+            # conversion is checked across the row before the sign
+            ([[-1, 2.5]], NegativeDegreeError, "degree (1,2) must be integral, got 2.5"),
+            ([[1, 1], [1, "x"]], NegativeDegreeError, "degree (2,2) must be an integer, got 'x'"),
+            ([[1, 1], [np.int64(-3), 1]], NegativeDegreeError, "degree (2,1) is negative: -3"),
+            ([[1, 1], [1, 1, 1]], DimensionMismatchError, "degree row 2 has 3 entries, expected k=2"),
+        ],
+    )
+    def test_messages_name_the_entry(self, degrees, error, message):
+        with pytest.raises(error) as info:
+            validate((1, 1), degrees)
+        assert str(info.value) == message
+
+    def test_integral_floats_become_ints(self):
+        spec = validate((1, 1), [[1.0, 2], [2, np.int32(1)]])
+        assert spec.degrees == ((1, 2), (2, 1))
+        assert all(type(d) is int for row in spec.degrees for d in row)
+
     def test_zero_blocks_allowed(self):
         spec = validate((0, 1), [[2, 3]])
         assert spec.block_sizes == (0, 1)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mhroots.specialfn import chi_mean, gamma_half, log_gamma_half, sphere_volume
+from mhroots.specialfn import chi_mean, ellipe, gamma_half, log_gamma_half, sphere_volume
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -77,3 +77,21 @@ def test_chi_mean_monte_carlo(m):
     norms = np.linalg.norm(rng.standard_normal((1_000_000, m)), axis=1)
     stderr = norms.std(ddof=1) / math.sqrt(norms.size)
     assert abs(norms.mean() - chi_mean(m)) <= 4 * stderr
+
+
+def test_ellipe_against_scipy():
+    special = pytest.importorskip("scipy.special")
+    grid = np.concatenate([np.linspace(0.0, 1.0, 201), [1e-300, 1e-16, 0.5, 1 - 1e-12, 1 - 2**-53]])
+    for m in grid:
+        assert ellipe(float(m)) == pytest.approx(special.ellipe(m), rel=1e-13, abs=0), m
+
+
+def test_ellipe_end_points_exact():
+    assert ellipe(0.0) == math.pi / 2
+    assert ellipe(1.0) == 1.0
+
+
+@pytest.mark.parametrize("m", [-0.1, 1.5, math.nan])
+def test_ellipe_outside_unit_interval(m):
+    with pytest.raises(ValueError, match="parameter m must be in"):
+        ellipe(m)

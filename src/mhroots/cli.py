@@ -107,7 +107,13 @@ def _value(args, flag: str):
 
 def _load_shape(path: str) -> ShapeSpec:
     with open(path, encoding="utf-8") as fh:
-        return from_json(json.load(fh))
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError:
+            raise
+        except ValueError as exc:  # an integer past Python's digit limit
+            raise ShapeError(f"shape JSON: {exc}") from exc
+    return from_json(data)
 
 
 def _mc_json(est) -> dict:

@@ -26,7 +26,9 @@ permutations and block relabellings (``bkk._canonical``), which leave the
 expectation unchanged, and a Monte Carlo estimate draws its streams from
 ``derive_seed(seed, canonical shape)``.  So an estimate's ``mc.seed`` is
 that derived seed, and ``sample_matrix`` replays it on the canonical
-shape's variance profile.  Results are memoized in _EXPECTATION_MEMO, at
+shape's variance profile: the rows each sample draws, which for 2 <= n <=
+SMALL_DET_DIM leave row 0 zero, since the estimator integrates the top row
+out (see ``gaussian``).  Results are memoized in _EXPECTATION_MEMO, at
 most EXPECTATION_MEMO_SIZE of them, so a run that asks for one shape
 again under the same seed and sample count, as ``bounds`` and each
 ``row_recursion_check`` of a shape do, estimates it once.  A shape that

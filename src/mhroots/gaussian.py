@@ -8,11 +8,18 @@ block-keyed normal stream of ``rng.normals``, so the result is a pure
 function of (seed, samples), bitwise independent of the worker count, and
 ``sample_matrix(var, seed, i)`` replays sample i of any run.
 
-Determinants up to SMALL_DET_DIM come from a vectorised Laplace expansion
-by complementary minors, run on chunks of DET_CHUNK matrices with each
-entry a contiguous vector over the chunk; there batched LAPACK spends most
-of its time on per-matrix overhead.  Larger ones use LAPACK's pivoted
-triangular factorization, in the log domain above LOGDET_DIM.
+For 2 <= n <= SMALL_DET_DIM a sample draws only rows 1..n-1 and integrates
+the top row out: det is linear in row 0, so its value is E[|det| | rows
+1..n-1] = sqrt(2/pi) * sqrt(sum_c v_0c * M_c**2), M_c the minor without row
+0 and column c.  It has the same mean as |det|, a lower variance (its
+second moment is (2/pi) * per(V)) and n fewer normals; its stderr is a plain
+iid one.  So SMALL_DET_DIM is part of the stream contract.  The minors come
+from a vectorised Laplace expansion by complementary minors, run on chunks
+of DET_CHUNK samples with each entry a contiguous vector over the chunk;
+there batched LAPACK spends most of its time on per-matrix overhead.  At
+n = 1 a sample is |sigma z|.  Above SMALL_DET_DIM a sample draws the whole
+matrix and its |det| comes from LAPACK's pivoted triangular factorization,
+in the log domain above LOGDET_DIM.
 """
 
 from __future__ import annotations
@@ -36,6 +43,7 @@ LOGDET_DIM = 40
 SMALL_DET_DIM = 7
 # Matrices per kernel pass: each operand, one entry over the chunk, fits in cache.
 DET_CHUNK = 4096
+_SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 
 class SampleCountError(ValueError):
@@ -72,30 +80,43 @@ def _check_profile(variances) -> np.ndarray:
     return arr
 
 
-def sample_matrix(variances, seed: int, index: int = 0) -> np.ndarray:
-    """One draw of the structured matrix for stream position ``index``.
+def _draws_per_sample(n: int) -> int:
+    """Normals each sample of an n x n estimate draws: rows 1..n-1 where the
+    top row is integrated out (2 <= n <= SMALL_DET_DIM), else all n rows."""
+    return n * (n - 1) if 2 <= n <= SMALL_DET_DIM else n * n
 
-    Zero-variance entries are exact structural zeros.
+
+def sample_matrix(variances, seed: int, index: int = 0) -> np.ndarray:
+    """One draw of the structured matrix for stream position ``index``: the
+    rows that sample ``index`` of ``mc_abs_det`` draws.
+
+    Zero-variance entries are exact structural zeros.  For 2 <= n <=
+    SMALL_DET_DIM the estimator integrates the top row out, so row 0 is
+    zero and the sample's value is sqrt(2/pi) * sqrt(sum_c v_0c * M_c**2),
+    M_c the determinant of rows 1..n-1 without column c.
     """
     arr = _check_profile(variances)
     n = arr.shape[0]
-    z = rng.normals(seed, index, 1, n * n).reshape(n, n)
-    return z * np.sqrt(arr)
+    width = _draws_per_sample(n)
+    z = np.zeros(n * n)
+    z[n * n - width :] = rng.normals(seed, index, 1, width)[0]
+    return z.reshape(n, n) * np.sqrt(arr)
 
 
 @functools.lru_cache(maxsize=SMALL_DET_DIM)
 def _laplace_plan(n: int) -> tuple:
-    """Bottom-up Laplace expansion of an n x n determinant.
+    """Bottom-up Laplace expansion of the maximal minors of an (n - 1) x n
+    matrix.
 
-    Level r (r = 2..n) lists, for each r-subset S of the columns in
+    Level r (r = 2..n-1) lists, for each r-subset S of the columns in
     lexicographic order, the minor on the last r rows and columns S as terms
-    (sign, flat index of entry (n - r, c), index of the level r - 1 minor on
-    S minus c), for c running through S.  Level 1 is the last row itself.
+    (sign, flat index of entry (n - 1 - r, c), index of the level r - 1 minor
+    on S minus c), for c running through S.  Level 1 is the last row itself.
     """
     levels = []
     index = {(c,): c for c in range(n)}
-    for r in range(2, n + 1):
-        row = (n - r) * n
+    for r in range(2, n):
+        row = (n - 1 - r) * n
         subsets = list(itertools.combinations(range(n), r))
         levels.append(
             tuple(
@@ -107,10 +128,11 @@ def _laplace_plan(n: int) -> tuple:
     return tuple(levels)
 
 
-def _laplace_det(zt: np.ndarray, n: int) -> np.ndarray:
-    """Determinants of the n x n matrices whose row-major entries are the
-    rows of ``zt``, of shape (n * n, matrices): one vector operation per term."""
-    minors = zt[n * (n - 1) :]
+def _maximal_minors(zt: np.ndarray, n: int):
+    """The n maximal minors of the (n - 1) x n matrices whose row-major
+    entries are the rows of ``zt``, of shape (n * (n - 1), matrices): one
+    vector operation per term.  The minor without column c is entry n - 1 - c."""
+    minors = zt[n * (n - 2) :]
     for level in _laplace_plan(n):
         nxt = []
         for (_, entry, minor), *rest in level:
@@ -122,15 +144,28 @@ def _laplace_det(zt: np.ndarray, n: int) -> np.ndarray:
                     acc -= zt[entry] * minors[minor]
             nxt.append(acc)
         minors = nxt
-    return minors[0]
+    return minors
+
+
+def _top_row_values(z: np.ndarray, sigma_flat: np.ndarray, var_top: np.ndarray, n: int):
+    """E[|det| | rows 1..n-1] for each row of ``z``, the unscaled rows 1..n-1
+    of a sample.  det is linear in row 0, so given the other rows it is
+    normal with variance sum_c v_0c * M_c**2, M_c the minor without row 0
+    and column c, and its mean absolute value is sqrt(2/pi) times the root."""
+    # one transposed copy makes each entry a contiguous vector over the chunk
+    minors = _maximal_minors(np.multiply(z.T, sigma_flat[n:, None], order="C"), n)
+    acc = np.zeros(z.shape[0])
+    for c in np.flatnonzero(var_top):
+        m = minors[n - 1 - c]
+        acc += var_top[c] * (m * m)
+    acc = np.sqrt(acc, out=acc)
+    acc *= _SQRT_2_OVER_PI
+    return acc
 
 
 def _dets(z: np.ndarray, sigma_flat: np.ndarray, n: int) -> np.ndarray:
     """det of each row of ``z`` scaled by ``sigma_flat`` as an n x n matrix;
     log |det| (-inf when singular) above LOGDET_DIM."""
-    if n <= SMALL_DET_DIM:
-        # one transposed copy makes each entry a contiguous vector over the chunk
-        return _laplace_det(np.multiply(z.T, sigma_flat[:, None], order="C"), n)
     z *= sigma_flat
     mats = z.reshape(-1, n, n)
     if n <= LOGDET_DIM:
@@ -139,16 +174,25 @@ def _dets(z: np.ndarray, sigma_flat: np.ndarray, n: int) -> np.ndarray:
     return np.where(sign == 0, -np.inf, logabs)
 
 
-def _batch_absdet_moments(sigma_flat: np.ndarray, n: int, seed: int, start: int, count: int):
+def _batch_absdet_moments(
+    arr: np.ndarray, sigma_flat: np.ndarray, seed: int, start: int, count: int
+):
+    n = arr.shape[0]
     rows = DET_CHUNK if n <= SMALL_DET_DIM else None
-    pieces = rng.normal_pieces(seed, start, count, n * n, rows)
+    pieces = rng.normal_pieces(seed, start, count, _draws_per_sample(n), rows)
+    if n > SMALL_DET_DIM:
+        values = (_dets(z, sigma_flat, n) for z in pieces)
+    elif n > 1:
+        values = (_top_row_values(z, sigma_flat, arr[0], n) for z in pieces)
+    else:
+        values = (z[:, 0] * sigma_flat[0] for z in pieces)
     if n > LOGDET_DIM:
-        return count, None, None, np.concatenate([_dets(z, sigma_flat, n) for z in pieces])
-    # folded piece by piece, in stream order: no batch-sized array of determinants
+        return count, None, None, np.concatenate(list(values))
+    # folded piece by piece, in stream order: no batch-sized array of values
     s1 = 0.0
     s2 = 0.0
-    for z in pieces:
-        a = np.abs(_dets(z, sigma_flat, n))
+    for v in values:
+        a = np.abs(v)
         s1 += float(a.sum())
         s2 += float((a * a).sum())
     return count, s1, s2, None
@@ -160,9 +204,12 @@ def mc_abs_det(variances, samples: int, seed: int, workers: int = 1) -> MCEstima
     The estimate depends only on (seed, samples): the sample range is cut
     into the batches of ``rng.batches``, whose size depends only on n, and
     their partial sums are folded in batch order, so any worker count gives
-    bitwise identical results.  Up to dimension SMALL_DET_DIM (7) the
-    determinants come from the Laplace kernel, in fixed chunks of DET_CHUNK
-    samples; above it from pivoted triangular factorization, and above
+    bitwise identical results.  For 2 <= n <= SMALL_DET_DIM (7) each sample
+    draws rows 1..n-1 only and contributes E[|det| | rows 1..n-1] =
+    sqrt(2/pi) * sqrt(sum_c v_0c * M_c**2), whose mean is E|det|; the minors
+    M_c come from the Laplace kernel, in fixed chunks of DET_CHUNK samples.
+    Elsewhere a sample is |det| of a whole draw: |sigma z| at n = 1, by
+    pivoted triangular factorization above SMALL_DET_DIM, and above
     LOGDET_DIM (40) the batch moments are accumulated in the log domain.
     At any dimension a batch holds at most PIECE_ELEMENTS normals at a time
     (``rng.normal_pieces``).
@@ -174,17 +221,17 @@ def mc_abs_det(variances, samples: int, seed: int, workers: int = 1) -> MCEstima
     if n == 0:
         return MCEstimate(1.0, 0.0, samples, seed, time.perf_counter() - t0)
     sigma_flat = np.sqrt(arr).ravel()
-    batches = rng.batches(samples, n * n)
+    batches = rng.batches(samples, _draws_per_sample(n))
     if workers > 1 and len(batches) > 1:
         # imported here: it adds about 7 ms to every start-up that needs no pool
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(
-                pool.map(lambda b: _batch_absdet_moments(sigma_flat, n, seed, *b), batches)
+                pool.map(lambda b: _batch_absdet_moments(arr, sigma_flat, seed, *b), batches)
             )
     else:
-        results = [_batch_absdet_moments(sigma_flat, n, seed, *b) for b in batches]
+        results = [_batch_absdet_moments(arr, sigma_flat, seed, *b) for b in batches]
 
     if n <= LOGDET_DIM:
         total = 0

@@ -22,6 +22,8 @@ import numpy as np
 
 SUPPORT_CAP = 10**7
 WEIGHT_DEGREE_CAP = 60
+# Largest degree accepted: degree matrices and variance profiles are int64.
+MAX_DEGREE = 2**63 - 1
 
 
 class ShapeError(ValueError):
@@ -123,10 +125,10 @@ def validate(block_sizes: Sequence[int], degrees: Iterable[Sequence[int]]) -> Sh
     """Validate raw shape input and return an immutable ShapeSpec.
 
     Raises ShapeError when block_sizes, degrees or a degree row is not a
-    list, EmptyShapeError when k = 0, NegativeDegreeError for negative,
-    non-integral or boolean entries, and DimensionMismatchError when
-    sum(block_sizes) differs from the number of degree rows or a row has the
-    wrong length.
+    list or a degree exceeds MAX_DEGREE, EmptyShapeError when k = 0,
+    NegativeDegreeError for negative, non-integral or boolean entries, and
+    DimensionMismatchError when sum(block_sizes) differs from the number of
+    degree rows or a row has the wrong length.
     """
     sizes = tuple(_as_int(b, "block size") for b in _as_list(block_sizes, "block_sizes"))
     if len(sizes) == 0:
@@ -137,8 +139,8 @@ def validate(block_sizes: Sequence[int], degrees: Iterable[Sequence[int]]) -> Sh
     rows = []
     for idx, row in enumerate(_as_list(degrees, "degrees"), start=1):
         entries = tuple(_as_list(row, f"degree row {idx}"))
-        # a row of nonnegative Python ints, the usual case, needs no message
-        plain = all(type(d) is int and d >= 0 for d in entries)
+        # a row of Python ints in range, the usual case, needs no message
+        plain = all(type(d) is int and 0 <= d <= MAX_DEGREE for d in entries)
         if not plain:
             entries = tuple(
                 _as_int(d, f"degree ({idx},{pos})") for pos, d in enumerate(entries, start=1)
@@ -151,6 +153,8 @@ def validate(block_sizes: Sequence[int], degrees: Iterable[Sequence[int]]) -> Sh
             for pos, d in enumerate(entries, start=1):
                 if d < 0:
                     raise NegativeDegreeError(f"degree ({idx},{pos}) is negative: {d}")
+                if d > MAX_DEGREE:
+                    raise ShapeError(f"degree ({idx},{pos}) exceeds 2**63 - 1")
         rows.append(entries)
     n = sum(sizes)
     if len(rows) != n:

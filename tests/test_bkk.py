@@ -502,7 +502,7 @@ class TestTableLeaves:
             (game_shape((3,) * 6), ["f"]),  # below 2**52
             (game_shape((3,) * 8), ["f", "u"]),  # above 2**53, below 2**62
             (scale_shape(game_shape((3,) * 6), [7] * 18, [1] * 6), ["f", "O"]),  # above 2**64
-            (validate((1, 1), [[2**70, 1], [1, 1]]), ["O"]),  # degree past uint64
+            (validate((1, 1), [[2**63 - 1, 1], [1, 1]]), ["O"]),  # degree past the uint64 guard
         ],
     )
     def test_each_exactness_guard_against_row_expansion(self, monkeypatch, spec, passes):

@@ -182,6 +182,31 @@ class TestExitCodes:
         assert main(["bkk", _write_shape(tmp_path, shape)]) == 2
         assert capsys.readouterr().err.startswith(f"invalid input: {message}")
 
+    @pytest.mark.parametrize("command", ["expect", "bkk", "bounds"])
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            {"block_sizes": [1], "degrees": [[10**400]]},
+            {"block_sizes": [1, 1], "degrees": [[10**20, 1], [1, 1]]},
+        ],
+        ids=["10**400", "10**20"],
+    )
+    def test_degree_past_int64(self, tmp_path, capsys, command, shape):
+        assert main([command, _write_shape(tmp_path, shape)]) == 2
+        assert capsys.readouterr().err == "invalid input: degree (1,1) exceeds 2**63 - 1\n"
+
+    @pytest.mark.parametrize("command", ["expect", "bkk", "bounds"])
+    def test_degree_past_the_int_digit_limit(self, tmp_path, capsys, command):
+        shape = '{"block_sizes": [1], "degrees": [[' + "9" * 5000 + "]]}"
+        assert main([command, _write_shape(tmp_path, shape)]) == 2
+        assert capsys.readouterr().err.startswith("invalid input: ")
+
+    @pytest.mark.parametrize("command", ["expect", "bkk", "bounds"])
+    def test_largest_degree_accepted(self, tmp_path, capsys, command):
+        shape = {"block_sizes": [1, 1], "degrees": [[2**63 - 1, 1], [1, 1]]}
+        code, rep = _run(capsys, [command, _write_shape(tmp_path, shape)])
+        assert code == 0 and rep is not None
+
     def test_resource_cap(self, tmp_path, capsys):
         big = {"block_sizes": [40], "degrees": [[1]] * 40}
         assert main(["bounds", _write_shape(tmp_path, big)]) == 3

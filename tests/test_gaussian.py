@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from mhroots import rng
+from mhroots import gaussian, rng
 from mhroots.corpus import random_variance_profile
 from mhroots.gaussian import (
     DET_CHUNK,
@@ -87,22 +87,44 @@ class TestMonteCarlo:
         assert runs[0].stderr == runs[1].stderr == runs[2].stderr
 
     def test_sample_matrix_replays_the_estimator_draw(self, monkeypatch):
+        # at 2 <= n <= SMALL_DET_DIM a sample draws rows 1..n-1, and its value
+        # comes through the cofactors of the zero top row
         n = 3
         var = np.array([[1.0, 2.0, 0.0], [3.0, 1.0, 1.0], [2.0, 2.0, 4.0]])
         drawn = {}
+        values = []
         normals = rng.normals
+        top_row_values = gaussian._top_row_values
 
         def recording(seed, first, count, width):
             z = normals(seed, first, count, width)
             drawn.update((first + r, z[r].copy()) for r in range(count))
             return z
 
+        def recording_values(*args):
+            v = top_row_values(*args)
+            values.append(v.copy())  # one worker: pieces come in stream order
+            return v
+
         monkeypatch.setattr(rng, "normals", recording)
-        mc_abs_det(var, 3000, seed=23)
+        monkeypatch.setattr(gaussian, "_top_row_values", recording_values)
+        est = mc_abs_det(var, 3000, seed=23)
         monkeypatch.undo()
+        values = np.concatenate(values)
+        assert values.size == 3000 and est.mean == pytest.approx(values.mean(), rel=1e-12)
         for index in (0, rng.SAMPLE_BLOCK + 5, 2999):
-            expected = drawn[index].reshape(n, n) * np.sqrt(var)
-            assert np.array_equal(sample_matrix(var, 23, index), expected)
+            mat = sample_matrix(var, 23, index)
+            assert (mat[0] == 0).all()
+            assert np.array_equal(mat[1:], drawn[index].reshape(n - 1, n) * np.sqrt(var[1:]))
+            cofactors = [np.linalg.det(np.delete(mat, c, axis=1)[1:]) for c in range(n)]
+            value = math.sqrt(2 / math.pi) * math.sqrt(np.dot(var[0], np.square(cofactors)))
+            assert values[index] == pytest.approx(value, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [1, SMALL_DET_DIM + 1])
+    def test_sample_matrix_replays_every_row_outside_the_kernel(self, n):
+        var = _profile("graded", n)
+        row = rng.normals(29, 7, 1, n * n)[0]
+        assert np.array_equal(sample_matrix(var, 29, 7), row.reshape(n, n) * np.sqrt(var))
 
     def test_row_scale_equivariance(self):
         base = mc_abs_det(np.ones((2, 2)), 200_000, seed=10)
@@ -139,6 +161,30 @@ def _profile(kind: str, n: int) -> np.ndarray:
     return var if n > 1 else np.zeros((1, 1))
 
 
+def _lapack_values(var: np.ndarray, seed: int, samples: int) -> np.ndarray:
+    """The estimator's per-sample values by LAPACK over the same stream rows.
+
+    For 2 <= n <= SMALL_DET_DIM a sample draws rows B = rows 1..n-1 and its
+    value is E[|det| | B] = sqrt(2/pi) * sqrt(sum_c v_0c * det(B without
+    column c)**2); otherwise it draws the whole matrix and its value is |det|.
+    """
+    n = var.shape[0]
+    if 2 <= n <= SMALL_DET_DIM:
+        rows = rng.normals(seed, 0, samples, n * (n - 1)).reshape(-1, n - 1, n) * np.sqrt(var[1:])
+        acc = sum(var[0, c] * np.linalg.det(np.delete(rows, c, axis=2)) ** 2 for c in range(n))
+        return math.sqrt(2 / math.pi) * np.sqrt(acc)
+    z = rng.normals(seed, 0, samples, n * n) * np.sqrt(var).ravel()
+    return np.abs(np.linalg.det(z.reshape(-1, n, n)))
+
+
+# E|det| of the zero-diagonal profile: at n = 3 by quadrature, sqrt(2/pi) *
+# E hypot(ab, cd) for a..d iid standard normal (|ab| has density 2 K0(x) / pi);
+# at n = 5 from 8e7 samples of the plain estimator, mean |det| over the
+# whole matrix.  (mean, standard error)
+GAME_ABS_DET = {3: (0.849086394557, 0.0), 5: (3.67466, 0.00062)}
+COVERAGE_REPLICATES = 100
+
+
 class TestSmallDeterminantKernel:
     @pytest.mark.parametrize("kind", ["unit", "game", "graded", "singular"])
     @pytest.mark.parametrize("n", range(1, SMALL_DET_DIM + 2))
@@ -147,13 +193,52 @@ class TestSmallDeterminantKernel:
         samples = 2 * DET_CHUNK + 808
         var = _profile(kind, n)
         est = mc_abs_det(var, samples, seed=70 + n)
-        z = rng.normals(70 + n, 0, samples, n * n) * np.sqrt(var).ravel()
-        direct = np.abs(np.linalg.det(z.reshape(-1, n, n)))
+        direct = _lapack_values(var, 70 + n, samples)
         assert est.mean == pytest.approx(direct.mean(), rel=1e-10)
         assert est.stderr == pytest.approx(direct.std(ddof=1) / math.sqrt(samples), rel=1e-10)
         if kind == "singular" and n <= SMALL_DET_DIM:
             # every expansion term holds an exact zero factor
             assert est.mean == 0.0 and est.stderr == 0.0
+
+    @pytest.mark.parametrize("n", range(1, SMALL_DET_DIM + 2))
+    def test_normals_drawn_per_sample(self, monkeypatch, n):
+        shapes = []
+        pieces = rng.normal_pieces
+
+        def recording(*args):
+            for z in pieces(*args):
+                shapes.append(z.shape)
+                yield z
+
+        monkeypatch.setattr(rng, "normal_pieces", recording)
+        samples = DET_CHUNK + 100
+        mc_abs_det(_profile("graded", n), samples, seed=3)
+        per_sample = n * (n - 1) if 2 <= n <= SMALL_DET_DIM else n * n
+        assert {width for _, width in shapes} == {per_sample}
+        assert sum(rows for rows, _ in shapes) == samples
+
+    @pytest.mark.parametrize("n", range(3, SMALL_DET_DIM))
+    def test_bitwise_determinism_across_workers_conditional_kernel(self, n):
+        var = _profile("game", n)
+        samples = 2 * rng.batch_size(n * (n - 1)) + 1000
+        runs = [mc_abs_det(var, samples, seed=41, workers=w) for w in (1, 2, 8)]
+        assert runs[0].mean == runs[1].mean == runs[2].mean
+        assert runs[0].stderr == runs[1].stderr == runs[2].stderr
+
+    @pytest.mark.parametrize("kind", ["unit", "game"])
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_replicated_coverage(self, n, kind):
+        # the conditional sample is unbiased and its iid stderr honest: the
+        # z-scores of independent runs have mean 0 and standard deviation 1
+        var = _profile(kind, n)
+        target, target_se = (abs_det_closed_standard(n), 0.0) if kind == "unit" else GAME_ABS_DET[n]
+        z = []
+        for r in range(COVERAGE_REPLICATES):
+            est = mc_abs_det(var, 4096, seed=5000 + 1000 * n + r)
+            z.append((est.mean - target) / math.hypot(est.stderr, target_se))
+        z = np.array(z)
+        assert abs(z.mean()) <= 4 / math.sqrt(COVERAGE_REPLICATES)
+        assert 0.75 <= z.std(ddof=1) <= 1.25
 
     def test_bitwise_determinism_across_workers_several_batches(self):
         n = SMALL_DET_DIM

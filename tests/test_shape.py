@@ -95,6 +95,12 @@ class TestValidate:
             validate((1, 1), degrees)
         assert str(info.value) == message
 
+    def test_degrees_past_int64_refused(self):
+        assert validate((1,), [[2**63 - 1]]).degrees == ((2**63 - 1,),)
+        for big in (2**63, 10**400, float(2**70), np.uint64(2**64 - 1)):
+            with pytest.raises(ShapeError, match=r"^degree \(1,2\) exceeds 2\*\*63 - 1$"):
+                validate((1, 1), [[1, big]])
+
     def test_integral_floats_become_ints(self):
         spec = validate((1, 1), [[1.0, 2], [2, np.int32(1)]])
         assert spec.degrees == ((1, 2), (2, 1))

@@ -37,3 +37,19 @@ def test_demo_runs(demo):
         [sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("env_value, advised", [(None, False), ("1", True), ("0", False)])
+def test_import_leaves_huge_page_advice_to_the_environment(env_value, advised):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.pop("NUMPY_MADVISE_HUGEPAGE", None)
+    if env_value is not None:
+        env["NUMPY_MADVISE_HUGEPAGE"] = env_value
+    code = (
+        "import mhroots\n"
+        "from mhroots import _set_madvise_hugepage\n"
+        "print(_set_madvise_hugepage(False))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == str(advised)

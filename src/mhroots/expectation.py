@@ -17,7 +17,10 @@ each shape through, in order (the result's ``kind`` in brackets):
    to a fixed point, and the residual goes through the dispatcher again;
 5. for n = 2, the exact mean |det| of a 2 x 2 matrix, the perimeter of an
    ellipse over 2 pi ("exact_2x2", see ``abs_det_2x2``);
-6. otherwise Monte Carlo estimation of the determinant factor
+6. for n = 3, the exact mean |det| of a 3 x 3 matrix, a 2-D integral over
+   the sphere taken by tanh-sinh quadrature ("exact_3x3", see
+   ``abs_det_3x3``), unless the rule's two levels disagree;
+7. otherwise Monte Carlo estimation of the determinant factor
    ("monte_carlo").
 
 Every result is a pure function of (seed, canonical shape, samples): the
@@ -34,12 +37,15 @@ again under the same seed and sample count, as ``bounds`` and each
 ``row_recursion_check`` of a shape do, estimates it once.  A shape that
 steps 4 or 5 resolve also has a Monte Carlo estimate of its own, under its
 own memo key, for the checks that must compare independent values
-(``expectation(..., reduce=False)``).  The memo holds only what
-recomputing would give; ``_EXPECTATION_MEMO.clear()`` empties it.
+(``expectation(..., reduce=False)``); step 6 has none, as its value is
+computed independently of the n = 2 values it is compared with.  The memo
+holds only what recomputing would give; ``_EXPECTATION_MEMO.clear()``
+empties it.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -63,7 +69,16 @@ STDERR_MULT = 4.0
 # README's verify run (100 shapes) stores 330.
 EXPECTATION_MEMO_SIZE = 4096
 # Kinds of the exact reductions that ``reduce=False`` replaces by Monte Carlo.
+# A row check on a peeled shape would compare a value with itself.  The 3 x 3
+# quadrature ("exact_3x3") is not among them: its value is computed
+# independently of the 2 x 2 values of the sub-shapes, so a row check on an
+# n = 3 shape compares independent exact values and is a FAIL-level check.
 REDUCED_KINDS = ("peel", "exact_2x2")
+# Tanh-sinh level of the 3 x 3 rule, the relative gap to the half level that
+# it accepts, and the theta rows evaluated at once.
+EXACT_3X3_LEVEL = 64
+EXACT_3X3_RTOL = 1e-8
+EXACT_3X3_CHUNK = 32
 
 _EXPECTATION_MEMO: dict = {}
 
@@ -96,9 +111,9 @@ class ExpectationResult:
     """Expected real-root count with provenance.
 
     ``kind`` is one of "closed_form", "product", "zero", "peel",
-    "exact_2x2", "monte_carlo"; ``closed`` carries the exact symbolic value
-    on the closed-form path and ``mc`` the raw |det| estimate on the Monte
-    Carlo path.  A product's ``parts`` are its two factors; a peel's
+    "exact_2x2", "exact_3x3", "monte_carlo"; ``closed`` carries the exact
+    symbolic value on the closed-form path and ``mc`` the raw |det| estimate
+    on the Monte Carlo path.  A product's ``parts`` are its two factors; a peel's
     ``parts`` hold its residual (none when nothing is left) and ``peeled``
     the exact product P of the peeled degrees, the value being sqrt(P) times
     the residual's (times 1 without one).  ``prefactor`` is the gamma-ratio
@@ -335,11 +350,12 @@ def expectation(
 
     Dispatch order: product decomposition, rank-one closed form, exact zero
     when the generic complex-root count vanishes, the peel, the exact 2 x 2
-    value, Monte Carlo otherwise.  With ``reduce=False`` a shape that the
-    peel or the 2 x 2 value would resolve gets its own Monte Carlo estimate
-    instead, memoized under its own key.  The shape is resolved as its
-    canonical representative, through the memo; ``workers`` never changes a
-    result, so it is not part of the key.
+    value, the exact 3 x 3 value, Monte Carlo otherwise.  With
+    ``reduce=False`` a shape that the peel or the 2 x 2 value would resolve
+    gets its own Monte Carlo estimate instead, memoized under its own key;
+    the 3 x 3 value is kept (see REDUCED_KINDS).  The shape is resolved as
+    its canonical representative, through the memo; ``workers`` never
+    changes a result, so it is not part of the key.
     """
     blocks, rows = _canonical(spec.block_sizes, spec.degrees)
     canonical = ShapeSpec(blocks, rows)
@@ -391,6 +407,11 @@ def _dispatch(spec: ShapeSpec, samples: int, seed: int, workers: int) -> Expecta
     if spec.n == 2:
         pf = prefactor(spec)
         return ExpectationResult(pf * abs_det_2x2(variance_profile(spec)), "exact_2x2", pf)
+    if spec.n == 3:
+        value = abs_det_3x3(variance_profile(spec))
+        if value is not None:
+            pf = prefactor(spec)
+            return ExpectationResult(pf * value, "exact_3x3", pf)
     return _monte_carlo(spec, samples, seed, workers)
 
 
@@ -478,6 +499,75 @@ def abs_det_2x2(variances) -> float:
     return 2.0 / math.pi * math.sqrt(hi) * ellipe((hi - lo) / hi)
 
 
+@functools.lru_cache(maxsize=1)
+def _tanh_sinh_nodes(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Tanh-sinh rule (Takahasi & Mori 1974) on [0, pi/2]: step 6/k and the
+    2k + 1 nodes x_j = (pi/2) / (1 + exp(-pi sinh(j h))), j = -k..k.
+
+    Returns (sin x_j, cos x_j, w_j), the weights including the step h.  The
+    cosine is taken as the sine of pi/2 - x_j, formed the same way, so both
+    keep their relative accuracy at the ends, where the nodes crowd.
+    """
+    t = np.arange(-k, k + 1) * (6.0 / k)
+    s = np.pi * np.sinh(t)
+    x = 0.5 * np.pi / (1.0 + np.exp(-s))
+    x_rest = 0.5 * np.pi / (1.0 + np.exp(s))
+    w = (6.0 / k) * (np.pi**2 / 8.0) * np.cosh(t) / np.cosh(0.5 * s) ** 2
+    return np.sin(x), np.sin(x_rest), w
+
+
+def abs_det_3x3(variances) -> float | None:
+    """Exact E|det Z| of a 3 x 3 matrix of independent centred normal
+    entries with variances ``variances``, by quadrature; None when the
+    rule's two levels differ by more than EXACT_3X3_RTOL.
+
+    Given row 2 = g, det Z = r0 . (r1 x g), and integrating rows 0 and 1
+    out gives (2/pi) sqrt(l1) E(1 - l2/l1), with E the complete elliptic
+    integral of the second kind and l1 >= l2 the roots of t**2 - S t + P.
+    For each column e, with {p, q} the other two, w_e = g_e**2 and
+    a_e = v_2e (v_0p v_1q + v_0q v_1p), b_e = v_0p v_0q v_2e,
+    c_e = v_1p v_1q v_2e: S = sum_e a_e w_e and
+    P = (sum_e b_e w_e) (sum_e c_e w_e).  That value is homogeneous of degree
+    1 and even in each g_e, so E|det Z| = E|g| times its mean over the unit
+    sphere's positive octant, E|g| = 2 sqrt(2/pi).  The mean is a smooth 2-D
+    integral in the polar angles (theta, phi) on [0, pi/2]**2, with
+    log-type singularities only on the octant's edges; the tanh-sinh rule
+    of level EXACT_3X3_LEVEL puts those at its end points.  The rule of half
+    the level uses every other node of the same grid, so the error check
+    costs no evaluation.  The grid is evaluated in chunks of
+    EXACT_3X3_CHUNK theta rows, which keeps the temporaries small.
+    """
+    v = np.asarray(variances, dtype=np.float64)
+    cols = ((1, 2), (0, 2), (0, 1))
+    a = [v[2, e] * (v[0, p] * v[1, q] + v[0, q] * v[1, p]) for e, (p, q) in enumerate(cols)]
+    b = [v[2, e] * v[0, p] * v[0, q] for e, (p, q) in enumerate(cols)]
+    c = [v[2, e] * v[1, p] * v[1, q] for e, (p, q) in enumerate(cols)]
+    sin, cos, w = _tanh_sinh_nodes(EXACT_3X3_LEVEL)
+    sin2, cos2 = sin * sin, cos * cos
+    # the sums over the two equatorial columns, as functions of phi alone
+    a01, b01, c01 = (x[0] * cos2 + x[1] * sin2 for x in (a, b, c))
+    fine = coarse = 0.0
+    for lo in range(0, w.size, EXACT_3X3_CHUNK):
+        rows = slice(lo, lo + EXACT_3X3_CHUNK)
+        s2, c2 = sin2[rows, None], cos2[rows, None]
+        big_s = s2 * a01 + c2 * a[2]
+        big_p = (s2 * b01 + c2 * b[2]) * (s2 * c01 + c2 * c[2])
+        l1 = 0.5 * (big_s + np.sqrt(np.maximum(big_s * big_s - 4.0 * big_p, 0.0)))
+        # l2 / l1 = P / l1**2; where l1 is 0 (an edge node whose S vanishes)
+        # P is 0 too, and so is the value
+        safe = np.where(l1 > 0.0, l1, 1.0)
+        f = np.sqrt(l1) * ellipe(np.clip(1.0 - big_p / safe / safe, 0.0, 1.0))
+        w_theta = w[rows] * sin[rows]
+        fine += w_theta @ f @ w
+        # lo is even, so the even local rows are the grid's even nodes
+        coarse += w_theta[::2] @ f[::2, ::2] @ w[::2]
+    coarse *= 4.0  # the half-level weights are twice these, on each axis
+    if abs(fine - coarse) > EXACT_3X3_RTOL * fine:
+        return None
+    # (2/pi) for the value, 2/pi for the octant's area, 2 sqrt(2/pi) for E|g|
+    return (2.0 / math.pi) ** 2 * 2.0 * math.sqrt(2.0 / math.pi) * float(fine)
+
+
 def bounds(
     spec: ShapeSpec, samples: int = DEFAULT_SAMPLES, seed: int = 0, workers: int = 1
 ) -> BoundsReport:
@@ -524,7 +614,9 @@ def row_recursion_check(
     equality condition (at most one contributing block) holds.  The direct
     expectation is taken with ``reduce=False``, so a shape that the peel or
     the 2 x 2 value resolves is compared with its own Monte Carlo estimate:
-    the peel is the very equality these rows test.
+    the peel is the very equality these rows test.  An n = 3 shape keeps
+    its exact 3 x 3 value, which is computed independently of the 2 x 2
+    values of its sub-shapes, so its rows compare exact values.
     """
     if not 1 <= row <= spec.n:
         raise ValueError(f"row index {row} outside 1..{spec.n}")

@@ -15,6 +15,8 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 SQRT_PI = math.sqrt(math.pi)
 LOG_SQRT_PI = 0.5 * math.log(math.pi)
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
@@ -98,26 +100,36 @@ def chi_mean(m: int) -> float:
     return math.sqrt(2.0) * float(ratio) * SQRT_PI ** (hi.sqrt_pi - lo.sqrt_pi)
 
 
-def ellipe(m: float) -> float:
+def ellipe(m):
     """Complete elliptic integral of the second kind,
     E(m) = integral over [0, pi/2] of sqrt(1 - m sin(t)**2), for m in [0, 1].
 
-    By the arithmetic-geometric mean: a, b = 1, sqrt(1 - m) and c**2 = a**2 -
-    b**2 with c_{n+1} = c_n**2 / (4 a_{n+1}), which has no cancellation; then
-    E = pi / (2 a_inf) * (1 - sum_n 2**(n - 1) c_n**2).  The loop ends when c
-    underflows to zero, after about ten steps; m = 1 (the mean converges to 0
+    ``m`` is a float or an array of them; a float gives a float, an array an
+    array of its shape.  By the arithmetic-geometric mean: a, b = 1,
+    sqrt(1 - m) and c**2 = a**2 - b**2 with c_{n+1} = c_n**2 / (4 a_{n+1}),
+    which has no cancellation; then E = pi / (2 a_inf) * (1 - sum_n
+    2**(n - 1) c_n**2).  Each entry steps until its c underflows to zero,
+    after about ten steps, and then stays as it is, so an entry of an array
+    is bitwise the float it would give alone; m = 1 (the mean converges to 0
     there) is E = 1 exactly.  References: Abramowitz & Stegun, Handbook of
     Mathematical Functions (1964), 17.6; Borwein & Borwein, Pi and the AGM
     (1987), ch. 1.
     """
-    if not 0.0 <= m <= 1.0:
-        raise ValueError(f"parameter m must be in [0, 1], got {m}")
-    if m == 1.0:
-        return 1.0
-    a, b, c = 1.0, math.sqrt(1.0 - m), math.sqrt(m)
-    weight, total = 0.5, 0.5 * m
-    while c:
-        a, b, c = 0.5 * (a + b), math.sqrt(a * b), c * c / (2.0 * (a + b))
+    m_arr = np.asarray(m, dtype=np.float64)
+    inside = (m_arr >= 0.0) & (m_arr <= 1.0)
+    if not inside.all():
+        raise ValueError(f"parameter m must be in [0, 1], got {m_arr[~inside].flat[0]}")
+    one = m_arr == 1.0
+    a, b = np.ones_like(m_arr), np.sqrt(1.0 - m_arr)
+    c = np.where(one, 0.0, np.sqrt(m_arr))
+    weight, total = 0.5, 0.5 * m_arr
+    live = c != 0.0
+    while live.any():
+        # once c is 0 it stays 0 and adds nothing to the total; only a must
+        # be held, as further steps would move it by an ulp
+        a, b, c = np.where(live, 0.5 * (a + b), a), np.sqrt(a * b), c * c / (2.0 * (a + b))
         weight *= 2.0
-        total += weight * c * c
-    return math.pi / (2.0 * a) * (1.0 - total)
+        total = total + weight * c * c
+        live = c != 0.0
+    out = np.where(one, 1.0, math.pi / (2.0 * a) * (1.0 - total))
+    return float(out) if out.ndim == 0 else out

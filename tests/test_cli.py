@@ -19,7 +19,7 @@ BILINEAR = {"block_sizes": [1, 1], "degrees": [[1, 1], [1, 1]]}
 QUARTIC = {"block_sizes": [1], "degrees": [[4]]}
 MIXED = {"block_sizes": [1, 1], "degrees": [[1, 2], [2, 1]]}
 # n = 3, neither factors, splits, peels nor vanishes: the Monte Carlo path
-MIXED_3 = {"block_sizes": [1, 2], "degrees": [[1, 2], [2, 1], [1, 3]]}
+MIXED_4 = {"block_sizes": [1, 3], "degrees": [[1, 2], [2, 1], [1, 3], [2, 2]]}
 
 
 def _write_shape(tmp_path, data, name="shape.json"):
@@ -78,7 +78,7 @@ class TestExpectCommand:
     def test_mixed_shape_monte_carlo(self, tmp_path, capsys):
         code, rep = _run(
             capsys,
-            ["expect", _write_shape(tmp_path, MIXED_3), "--samples", "20000", "--seed", "5"],
+            ["expect", _write_shape(tmp_path, MIXED_4), "--samples", "20000", "--seed", "5"],
         )
         res = rep["results"]["expectation"]
         assert res["provenance"] == "monte_carlo"
@@ -487,9 +487,27 @@ class TestVerifyCommand:
 
         monkeypatch.setattr(mx, "expectation", counting)
         monkeypatch.setattr(cli, "expectation", counting)
-        assert main(["verify", "--count", "10", "--samples", "2000", "--seed", "3"]) == 0
+        # the first 20 shapes of seed 3 resolve one n = 4 shape by Monte Carlo
+        assert main(["verify", "--count", "20", "--samples", "2000", "--seed", "3"]) == 0
         assert len(estimated) == len(set(estimated)) == len(set(resolved)) > 0
         assert len(resolved) > len(estimated)
+
+    def test_no_3x3_profile_reaches_monte_carlo(self, capsys, monkeypatch):
+        profiles = []
+        original_mc = mx.mc_abs_det
+        monkeypatch.setattr(
+            mx, "mc_abs_det",
+            lambda var, samples, seed, workers=1: profiles.append(var.shape)
+            or original_mc(var, samples, seed, workers),
+        )
+        exact = []
+        original_exact = mx.abs_det_3x3
+        monkeypatch.setattr(mx, "abs_det_3x3", lambda var: exact.append(1) or original_exact(var))
+        argv = ["verify", "--count", "30", "--n-max", "4", "--samples", "2000", "--seed", "0"]
+        code, rep = _run(capsys, argv)
+        assert code == 0 and exact and profiles
+        assert (3, 3) not in profiles
+        assert {c["status"] for c in rep["results"]["checks"]} == {"PASS"}
 
     def test_report_independent_of_workers(self, capsys, monkeypatch):
         # one-block batches, so every estimate of 4096 samples folds four batches

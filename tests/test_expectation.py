@@ -1,6 +1,7 @@
 """Expectation dispatcher: closed forms, splits, bounds, row recursions."""
 
 import importlib
+import itertools
 import math
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from mhroots.corpus import random_rank_one_shape, random_shape
 from mhroots.expectation import (
     EXPECTATION_MEMO_SIZE,
     abs_det_2x2,
+    abs_det_3x3,
     bounds,
     closed_form,
     derive_seed,
@@ -22,7 +24,7 @@ from mhroots.expectation import (
     scaling_factor,
     split_expectation,
 )
-from mhroots.gaussian import mc_abs_det, variance_profile
+from mhroots.gaussian import abs_det_closed_standard, mc_abs_det, variance_profile
 from mhroots.shape import ShapeSpec, game_shape, validate
 
 # The package re-exports the function ``expectation`` under the module's name.
@@ -166,7 +168,7 @@ class TestDispatch:
             assert res.value == 0.0 and res.stderr == 0.0
 
     def test_monte_carlo_path(self):
-        res = expectation(validate((1, 2), [[1, 2], [2, 1], [1, 3]]), samples=50_000, seed=2)
+        res = expectation(MC_SHAPE, samples=50_000, seed=2)
         assert res.kind == "monte_carlo"
         assert res.mc is not None and res.stderr > 0
         assert res.value == pytest.approx(res.prefactor * res.mc.mean)
@@ -256,10 +258,11 @@ class TestRowRecursion:
                 assert rep.holds, (spec, i)
 
 
-# not rank one, no product split, nonzero count: the Monte Carlo path
-MC_SHAPE = validate((1, 2), [[1, 2], [2, 1], [1, 3]])
+# not rank one, no product split, nonzero count, nothing to peel, n = 4: the
+# Monte Carlo path
+MC_SHAPE = validate((1, 3), [[1, 2], [2, 1], [1, 3], [2, 2]])
 # the same shape with its blocks swapped and its rows reversed
-MC_SHAPE_PERMUTED = validate((2, 1), [[3, 1], [1, 2], [2, 1]])
+MC_SHAPE_PERMUTED = validate((3, 1), [[2, 2], [3, 1], [1, 2], [2, 1]])
 
 
 class TestCanonicalMemo:
@@ -301,7 +304,9 @@ class TestCanonicalMemo:
 
 class TestSharedEstimateErrors:
     def test_row_recursion_adds_the_terms_of_one_estimate(self):
-        spec = validate((2, 2), [[1, 1], [1, 2], [2, 1], [1, 1]])
+        # both sub-shapes are MC_SHAPE-like n = 4 shapes, equal up to a swap of
+        # blocks 1 and 2
+        spec = validate((2, 2, 1), [[1, 1, 0], [1, 2, 1], [2, 1, 1], [1, 1, 2], [1, 1, 1]])
         rep = row_recursion_check(spec, 1, samples=4_000, seed=5)
         (_, d1, e1), (_, d2, e2) = rep.subs
         assert d1 == d2 == 1.0
@@ -314,8 +319,9 @@ class TestSharedEstimateErrors:
 
     def test_product_of_one_estimate_with_itself(self):
         spec = validate(
-            (1, 2, 1, 2),
-            [[1, 2, 0, 0], [2, 1, 0, 0], [1, 3, 0, 0], [0, 0, 1, 2], [0, 0, 2, 1], [0, 0, 1, 3]],
+            (1, 3, 1, 3),
+            [[1, 2, 0, 0], [2, 1, 0, 0], [1, 3, 0, 0], [2, 2, 0, 0],
+             [0, 0, 1, 2], [0, 0, 2, 1], [0, 0, 1, 3], [0, 0, 2, 2]],
         )
         res = expectation(spec, samples=4_000, seed=5)
         left, right = res.parts
@@ -325,8 +331,9 @@ class TestSharedEstimateErrors:
 
     def test_independent_parts_still_add_in_quadrature(self):
         spec = validate(
-            (1, 2, 1, 2),
-            [[1, 2, 0, 0], [2, 1, 0, 0], [1, 3, 0, 0], [0, 0, 1, 2], [0, 0, 2, 1], [0, 0, 1, 4]],
+            (1, 3, 1, 3),
+            [[1, 2, 0, 0], [2, 1, 0, 0], [1, 3, 0, 0], [2, 2, 0, 0],
+             [0, 0, 1, 2], [0, 0, 2, 1], [0, 0, 1, 4], [0, 0, 2, 2]],
         )
         res = expectation(spec, samples=4_000, seed=5)
         left, right = res.parts
@@ -347,9 +354,11 @@ def cycle_shape(n: int, degree: int = 2) -> ShapeSpec:
 
 
 # Row 1 lives in block 1 alone (size 2): the peel drops it, and its residual
-# (1, 2) [[1, 1], [2, 1], [1, 2]] goes to Monte Carlo.
+# (1, 2) [[1, 1], [2, 1], [1, 2]] has the exact 3 x 3 value.
 PEEL_SHAPE = validate((2, 2), [[3, 0], [1, 1], [2, 1], [1, 2]])
-PEEL_RESIDUAL = validate((1, 2), [[1, 1], [2, 1], [1, 2]])
+# The same with a fifth equation: its residual, with n = 4, goes to Monte Carlo.
+PEEL_SHAPE_MC = validate((2, 3), [[3, 0], [1, 1], [2, 1], [1, 2], [2, 2]])
+PEEL_RESIDUAL_MC = validate((1, 3), [[1, 1], [2, 1], [1, 2], [2, 2]])
 MIXED_2x2 = validate((1, 1), [[1, 2], [2, 1]])
 
 
@@ -374,13 +383,67 @@ class TestExact2x2:
         assert res.value == res.prefactor * abs_det_2x2([[1, 2], [2, 1]])
 
 
+MIXED_3x3 = validate((1, 2), [[1, 2], [2, 1], [1, 3]])
+
+
+class TestExact3x3:
+    def test_all_ones_is_the_closed_form(self):
+        assert abs_det_3x3(np.ones((3, 3))) == pytest.approx(abs_det_closed_standard(3), rel=1e-14)
+
+    def test_game_profile_matches_the_quadrature_reference(self):
+        assert abs_det_3x3(np.ones((3, 3)) - np.eye(3)) == pytest.approx(0.849086394557, abs=1e-12)
+
+    def test_profile_with_one_entry_in_a_row(self):
+        # row 0 has one entry, so l2 = 0 at every node (E(1) = 1), and
+        # det = z_01 * det of a 2 x 2 matrix with variances [[3, 1], [1, 1]]
+        value = abs_det_3x3([[0, 2, 0], [3, 2, 1], [1, 0, 1]])
+        exact = math.sqrt(2) * math.sqrt(2 / math.pi) * abs_det_2x2([[3, 1], [1, 1]])
+        assert value == pytest.approx(exact, rel=1e-13)
+
+    def test_row_and_column_permutations_agree(self):
+        v = np.random.default_rng(2101).integers(1, 5, size=(3, 3)).astype(float)
+        reference = abs_det_3x3(v)
+        for rows in itertools.permutations(range(3)):
+            for cols in itertools.permutations(range(3)):
+                assert abs_det_3x3(v[np.ix_(rows, cols)]) == pytest.approx(reference, rel=1e-13)
+
+    def test_against_monte_carlo_on_random_profiles(self):
+        gen = np.random.default_rng(2102)
+        for t in range(4):
+            v = gen.integers(0, 5, size=(3, 3)).astype(float)
+            est = mc_abs_det(v, 1_000_000, seed=2110 + t)
+            assert abs(abs_det_3x3(v) - est.mean) <= 4 * est.stderr, v
+
+    def test_every_3x3_shape_left_over_is_exact(self):
+        res = expectation(MIXED_3x3, samples=2, seed=2)
+        assert res.kind == "exact_3x3" and res.stderr == 0.0 and res.mc is None
+        profile = variance_profile(MIXED_3x3)
+        assert res.value == pytest.approx(res.prefactor * abs_det_3x3(profile), rel=1e-13)
+
+    def test_falls_back_to_monte_carlo_when_the_levels_disagree(self, monkeypatch):
+        monkeypatch.setattr(mx, "EXACT_3X3_RTOL", 0.0)
+        res = expectation(MIXED_3x3, samples=4_000, seed=2)
+        assert res.kind == "monte_carlo" and res.stderr > 0
+
+    def test_row_checks_compare_exact_values(self):
+        # the kind is not a reduced one: the middle is the exact value itself,
+        # independent of the n = 2 sub-values, so each row is an exact check
+        assert expectation(MIXED_3x3, seed=3, reduce=False) is expectation(MIXED_3x3, seed=3)
+        for i in range(1, 4):
+            rep = row_recursion_check(MIXED_3x3, i, seed=3)
+            assert rep.middle.kind == "exact_3x3"
+            assert rep.middle.stderr == rep.upper_stderr == rep.lower_stderr == 0.0
+            assert rep.holds
+
+
 class TestPeel:
     def test_value_is_the_residual_scaled_bitwise_under_permutations(self):
-        expected = math.sqrt(3) * expectation(PEEL_RESIDUAL, samples=4_000, seed=8).value
-        rows = PEEL_SHAPE.degrees
+        expected = math.sqrt(3) * expectation(PEEL_RESIDUAL_MC, samples=4_000, seed=8).value
+        rows = PEEL_SHAPE_MC.degrees
         for perm_rows, swap in [(rows, False), (rows[::-1], False), (rows[1:] + rows[:1], True)]:
             mx._EXPECTATION_MEMO.clear()
-            spec = validate((2, 2), [r[::-1] if swap else r for r in perm_rows])
+            sizes = PEEL_SHAPE_MC.block_sizes[::-1] if swap else PEEL_SHAPE_MC.block_sizes
+            spec = validate(sizes, [r[::-1] if swap else r for r in perm_rows])
             res = expectation(spec, samples=4_000, seed=8)
             assert res.kind == "peel" and res.peeled == 3
             assert res.value == expected
@@ -432,11 +495,11 @@ class TestIndependentRowChecks:
         assert expectation(spec, samples=4_000, seed=10).kind in ("peel", "exact_2x2")
 
     def test_memo_entries_do_not_depend_on_call_order(self):
-        first = expectation(PEEL_SHAPE, samples=4_000, seed=11)
-        first_mc = expectation(PEEL_SHAPE, samples=4_000, seed=11, reduce=False)
+        first = expectation(PEEL_SHAPE_MC, samples=4_000, seed=11)
+        first_mc = expectation(PEEL_SHAPE_MC, samples=4_000, seed=11, reduce=False)
         mx._EXPECTATION_MEMO.clear()
-        second_mc = expectation(PEEL_SHAPE, samples=4_000, seed=11, reduce=False)
-        second = expectation(PEEL_SHAPE, samples=4_000, seed=11)
+        second_mc = expectation(PEEL_SHAPE_MC, samples=4_000, seed=11, reduce=False)
+        second = expectation(PEEL_SHAPE_MC, samples=4_000, seed=11)
         # equal up to the timings that MCEstimate.elapsed records
         for a, b in ((first, second), (first_mc, second_mc), (first.parts[0], second.parts[0])):
             assert (a.kind, a.value, a.stderr) == (b.kind, b.value, b.stderr)

@@ -86,12 +86,37 @@ def test_ellipe_against_scipy():
         assert ellipe(float(m)) == pytest.approx(special.ellipe(m), rel=1e-13, abs=0), m
 
 
+def _ellipe_scalar_loop(m: float) -> float:
+    """The float AGM loop, one entry at a time."""
+    if m == 1.0:
+        return 1.0
+    a, b, c = 1.0, math.sqrt(1.0 - m), math.sqrt(m)
+    weight, total = 0.5, 0.5 * m
+    while c:
+        a, b, c = 0.5 * (a + b), math.sqrt(a * b), c * c / (2.0 * (a + b))
+        weight *= 2.0
+        total += weight * c * c
+    return math.pi / (2.0 * a) * (1.0 - total)
+
+
+def test_ellipe_on_arrays_is_the_scalar_loop_bitwise():
+    special = pytest.importorskip("scipy.special")
+    grid = np.concatenate([np.linspace(0.0, 1.0, 1001), [1e-300, 1e-16, 1 - 1e-12, 1 - 2**-53]])
+    values = ellipe(grid)
+    assert values.shape == grid.shape
+    assert values.tolist() == [_ellipe_scalar_loop(m) for m in grid.tolist()]
+    assert values.tolist() == [ellipe(m) for m in grid.tolist()]
+    assert np.abs(values / special.ellipe(grid) - 1.0).max() <= 1e-14
+    square = ellipe(grid[:4].reshape(2, 2))
+    assert square.shape == (2, 2) and square.ravel().tolist() == values[:4].tolist()
+
+
 def test_ellipe_end_points_exact():
     assert ellipe(0.0) == math.pi / 2
     assert ellipe(1.0) == 1.0
 
 
-@pytest.mark.parametrize("m", [-0.1, 1.5, math.nan])
+@pytest.mark.parametrize("m", [-0.1, 1.5, math.nan, np.array([0.5, 1.5])])
 def test_ellipe_outside_unit_interval(m):
     with pytest.raises(ValueError, match="parameter m must be in"):
         ellipe(m)

@@ -18,7 +18,7 @@ mx = importlib.import_module("mhroots.expectation")
 BILINEAR = {"block_sizes": [1, 1], "degrees": [[1, 1], [1, 1]]}
 QUARTIC = {"block_sizes": [1], "degrees": [[4]]}
 MIXED = {"block_sizes": [1, 1], "degrees": [[1, 2], [2, 1]]}
-# n = 3, neither factors, splits, peels nor vanishes: the Monte Carlo path
+# n = 4, neither factors, splits, peels nor vanishes: the Monte Carlo path
 MIXED_4 = {"block_sizes": [1, 3], "degrees": [[1, 2], [2, 1], [1, 3], [2, 2]]}
 
 

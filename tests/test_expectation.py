@@ -304,7 +304,7 @@ class TestCanonicalMemo:
 
 class TestSharedEstimateErrors:
     def test_row_recursion_adds_the_terms_of_one_estimate(self):
-        # both sub-shapes are MC_SHAPE-like n = 4 shapes, equal up to a swap of
+        # the two sub-shapes are one n = 4 Monte Carlo shape, up to a swap of
         # blocks 1 and 2
         spec = validate((2, 2, 1), [[1, 1, 0], [1, 2, 1], [2, 1, 1], [1, 1, 2], [1, 1, 1]])
         rep = row_recursion_check(spec, 1, samples=4_000, seed=5)

@@ -6,7 +6,7 @@ plus direct root-counting simulations that cross-check every formula.
 
 Importing the package turns numpy's transparent-huge-page advice off,
 unless the environment sets NUMPY_MADVISE_HUGEPAGE.  numpy advises every
-array of 4 MB or more (a batch of normals, a per-sample count vector) for
+array of 4 MB or more (a per-sample count vector, for one) for
 2 MB pages.  Where such an array lands in the malloc heap, the advice
 outlives it, and the heap's resident size then depends on its layout and on
 when the kernel's khugepaged scans the process: peak memory of the same run

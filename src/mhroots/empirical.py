@@ -15,8 +15,9 @@ comes too close to a vanishing leading coefficient (near-multiple roots,
 nearly real complex pairs) and rows with a root at infinity are counted by
 companion-matrix eigenvalues.  ``_count`` reduces and counts a batch
 STURM_CHUNK systems at a time, multiplies the counts of a shape's
-components and merges their flags; ``sample_counts`` calls it once per
-batch, and ``count_real_roots`` counts a single system as a one-row batch.
+components and merges their flags; ``sample_counts`` draws and counts
+STURM_CHUNK systems at a time, and ``count_real_roots`` counts a single
+system as a one-row batch.
 """
 
 from __future__ import annotations
@@ -74,11 +75,15 @@ def _coefficient_layout(spec: ShapeSpec):
 
 def _coefficient_batch(spec: ShapeSpec, seed: int, start: int, count: int) -> list[np.ndarray]:
     """Per-equation coefficient arrays of shape (count, size_i)."""
-    sizes, offsets, sigma = _coefficient_layout(spec)
-    total = int(offsets[-1])
-    z = rng.normals(seed, start, count, total)
+    _, offsets, sigma = _coefficient_layout(spec)
+    return _equations(rng.normals(seed, start, count, int(offsets[-1])), offsets, sigma)
+
+
+def _equations(z: np.ndarray, offsets, sigma) -> list[np.ndarray]:
+    """Scale the standard normals ``z`` in place by ``sigma`` and split their
+    columns at ``offsets`` into per-equation coefficient arrays."""
     z *= sigma
-    return [z[:, offsets[i] : offsets[i + 1]] for i in range(spec.n)]
+    return [z[:, offsets[i] : offsets[i + 1]] for i in range(len(offsets) - 1)]
 
 
 def sample_system(spec: ShapeSpec, seed: int, index: int = 0) -> SystemSample:
@@ -407,6 +412,14 @@ def sample_counts(
     labels.  A degree-zero equation makes every count 0 (a constant equation
     almost surely has no roots); other unsupported components raise
     UnsupportedFamilyError.
+
+    The coefficients are drawn STURM_CHUNK systems at a time, the rows that
+    one ``_count`` pass takes (0.5 MB for a bilinear pair, 0.85 MB for a
+    degree-12 form): a small block that numpy keeps for reuse can land on
+    the C heap above a freed multi-megabyte batch and stop the heap from
+    shrinking, which made peak memory depend on the heap's layout.  Rows
+    are a pure function of (seed, row), so counts and flags do not depend
+    on the partition.
     """
     comps = _counted_components(spec)
     if comps and comps[0].kind == "zero_row":
@@ -414,12 +427,14 @@ def sample_counts(
         return np.zeros(samples, dtype=np.int64), {}
     counts = np.ones(samples, dtype=np.int64)
     flags: dict[int, tuple[str, ...]] = {}
-    width = sum(support_size(spec, i) for i in range(1, spec.n + 1))
-    for start, size in rng.batches(samples, width):
-        batch = _coefficient_batch(spec, seed, start, size)
-        batch_flags = _count(comps, batch, tau, counts[start : start + size])
+    _, offsets, sigma = _coefficient_layout(spec)
+    start = 0
+    for z in rng.normal_pieces(seed, 0, samples, int(offsets[-1]), STURM_CHUNK):
+        size = z.shape[0]
+        batch_flags = _count(comps, _equations(z, offsets, sigma), tau, counts[start : start + size])
         for i, fl in batch_flags.items():
             flags[start + i] = fl
+        start += size
     return counts, flags
 
 

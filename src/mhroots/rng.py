@@ -14,11 +14,11 @@ block).  So any range of rows is a pure function of
 batches produced it.  SAMPLE_BLOCK is part of the stream contract, and the
 values are pinned to the installed numpy's ziggurat.
 
-``batches`` is the one batching policy of the samplers: batches are whole
-blocks, sized by an element budget so that peak memory stays flat in the
-per-sample draw count.  ``normal_pieces`` hands a batch's normals over in
-pieces of a smaller budget, which holds even where one block exceeds the
-batch budget.
+``batches`` is the batching policy of the determinant sampler: batches are
+whole blocks, sized by an element budget so that peak memory stays flat in
+the per-sample draw count.  ``normal_pieces`` hands a range's normals over
+in pieces of a smaller budget, which holds even where one block exceeds the
+batch budget; the root-counting sampler takes its draws from it directly.
 """
 
 from __future__ import annotations
@@ -37,9 +37,13 @@ SAMPLE_BLOCK = 1024
 # Batching policy: draws per batch, and samples per batch at most.
 BATCH_ELEMENTS = 1 << 22
 MAX_BATCH = 1 << 16
-# Draws held at once by one piece of a batch (4 MB).  Pieces far below the
-# batch budget keep the allocator from holding two batch-sized buffers.
-PIECE_ELEMENTS = 1 << 19
+# Draws held at once by one piece of a batch (2 MB).  Pieces far below the
+# batch budget keep the allocator from holding two batch-sized buffers.  At
+# 4 MB, a small block that numpy keeps for reuse could land on the C heap
+# above a freed piece and stop the heap from shrinking, so the estimator's
+# peak memory moved by 4 MB with the heap's layout.  A DET_CHUNK of n = 7
+# samples (4096 x 42 draws) still fits in one piece.
+PIECE_ELEMENTS = 1 << 18
 
 
 def _mix(x: np.ndarray) -> np.ndarray:

@@ -133,6 +133,30 @@ class TestSampling:
                 sample = sample_system(spec, seed=4, index=index)
                 assert count_real_roots(sample) == (counts[index], flags.get(index, ()))
 
+    def test_counts_do_not_depend_on_the_draw_partition(self):
+        # sample_counts draws STURM_CHUNK rows at a time; one batch of every
+        # row, counted by the same _count, gives the same counts and flags
+        uni_x_bilinear = validate((1, 1, 1), [[3, 0, 0], [0, 1, 1], [0, 1, 1]])
+        samples = 2 * empirical.STURM_CHUNK + 5
+        counts, flags = sample_counts(uni_x_bilinear, samples, seed=8)
+        whole = np.ones(samples, dtype=np.int64)
+        comps = empirical._counted_components(uni_x_bilinear)
+        whole_flags = _count(comps, _coefficient_batch(uni_x_bilinear, 8, 0, samples), IMAG_TOL, whole)
+        assert np.array_equal(counts, whole) and flags == whole_flags
+
+    def test_draws_are_held_one_sturm_chunk_at_a_time(self, monkeypatch):
+        pieces = rng.normal_pieces
+        rows = []
+
+        def recording(*args, **kwargs):
+            for piece in pieces(*args, **kwargs):
+                rows.append(piece.shape[0])
+                yield piece
+
+        monkeypatch.setattr(rng, "normal_pieces", recording)
+        sample_counts(BILINEAR, 3 * empirical.STURM_CHUNK + 7, seed=9)
+        assert rows == [empirical.STURM_CHUNK] * 3 + [7]
+
 
 class TestEvaluate:
     def test_zero_coefficients(self):

@@ -5,9 +5,9 @@ is a usage error.  Shapes are read from JSON files of the form
 ``{"block_sizes": [...], "degrees": [[...], ...]}``.  Reports are JSON on
 stdout (schema version 1) and echo a setting only where it was applied;
 per-sample or per-check CSV goes to ``--dump``.  Exit codes: 0 ok, 2 invalid
-input, 3 resource cap exceeded, 4 verification failure.  MHROOTS_THREADS
-overrides ``--workers`` where that flag exists; either must be a positive
-integer.
+input, 3 resource cap exceeded or a result past float range, 4 verification
+failure.  MHROOTS_THREADS overrides ``--workers`` where that flag exists;
+either must be a positive integer.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import math
 import os
@@ -166,6 +167,15 @@ def _report(args, spec: ShapeSpec | None, results: dict, t0: float) -> dict:
         "results": results,
         "wall_time_s": time.perf_counter() - t0,
     }
+
+
+def _dumps(report: dict) -> str:
+    """The report as JSON text; OverflowError when a value is not a finite
+    float, which JSON cannot carry."""
+    try:
+        return json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise OverflowError(str(exc)) from exc
 
 
 def _workers(args) -> int:
@@ -400,7 +410,10 @@ SUBCOMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: it depends on no
+    argument, and each ``parse_args`` call fills a new namespace."""
     parser = argparse.ArgumentParser(
         prog="mhroots",
         description="Expected real-root counts of random multihomogeneous systems",
@@ -430,6 +443,7 @@ def main(argv=None) -> int:
             # here, not in the estimator: exact routes never draw a sample
             check_samples(args.samples)
         spec, results, code = args.func(args)
+        text = _dumps(_report(args, spec, results, t0))
     except (
         ShapeError,
         UnsupportedFamilyError,
@@ -444,7 +458,10 @@ def main(argv=None) -> int:
     except (MatrixTooLargeError, SupportTooLargeError, RecursionError) as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_TOO_LARGE
-    print(json.dumps(_report(args, spec, results, t0), sort_keys=True, indent=2))
+    except OverflowError as exc:
+        print(f"resource cap: a value is past float range ({exc})", file=sys.stderr)
+        return EXIT_TOO_LARGE
+    print(text)
     return code
 
 

@@ -65,18 +65,14 @@ class SystemSample:
 
 
 def _coefficient_layout(spec: ShapeSpec):
+    """(offsets, sigma): equation i's coefficients are the columns
+    offsets[i]..offsets[i + 1] of a draw, with standard deviations sigma."""
     sizes = [support_size(spec, i) for i in range(1, spec.n + 1)]
     offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
     sigma = np.concatenate(
         [np.sqrt(support_variances(spec, i)) for i in range(1, spec.n + 1)]
     ) if spec.n else np.zeros(0)
-    return sizes, offsets, sigma
-
-
-def _coefficient_batch(spec: ShapeSpec, seed: int, start: int, count: int) -> list[np.ndarray]:
-    """Per-equation coefficient arrays of shape (count, size_i)."""
-    _, offsets, sigma = _coefficient_layout(spec)
-    return _equations(rng.normals(seed, start, count, int(offsets[-1])), offsets, sigma)
+    return offsets, sigma
 
 
 def _equations(z: np.ndarray, offsets, sigma) -> list[np.ndarray]:
@@ -88,8 +84,9 @@ def _equations(z: np.ndarray, offsets, sigma) -> list[np.ndarray]:
 
 def sample_system(spec: ShapeSpec, seed: int, index: int = 0) -> SystemSample:
     """Draw one system at stream position ``index`` under the invariant weights."""
-    batch = _coefficient_batch(spec, seed, index, 1)
-    return SystemSample(spec, [c[0].copy() for c in batch])
+    offsets, sigma = _coefficient_layout(spec)
+    z = rng.normals(seed, index, 1, int(offsets[-1]))
+    return SystemSample(spec, [c[0].copy() for c in _equations(z, offsets, sigma)])
 
 
 def evaluate(sample: SystemSample, point) -> np.ndarray:
@@ -427,7 +424,7 @@ def sample_counts(
         return np.zeros(samples, dtype=np.int64), {}
     counts = np.ones(samples, dtype=np.int64)
     flags: dict[int, tuple[str, ...]] = {}
-    _, offsets, sigma = _coefficient_layout(spec)
+    offsets, sigma = _coefficient_layout(spec)
     start = 0
     for z in rng.normal_pieces(seed, 0, samples, int(offsets[-1]), STURM_CHUNK):
         size = z.shape[0]

@@ -102,7 +102,7 @@ class ClosedFormValue:
         return (
             float(self.rational)
             * math.pi ** (self.pi_sqrt_power / 2.0)
-            * math.sqrt(self.radicand)
+            * _sqrt_int(self.radicand)
         )
 
 
@@ -276,7 +276,7 @@ def scaling_factor(d, e, block_sizes) -> float:
     for ej, nj in zip(e, block_sizes):
         if nj > 0:
             prod *= int(ej) ** nj
-    return math.sqrt(prod)
+    return _sqrt_int(prod)
 
 
 def _generic_count_is_zero(spec: ShapeSpec) -> bool:
@@ -576,7 +576,7 @@ def bounds(
         spec.block_sizes
     )
     count = bkk_count(spec)
-    lower = math.sqrt(count)
+    lower = _sqrt_int(count)
     est = expectation(spec, samples, seed, workers)
     equality = is_simply_reducible(spec).reducible
     return BoundsReport(

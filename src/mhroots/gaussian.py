@@ -18,8 +18,16 @@ from a vectorised Laplace expansion by complementary minors, run on chunks
 of DET_CHUNK samples with each entry a contiguous vector over the chunk;
 there batched LAPACK spends most of its time on per-matrix overhead.  At
 n = 1 a sample is |sigma z|.  Above SMALL_DET_DIM a sample draws the whole
-matrix and its |det| comes from LAPACK's pivoted triangular factorization,
-in the log domain above LOGDET_DIM.
+matrix and its log |det| comes from LAPACK's pivoted triangular
+factorization.
+
+One moment fold serves every n: each piece of samples, each batch and the
+estimate carry (shift, e1, e2), the sums of |v| and v**2 scaled by
+exp(-shift) and exp(-2 * shift), and ``_merge`` folds them in stream order.
+Plain values (n <= SMALL_DET_DIM) carry shift 0 and fold as plain sums.
+Above SMALL_DET_DIM a piece's shift is its largest log |det|, and the mean
+and the stderr are scaled by exp(shift) only at the end, so they overflow
+only when they are past float range themselves.
 """
 
 from __future__ import annotations
@@ -37,7 +45,6 @@ from .permanent import _check_finite_nonnegative, permanent_float
 from .shape import ShapeSpec, expand_delta
 from .specialfn import SQRT_PI, gamma_half
 
-LOGDET_DIM = 40
 # Largest n at which the Laplace kernel beats batched LAPACK on 65,536
 # samples: x1.25 at n = 7, x0.71 at n = 8 (2-core Xeon, numpy 2.4 OpenBLAS).
 SMALL_DET_DIM = 7
@@ -163,39 +170,46 @@ def _top_row_values(z: np.ndarray, sigma_flat: np.ndarray, var_top: np.ndarray, 
     return acc
 
 
-def _dets(z: np.ndarray, sigma_flat: np.ndarray, n: int) -> np.ndarray:
-    """det of each row of ``z`` scaled by ``sigma_flat`` as an n x n matrix;
-    log |det| (-inf when singular) above LOGDET_DIM."""
+def _merge(acc: tuple, part: tuple) -> tuple:
+    """Fold the moments ``part`` into ``acc``.
+
+    Moments are (shift, e1, e2): the sums of |v| and v**2 over a run of
+    samples, scaled by exp(-shift) and exp(-2 * shift).  The result carries
+    the larger shift.  Plain values carry shift 0; their scale factors are
+    exactly 1.0, so they fold as plain sums.
+    """
+    shift = max(acc[0], part[0])
+    a = math.exp(acc[0] - shift)
+    b = math.exp(part[0] - shift)
+    return shift, acc[1] * a + part[1] * b, acc[2] * (a * a) + part[2] * (b * b)
+
+
+def _log_dets(z: np.ndarray, sigma_flat: np.ndarray, n: int) -> tuple:
+    """(shift, |det| * exp(-shift)) of each row of ``z`` scaled by
+    ``sigma_flat`` as an n x n matrix, through log |det|.  The shift is the
+    largest log |det|, or 0 when every matrix is singular."""
     z *= sigma_flat
-    mats = z.reshape(-1, n, n)
-    if n <= LOGDET_DIM:
-        return np.linalg.det(mats)
-    sign, logabs = np.linalg.slogdet(mats)
-    return np.where(sign == 0, -np.inf, logabs)
+    _, logabs = np.linalg.slogdet(z.reshape(-1, n, n))
+    shift = float(logabs.max())
+    if shift == -math.inf:
+        shift = 0.0
+    return shift, np.exp(logabs - shift, out=logabs)
 
 
 def _batch_absdet_moments(
     arr: np.ndarray, sigma_flat: np.ndarray, seed: int, start: int, count: int
 ):
     n = arr.shape[0]
-    rows = DET_CHUNK if n <= SMALL_DET_DIM else None
-    pieces = rng.normal_pieces(seed, start, count, _draws_per_sample(n), rows)
+    pieces = rng.normal_pieces(seed, start, count, _draws_per_sample(n), DET_CHUNK)
+    # (shift, |v| * exp(-shift)) per piece
     if n > SMALL_DET_DIM:
-        values = (_dets(z, sigma_flat, n) for z in pieces)
+        values = (_log_dets(z, sigma_flat, n) for z in pieces)
     elif n > 1:
-        values = (_top_row_values(z, sigma_flat, arr[0], n) for z in pieces)
+        values = ((0.0, _top_row_values(z, sigma_flat, arr[0], n)) for z in pieces)
     else:
-        values = (z[:, 0] * sigma_flat[0] for z in pieces)
-    if n > LOGDET_DIM:
-        return count, None, None, np.concatenate(list(values))
+        values = ((0.0, np.abs(z[:, 0]) * sigma_flat[0]) for z in pieces)
     # folded piece by piece, in stream order: no batch-sized array of values
-    s1 = 0.0
-    s2 = 0.0
-    for v in values:
-        a = np.abs(v)
-        s1 += float(a.sum())
-        s2 += float((a * a).sum())
-    return count, s1, s2, None
+    return functools.reduce(_merge, ((s, float(v.sum()), float((v * v).sum())) for s, v in values))
 
 
 def mc_abs_det(variances, samples: int, seed: int, workers: int = 1) -> MCEstimate:
@@ -203,16 +217,20 @@ def mc_abs_det(variances, samples: int, seed: int, workers: int = 1) -> MCEstima
 
     The estimate depends only on (seed, samples): the sample range is cut
     into the batches of ``rng.batches``, whose size depends only on n, and
-    their partial sums are folded in batch order, so any worker count gives
+    their moments are folded in batch order, so any worker count gives
     bitwise identical results.  For 2 <= n <= SMALL_DET_DIM (7) each sample
     draws rows 1..n-1 only and contributes E[|det| | rows 1..n-1] =
     sqrt(2/pi) * sqrt(sum_c v_0c * M_c**2), whose mean is E|det|; the minors
-    M_c come from the Laplace kernel, in fixed chunks of DET_CHUNK samples.
-    Elsewhere a sample is |det| of a whole draw: |sigma z| at n = 1, by
-    pivoted triangular factorization above SMALL_DET_DIM, and above
-    LOGDET_DIM (40) the batch moments are accumulated in the log domain.
-    At any dimension a batch holds at most PIECE_ELEMENTS normals at a time
-    (``rng.normal_pieces``).
+    M_c come from the Laplace kernel.  At n = 1 a sample is |sigma z|.
+    Above SMALL_DET_DIM a sample is |det| of a whole draw, taken in the log
+    domain from LAPACK's pivoted triangular factorization.
+
+    Samples are drawn in pieces of at most DET_CHUNK samples and
+    PIECE_ELEMENTS normals (``rng.normal_pieces``), and every piece and
+    batch folds into moments (shift, e1, e2) through ``_merge``.  The mean
+    and the stderr come from the scaled sums and are multiplied by
+    exp(shift) at the end: OverflowError only when they are past float
+    range themselves.
     """
     arr = _check_profile(variances)
     check_samples(samples)
@@ -232,44 +250,13 @@ def mc_abs_det(variances, samples: int, seed: int, workers: int = 1) -> MCEstima
             )
     else:
         results = [_batch_absdet_moments(arr, sigma_flat, seed, *b) for b in batches]
-
-    if n <= LOGDET_DIM:
-        total = 0
-        s1 = 0.0
-        s2 = 0.0
-        for count, b1, b2, _ in results:
-            total += count
-            s1 += b1
-            s2 += b2
-        mean = s1 / total
-        var = max(0.0, (s2 - total * mean * mean) / (total - 1))
-    else:
-        # streaming log-sum-exp over batches, folded in batch order
-        total = 0
-        shift = -np.inf
-        e1 = 0.0
-        e2 = 0.0
-        for count, _, _, logabs in results:
-            total += count
-            m = float(np.max(logabs, initial=-np.inf))
-            if m > shift:
-                if shift > -np.inf:
-                    scale = math.exp(shift - m)
-                    e1 *= scale
-                    e2 *= scale * scale
-                shift = m
-            if shift > -np.inf:
-                w = np.exp(logabs - shift)
-                e1 += float(w.sum())
-                e2 += float((w * w).sum())
-        if shift == -np.inf:
-            mean, var = 0.0, 0.0
-        else:
-            mean = math.exp(shift) * e1 / total
-            second = math.exp(2 * shift) * e2
-            var = max(0.0, (second - total * mean * mean) / (total - 1))
-    stderr = math.sqrt(var / total)
-    return MCEstimate(mean, stderr, samples, seed, time.perf_counter() - t0)
+    shift, e1, e2 = functools.reduce(_merge, results)
+    mean = e1 / samples
+    var = max(0.0, (e2 - samples * mean * mean) / (samples - 1))
+    scale = math.exp(shift)
+    return MCEstimate(
+        scale * mean, scale * math.sqrt(var / samples), samples, seed, time.perf_counter() - t0
+    )
 
 
 def abs_det_closed_standard(n: int) -> float:

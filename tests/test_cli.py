@@ -11,6 +11,7 @@ import pytest
 from mhroots import cli, empirical, rng
 from mhroots.bkk import _canonical
 from mhroots.cli import main
+from mhroots.shape import game_shape
 
 # The package re-exports the function ``expectation`` under the module's name.
 mx = importlib.import_module("mhroots.expectation")
@@ -84,6 +85,32 @@ class TestExpectCommand:
         assert res["provenance"] == "monte_carlo"
         assert res["stderr"] > 0
         assert "mc" in res
+
+
+    def test_closed_form_with_radicand_past_float_range(self, tmp_path, capsys):
+        # radicand 2**1240: the root 2**620 is a float, the radicand is not
+        path = _write_shape(tmp_path, {"block_sizes": [20], "degrees": [[2**62]] * 20})
+        code, rep = _run(capsys, ["expect", path])
+        assert code == 0
+        res = rep["results"]["expectation"]
+        assert res["provenance"] == "closed_form"
+        assert res["value"] == pytest.approx(2.0**620, rel=1e-12)
+        # the lower bound is the root of the BKK count 2**1240
+        _, rep = _run(capsys, ["bounds", path])
+        assert rep["results"]["lower"]["value"] == pytest.approx(2.0**620, rel=1e-12)
+
+    def test_monte_carlo_stderr_with_large_degrees(self, tmp_path, capsys):
+        # n = 20: every sample's det**2 is past float range, its stderr is not
+        game = game_shape((4,) * 5)
+        shape = {
+            "block_sizes": list(game.block_sizes),
+            "degrees": [[2**62 * d for d in row] for row in game.degrees],
+        }
+        code, rep = _run(capsys, ["expect", _write_shape(tmp_path, shape), "--samples", "4096"])
+        assert code == 0
+        res = rep["results"]["expectation"]
+        assert res["provenance"] == "monte_carlo"
+        assert 0 < res["stderr"] < res["value"] < math.inf
 
 
 class TestBoundsCommand:
@@ -210,6 +237,29 @@ class TestExitCodes:
     def test_resource_cap(self, tmp_path, capsys):
         big = {"block_sizes": [40], "degrees": [[1]] * 40}
         assert main(["bounds", _write_shape(tmp_path, big)]) == 3
+
+    @pytest.mark.parametrize(
+        "command, shape",
+        [
+            ("expect", {"block_sizes": [40], "degrees": [[2**62]] * 40}),
+            (
+                "expect",
+                {
+                    "block_sizes": [16, 16, 16],
+                    "degrees": [[2**62, 0, 0]] * 16 + [[0, 2**62, 0]] * 16 + [[0, 0, 2**62]] * 16,
+                },
+            ),
+            ("mc-det", {"block_sizes": [48], "degrees": [[2**62]] * 48}),
+            ("mc-det", {"block_sizes": [40], "degrees": [[2**62]] * 40}),
+        ],
+        ids=["closed-form-40", "product-of-three", "mc-det-48", "mc-det-40"],
+    )
+    def test_result_past_float_range(self, tmp_path, capsys, command, shape):
+        # no traceback and no Infinity, which is not JSON
+        assert main([command, _write_shape(tmp_path, shape), "--samples", "100"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("resource cap: a value is past float range (")
 
     def test_simulate_past_the_weight_cap(self, tmp_path, capsys):
         # the coefficient variances of degree 61 exceed shape.WEIGHT_DEGREE_CAP;
@@ -349,6 +399,16 @@ class TestDeclaredFlags:
             options = {o for a in sub._actions for o in a.option_strings} - {"-h", "--help"}
             assert options == KEPT_FLAGS[command], command
         assert sum(map(len, KEPT_FLAGS.values())) == 23
+
+    def test_parser_built_once_and_flags_do_not_carry_over(self, tmp_path, capsys):
+        path = _write_shape(tmp_path, BILINEAR)
+        cli.build_parser()
+        misses = cli.build_parser.cache_info().misses
+        _, rep = _run(capsys, ["expect", path, "--samples", "5"])
+        assert rep["samples"] == 5
+        _, rep = _run(capsys, ["expect", path])
+        assert rep["samples"] == 100_000
+        assert cli.build_parser.cache_info().misses == misses
 
     @pytest.mark.parametrize(
         "command, flag",

@@ -14,10 +14,11 @@ from mhroots.empirical import (
     UnsupportedFamilyError,
     ZeroPolynomialError,
     _bilinear_quadratic,
-    _coefficient_batch,
+    _coefficient_layout,
     _count,
     _count_univariate,
     _decompose,
+    _equations,
     count_real_roots,
     empirical_expectation,
     evaluate,
@@ -35,6 +36,13 @@ UNI4 = validate((1,), [[4]])
 BILINEAR = validate((1, 1), [[1, 1], [1, 1]])
 # The eigenvalue solver itself, kept before any test wraps it.
 EIGVALS = np.linalg.eigvals
+
+
+def _coefficient_batch(spec, seed: int, start: int, count: int) -> list[np.ndarray]:
+    """Per-equation coefficient arrays of stream rows start..start + count - 1,
+    of shape (count, size_i), scaled and split as ``sample_counts`` does."""
+    offsets, sigma = _coefficient_layout(spec)
+    return _equations(rng.normals(seed, start, count, int(offsets[-1])), offsets, sigma)
 
 
 def _rotation(theta: float) -> np.ndarray:
@@ -175,7 +183,6 @@ class TestEvaluate:
             v = gen.standard_normal(nj + 1)
             point.append(v / np.linalg.norm(v))
         coords = np.concatenate(point)
-        from mhroots.empirical import _coefficient_batch
         from mhroots.shape import support_exponent_matrix
 
         batches = _coefficient_batch(spec, seed=6, start=0, count=100_000)

@@ -121,6 +121,10 @@ class TestScalingFactor:
     def test_zero_size_block_ignores_multiplier(self):
         assert scaling_factor((1,), (1, 0), (1, 0)) == pytest.approx(1.0)
 
+    def test_product_past_float_range(self):
+        # prod 2**1240 is no float; its root 2**620 is
+        assert scaling_factor((2**62,) * 20, (1,), (20,)) == pytest.approx(2.0**620, rel=1e-12)
+
     def test_oracle_against_independent_mc(self):
         base_spec = validate((1, 1), [[1, 2], [2, 1]])
         scaled_spec = validate((1, 1), [[4, 8], [2, 1]])  # d=(4,1), e=(1,1)

@@ -138,14 +138,65 @@ class TestMonteCarlo:
             mc_abs_det(np.ones((2, 2)), 1, seed=0)
 
     def test_log_domain_path_matches_direct_computation(self, monkeypatch):
-        # above dimension 40 moments accumulate in the log domain; force
-        # several batches so the streaming merge is exercised too
+        # above SMALL_DET_DIM moments accumulate in the log domain; force
+        # several batches so the fold across batches is exercised too
         n = 41
         monkeypatch.setattr(rng, "BATCH_ELEMENTS", rng.SAMPLE_BLOCK * n * n)
         est = mc_abs_det(np.ones((n, n)), 4000, seed=55)
         direct = np.abs(np.linalg.det(rng.normals(55, 0, 4000, n * n).reshape(-1, n, n)))
         assert est.mean == pytest.approx(direct.mean(), rel=1e-10)
         assert est.stderr == pytest.approx(direct.std(ddof=1) / math.sqrt(4000), rel=1e-8)
+
+
+# float.hex of (mean, stderr) of mc_abs_det(_positive_profile(n), 70_000,
+# seed, workers=2), 70,000 samples being two batches.  At n <= SMALL_DET_DIM
+# values carry shift 0 and ``_merge`` scales them by exactly 1.0, so the
+# fold gives the plain sums bit for bit.
+PINNED_SMALL = (
+    (1, 3, "0x1.988350962464ep-1", "0x1.2ae5a7bc956cfp-9"),
+    (1, 11, "0x1.9a200a3a0af48p-1", "0x1.2bac0a2b2ab6fp-9"),
+    (2, 3, "0x1.030877457a4ebp+1", "0x1.3a8cf9c3e541fp-8"),
+    (2, 11, "0x1.03ad12484b2eap+1", "0x1.3c3467b03b52dp-8"),
+    (3, 3, "0x1.7030d9ad9a4b7p+2", "0x1.1e31425e9abc9p-6"),
+    (3, 11, "0x1.70c80f367d9c1p+2", "0x1.1f78fd0435354p-6"),
+    (4, 3, "0x1.307273c9267c3p+4", "0x1.0ec063ac7f5cap-4"),
+    (4, 11, "0x1.30da384743d52p+4", "0x1.10a48d8835981p-4"),
+    (5, 3, "0x1.cfffe4a6d2960p+5", "0x1.ca87498e8f2cep-3"),
+    (5, 11, "0x1.d0ef5ae361c7ap+5", "0x1.ca5ceb6d60586p-3"),
+    (6, 3, "0x1.afd9bc18b7543p+7", "0x1.cdbd68908e014p-1"),
+    (6, 11, "0x1.ae0a405b0342dp+7", "0x1.d49665a9c5f39p-1"),
+    (7, 3, "0x1.c6eaa91857e32p+9", "0x1.06bc6b9f0cf8ep+2"),
+    (7, 11, "0x1.c351501935bd1p+9", "0x1.046fddff8000ap+2"),
+)
+
+
+def _positive_profile(n: int) -> np.ndarray:
+    """Variances 1..4 in a pattern with no zero row or column."""
+    return np.array([[1.0 + (3 * i + 5 * j) % 4 for j in range(n)] for i in range(n)])
+
+
+class TestMomentFold:
+    @pytest.mark.parametrize("n, seed, mean, stderr", PINNED_SMALL)
+    def test_small_dimensions_pinned(self, n, seed, mean, stderr):
+        samples = 70_000
+        assert len(rng.batches(samples, gaussian._draws_per_sample(n))) == 2
+        est = mc_abs_det(_positive_profile(n), samples, seed, workers=2)
+        assert (est.mean.hex(), est.stderr.hex()) == (mean, stderr)
+
+    @pytest.mark.parametrize("n, log2_var, samples", [(20, 62, 2048), (44, 10, 1024)])
+    def test_scaled_profile_scales_mean_and_stderr(self, n, log2_var, samples):
+        # every entry scaled by 2**(log2_var / 2) scales |det| by
+        # 2**(n * log2_var / 2); at n = 20 the sum of det**2 is past float range
+        unit = mc_abs_det(np.ones((n, n)), samples, seed=4)
+        scaled = mc_abs_det(np.full((n, n), 2.0**log2_var), samples, seed=4)
+        factor = 2.0 ** (n * log2_var // 2)
+        assert scaled.mean == pytest.approx(factor * unit.mean, rel=1e-12)
+        assert scaled.stderr == pytest.approx(factor * unit.stderr, rel=1e-12)
+        assert unit.stderr > 0
+
+    def test_mean_past_float_range_raises(self):
+        with pytest.raises(OverflowError):
+            mc_abs_det(np.full((40, 40), 2.0**62), 100, seed=1)
 
 
 def _profile(kind: str, n: int) -> np.ndarray:

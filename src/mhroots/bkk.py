@@ -7,13 +7,15 @@ recursions that scale far past the 2^n permanent cap; both routes are exact
 big-integer arithmetic and must agree everywhere.
 
 One expansion step, ``_row_terms``, serves the recursion, the forced row
-pivot and the simple-reducibility walk (which needs no backtracking: the
-first row with at most one branch of positive sub-count decides, by the
-lemma in ``is_simply_reducible``): expanding along an equation gives one
-term per block of positive size and degree, weighted by that degree, whose
-sub-state drops the equation and one variable of the block.  States are
-canonical up to row permutations and block relabellings, both of which
-leave the count invariant, and are memoized.
+pivot and the simple-reducibility walk: expanding along an equation gives
+one term per block of positive size and degree, weighted by that degree,
+whose sub-state drops the equation and one variable of the block.  States
+are canonical up to row permutations and block relabellings, both of which
+leave the count invariant, and are memoized.  The walk needs no
+backtracking (the first row with at most one admissible branch decides, by
+the lemma in ``is_simply_reducible``) and no count: a branch is admissible
+when its sub-state's support has a perfect matching, and ``_row_terms``
+builds only the one sub-state the walk steps into.
 
 The recursion ends on table leaves.  The count of a state is the
 coefficient of prod_j x_j^{n_j} in prod_i (sum_j d_ij x_j), so a state whose
@@ -28,13 +30,14 @@ is exact (see ``_table_count``).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import shape as shape_mod
-from .permanent import MatrixTooLargeError, RYSER_CAP, permanent_exact
+from .permanent import MatrixTooLargeError, RYSER_CAP, _max_matching, permanent_exact
 from .shape import ShapeSpec, _factorial_product, expand_delta, validate
 
 EXHAUSTIVE_SPLIT_K = 12
@@ -81,17 +84,18 @@ def _canonical(blocks: tuple[int, ...], rows: tuple[tuple[int, ...], ...]):
     return blocks1, tuple(sorted(zip(*cols1)))
 
 
-def _row_terms(blocks, rows, idx):
+def _row_terms(blocks, rows, idx, only: int | None = None):
     """(block j, degree, canonical sub-state) for each nonzero term of the
-    expansion along row ``idx``: the sub-state drops the row and one
-    variable of block j.  Each sub-state is ``_canonical(sub_blocks, rest)``;
-    the rest is sorted and transposed once for all terms."""
+    expansion along row ``idx``, or for block ``only`` alone: the sub-state
+    drops the row and one variable of block j.  Each sub-state is
+    ``_canonical(sub_blocks, rest)``; the rest is sorted and transposed once
+    for all terms."""
     row = rows[idx]
     rest = rows[:idx] + rows[idx + 1 :]
     cols = list(zip(*sorted(rest))) or [()] * len(blocks)
     pairs = list(zip(blocks, cols))
     for j, nj in enumerate(blocks):
-        if nj > 0 and row[j] > 0:
+        if nj > 0 and row[j] > 0 and only in (None, j):
             pairs[j] = (nj - 1, cols[j])
             blocks1, cols1 = zip(*sorted(pairs))
             pairs[j] = (nj, cols[j])
@@ -333,17 +337,124 @@ class SimpleReducibility:
     witness: tuple[tuple[int, int | None], ...] | None
 
 
+def _perfect_matching(blocks, rows) -> list[int] | None:
+    """Block of each row in one perfect matching of the state's support, or
+    None when it has none.
+
+    Block j gives n_j slot columns and row r lists the slots of each block
+    where its degree is positive, starting at slot r mod n_j: equal rows try
+    distinct slots first, so a block of many equal rows needs no search."""
+    starts = list(itertools.accumulate(blocks, initial=0))
+    adj = []
+    for r, row in enumerate(rows):
+        slots = []
+        for j, nj in enumerate(blocks):
+            if nj > 0 and row[j] > 0:
+                first = starts[j] + r % nj
+                slots += range(first, starts[j + 1])
+                slots += range(starts[j], first)
+        adj.append(slots)
+    size, _, slot_of = _max_matching(adj, starts[-1])
+    if size < len(rows):
+        return None
+    block_of = [j for j, nj in enumerate(blocks) for _ in range(nj)]
+    return [block_of[s] for s in slot_of]
+
+
+def _strong_components(succ: list[set[int]]) -> list[int]:
+    """Label of each node's strongly connected component, by Tarjan's
+    algorithm on an explicit stack."""
+    order = [-1] * len(succ)  # discovery order
+    low = [0] * len(succ)
+    label = [-1] * len(succ)  # set when the node's component closes
+    found = 0
+    open_nodes = []
+    for root in range(len(succ)):
+        if order[root] != -1:
+            continue
+        work = [(root, iter(succ[root]))]
+        order[root] = low[root] = found
+        found += 1
+        open_nodes.append(root)
+        while work:
+            v, children = work[-1]
+            for w in children:
+                if order[w] == -1:
+                    order[w] = low[w] = found
+                    found += 1
+                    open_nodes.append(w)
+                    work.append((w, iter(succ[w])))
+                    break
+                if label[w] == -1:
+                    low[v] = min(low[v], order[w])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[v])
+                if low[v] == order[v]:
+                    while label[v] == -1:
+                        label[open_nodes.pop()] = v
+    return label
+
+
+def _move_labels(blocks, rows, matched) -> list[int]:
+    """Strong component of each block in the move graph of a matching:
+    a -> b when a row matched to block a has positive degree on a block b
+    of positive size."""
+    succ = [set() for _ in blocks]
+    live = [j for j, nj in enumerate(blocks) if nj > 0]
+    for row, a in zip(rows, matched):
+        succ[a].update(b for b in live if row[b] > 0)
+    return _strong_components(succ)
+
+
+def _admissible_blocks(blocks, rows, matchable: bool = False):
+    """Yield the admissible blocks of each row in turn: the blocks j with
+    d_ij > 0 and n_j > 0 whose term has a positive sub-count.
+
+    Every term of a count is nonnegative, so a count is positive exactly
+    when the state's column-expanded support has a perfect matching.  Given
+    one, matching row i to block m, block j is admissible exactly when j = m
+    or j reaches m in the move graph: moving one row along each edge of the
+    path frees a slot of m for the slot of j that the term uses, and
+    conversely the difference of the two matchings holds such a path.  Row i
+    gives the edge m -> j, so j reaches m exactly when both lie in one
+    strong component.  The matching and the components are computed once,
+    when a row with two or more candidate blocks needs them.  ``matchable``
+    says the state is known to have a perfect matching, so that a row with
+    one candidate block needs neither."""
+    matched = labels = None
+    if not matchable:
+        matched = _perfect_matching(blocks, rows)
+        if matched is None:  # no term has a positive sub-count
+            yield from ([] for _ in rows)
+            return
+    live = [j for j, nj in enumerate(blocks) if nj > 0]
+    for idx, row in enumerate(rows):
+        admissible = [j for j in live if row[j] > 0]
+        if len(admissible) > 1:
+            if labels is None:
+                if matched is None:
+                    matched = _perfect_matching(blocks, rows)
+                labels = _move_labels(blocks, rows, matched)
+            home = labels[matched[idx]]
+            admissible = [j for j in admissible if labels[j] == home]
+        yield admissible
+
+
 def _simply_reducible_state(blocks, rows) -> tuple[bool, tuple | None]:
     """Walk along the first row with at most one admissible block until no
-    rows are left or every row has two or more; memoize each state walked."""
+    rows are left or every row has two or more; memoize each state walked.
+
+    Admissibility is decided by matchings (``_admissible_blocks``), so the
+    walk computes no count, and only the branch it takes is expanded."""
     path = []  # (state, step) for each single-branch step taken
     state = (blocks, rows)
     while (result := _REDUCIBLE_MEMO.get(state)) is None and state[1]:
         blocks, rows = state
-        for idx in range(len(rows)):
-            admissible = [
-                (j, sub) for j, _, sub in _row_terms(blocks, rows, idx) if _bkk_state(*sub) > 0
-            ]
+        # a state entered by a step has a perfect matching: its term was admissible
+        for idx, admissible in enumerate(_admissible_blocks(blocks, rows, bool(path))):
             if len(admissible) <= 1:
                 break
         if len(admissible) > 1:
@@ -351,7 +462,7 @@ def _simply_reducible_state(blocks, rows) -> tuple[bool, tuple | None]:
         elif not admissible:
             _REDUCIBLE_MEMO[state] = (True, ((idx + 1, None),))
         else:
-            ((j, sub),) = admissible
+            ((j, _, sub),) = _row_terms(blocks, rows, idx, only=admissible[0])
             path.append((state, (idx + 1, j + 1)))
             state = sub
     ok, trace = result or (True, ())
@@ -373,5 +484,12 @@ def is_simply_reducible(spec: ShapeSpec) -> SimpleReducibility:
     support), one admissible block j scales both bounds by sqrt(d_ij), and
     two or more in every row make U(S) > sqrt(BKK(S)).  So the first row in
     canonical order with at most one decides; nothing backtracks.
+
+    A sub-count is a sum of nonnegative products, one per perfect matching
+    of the sub-shape's column-expanded support, so it is positive exactly
+    when that support has a perfect matching.  The walk decides
+    admissibility that way and computes no count: it adds nothing to the
+    count memo, and each step holds one state, its expanded support and one
+    matching.
     """
     return SimpleReducibility(*_simply_reducible_state(*_canonical(spec.block_sizes, spec.degrees)))

@@ -230,7 +230,8 @@ def mc_abs_det(variances, samples: int, seed: int, workers: int = 1) -> MCEstima
     batch folds into moments (shift, e1, e2) through ``_merge``.  The mean
     and the stderr come from the scaled sums and are multiplied by
     exp(shift) at the end: OverflowError only when they are past float
-    range themselves.
+    range themselves.  Plain values fold unscaled, so at n <= SMALL_DET_DIM
+    OverflowError also comes when the sum of |v| or of v**2 is.
     """
     arr = _check_profile(variances)
     check_samples(samples)
@@ -251,6 +252,8 @@ def mc_abs_det(variances, samples: int, seed: int, workers: int = 1) -> MCEstima
     else:
         results = [_batch_absdet_moments(arr, sigma_flat, seed, *b) for b in batches]
     shift, e1, e2 = functools.reduce(_merge, results)
+    if not (math.isfinite(e1) and math.isfinite(e2)):  # only plain values: scaled ones are <= 1
+        raise OverflowError(f"a sum of |det| or |det|**2 at n={n} is past float range")
     mean = e1 / samples
     var = max(0.0, (e2 - samples * mean * mean) / (samples - 1))
     scale = math.exp(shift)

@@ -11,7 +11,9 @@ import pytest
 from mhroots import bkk
 from mhroots.bkk import (
     DP_CELLS,
+    _admissible_blocks,
     _canonical,
+    _row_terms,
     bkk_count,
     bkk_permanent,
     bkk_recursive,
@@ -360,7 +362,8 @@ class TestRecursionDepth:
     def test_refused_at_the_real_limit(self, monkeypatch, tmp_path, capsys, wrapped):
         # 200 blocks of size 1 expand rows until the table fits: a recursion
         # as deep as that raises RecursionError (the CLI exits 3), traced or
-        # not, and memoizes no partial state
+        # not, and memoizes no partial state; the reducibility walk does not
+        # recurse and computes no count
         from mhroots.cli import main
 
         _fresh_memos(monkeypatch, DP_CELLS)
@@ -380,8 +383,9 @@ class TestRecursionDepth:
         try:
             with pytest.raises(RecursionError):
                 bkk_count(spec)
-            with pytest.raises(RecursionError):
-                is_simply_reducible(spec)
+            res = is_simply_reducible(spec)
+            assert res.reducible and len(res.witness) == 200
+            assert bkk._BKK_MEMO == {}
             assert main(["bkk", str(shallow)]) == 0
             capsys.readouterr()
             assert main(["bkk", str(deep)]) == 3
@@ -432,9 +436,21 @@ def _count_with(monkeypatch, spec, cells) -> int:
     return bkk_count(spec)
 
 
+def _count_admissible(blocks, rows) -> list[list[int]]:
+    """Admissible blocks of each row by exact sub-counts: the oracle for
+    ``_admissible_blocks``."""
+    return [
+        [j for j, _, sub in _row_terms(blocks, rows, idx) if bkk._bkk_state(*sub) > 0]
+        for idx in range(len(rows))
+    ]
+
+
 class TestMemoStates:
     # States the recursion visits on the benchmark's game shapes: a change of
     # pivot rule or canonical form shows up here before it shows up in time.
+    # The reducibility walk decides by matchings and adds no state; deciding
+    # every row by exact sub-counts instead brings the memo to
+    # ``with_reducibility``.
     @pytest.mark.parametrize(
         "sizes, count, states, with_reducibility",
         [
@@ -450,6 +466,11 @@ class TestMemoStates:
         assert bkk_count(spec) == count
         assert len(bkk._BKK_MEMO) == states
         assert not is_simply_reducible(spec).reducible
+        assert len(bkk._BKK_MEMO) == states
+        canonical = _canonical(spec.block_sizes, spec.degrees)
+        by_counts = _count_admissible(*canonical)
+        assert all(len(blocks) >= 2 for blocks in by_counts)
+        assert list(_admissible_blocks(*canonical)) == by_counts
         assert len(bkk._BKK_MEMO) == with_reducibility
 
     @pytest.mark.parametrize(
@@ -462,12 +483,16 @@ class TestMemoStates:
         ],
     )
     def test_game_shapes_on_table_leaves(self, monkeypatch, sizes, count, with_reducibility):
-        # each shape fits one table; reducibility adds its distinct sub-states
+        # each shape fits one table; the walk adds no state, and sub-counts
+        # of every row add the shape's distinct sub-states
         _fresh_memos(monkeypatch, DP_CELLS)
         spec = game_shape(sizes)
         assert bkk_count(spec) == count
         assert len(bkk._BKK_MEMO) == 1
         assert not is_simply_reducible(spec).reducible
+        assert len(bkk._BKK_MEMO) == 1
+        canonical = _canonical(spec.block_sizes, spec.degrees)
+        assert list(_admissible_blocks(*canonical)) == _count_admissible(*canonical)
         assert len(bkk._BKK_MEMO) == with_reducibility
 
 
@@ -480,6 +505,45 @@ def _random_state_shape(rng):
     degrees = rng.integers(0, 6, size=(sum(sizes), k)) * (rng.random((sum(sizes), k)) < 0.8)
     degrees[rng.random(sum(sizes)) < 0.02] = 0
     return validate(sizes, degrees.tolist())
+
+
+def _cycle_shape(n: int):
+    """n blocks of size 1; row i has degree 1 in block i and 2 in block i + 1 mod n."""
+    degrees = [[0] * n for _ in range(n)]
+    for i in range(n):
+        degrees[i][i], degrees[i][(i + 1) % n] = 1, 2
+    return validate((1,) * n, degrees)
+
+
+class TestMatchingAdmissibility:
+    def test_random_states_against_sub_counts(self, monkeypatch):
+        # every term of every row, on states with zero-size blocks, all-zero
+        # rows and zero counts, in canonical and in drawn row order
+        _fresh_memos(monkeypatch, DP_CELLS)
+        rng = np.random.default_rng(2323)
+        zero_counts = narrow_rows = 0
+        for _ in range(1000):
+            spec = _random_state_shape(rng)
+            for blocks, rows in [
+                (spec.block_sizes, spec.degrees),
+                _canonical(spec.block_sizes, spec.degrees),
+            ]:
+                by_counts = _count_admissible(blocks, rows)
+                assert list(_admissible_blocks(blocks, rows)) == by_counts, spec
+                if bkk._bkk_state(*_canonical(blocks, rows)) > 0:
+                    assert list(_admissible_blocks(blocks, rows, True)) == by_counts, spec
+                else:
+                    zero_counts += 1
+                narrow_rows += sum(len(b) == 1 for b in by_counts)
+        assert zero_counts >= 100 and narrow_rows >= 1000
+
+    def test_cycle_of_300_computes_no_count(self, monkeypatch):
+        # deciding by sub-counts takes every row's here: more than 3 GB
+        _fresh_memos(monkeypatch, DP_CELLS)
+        res = is_simply_reducible(_cycle_shape(300))
+        assert (res.reducible, res.witness) == (False, None)
+        assert bkk._BKK_MEMO == {}
+        assert len(bkk._REDUCIBLE_MEMO) == 1
 
 
 class TestTableLeaves:

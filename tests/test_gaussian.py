@@ -198,6 +198,14 @@ class TestMomentFold:
         with pytest.raises(OverflowError):
             mc_abs_det(np.full((40, 40), 2.0**62), 100, seed=1)
 
+    @pytest.mark.parametrize("n, variance", [(2, 1e300), (4, 1e150), (7, 1e44)])
+    def test_plain_sums_past_float_range_raise(self, n, variance):
+        # plain values fold unscaled, so their sums overflow here; unchecked,
+        # the estimate read a mean of inf or nan with stderr 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(OverflowError, match="past float range"):
+                mc_abs_det(np.full((n, n), variance), 4096, seed=1)
+
 
 def _profile(kind: str, n: int) -> np.ndarray:
     if kind == "unit":

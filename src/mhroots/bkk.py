@@ -445,31 +445,31 @@ def _admissible_blocks(blocks, rows, matchable: bool = False):
 
 def _simply_reducible_state(blocks, rows) -> tuple[bool, tuple | None]:
     """Walk along the first row with at most one admissible block until no
-    rows are left or every row has two or more; memoize each state walked.
+    rows are left or every row has two or more; memoize the state the walk
+    started from.
 
     Admissibility is decided by matchings (``_admissible_blocks``), so the
-    walk computes no count, and only the branch it takes is expanded."""
-    path = []  # (state, step) for each single-branch step taken
-    state = (blocks, rows)
+    walk computes no count, and only the branch it takes is expanded.  It
+    holds one state at a time and the (row, block) step of each state it
+    left, so its memory is that of one state, whatever the path's length."""
+    start = state = (blocks, rows)
+    steps = []
     while (result := _REDUCIBLE_MEMO.get(state)) is None and state[1]:
         blocks, rows = state
         # a state entered by a step has a perfect matching: its term was admissible
-        for idx, admissible in enumerate(_admissible_blocks(blocks, rows, bool(path))):
+        for idx, admissible in enumerate(_admissible_blocks(blocks, rows, bool(steps))):
             if len(admissible) <= 1:
                 break
-        if len(admissible) > 1:
-            _REDUCIBLE_MEMO[state] = (False, None)
-        elif not admissible:
-            _REDUCIBLE_MEMO[state] = (True, ((idx + 1, None),))
-        else:
-            ((j, _, sub),) = _row_terms(blocks, rows, idx, only=admissible[0])
-            path.append((state, (idx + 1, j + 1)))
-            state = sub
+        if len(admissible) != 1:
+            result = (True, ((idx + 1, None),)) if not admissible else (False, None)
+            break
+        ((j, _, sub),) = _row_terms(blocks, rows, idx, only=admissible[0])
+        steps.append((idx + 1, j + 1))
+        state = sub
     ok, trace = result or (True, ())
-    for state, step in reversed(path):
-        if ok:
-            trace = (step,) + trace
-        _REDUCIBLE_MEMO[state] = (ok, trace)
+    if ok:
+        trace = tuple(steps) + trace
+    _REDUCIBLE_MEMO[start] = (ok, trace)
     return ok, trace
 
 

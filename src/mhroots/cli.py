@@ -458,6 +458,9 @@ def main(argv=None) -> int:
     except (MatrixTooLargeError, SupportTooLargeError, RecursionError) as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_TOO_LARGE
+    except MemoryError:
+        print("resource cap: out of memory", file=sys.stderr)
+        return EXIT_TOO_LARGE
     except OverflowError as exc:
         print(f"resource cap: a value is past float range ({exc})", file=sys.stderr)
         return EXIT_TOO_LARGE

@@ -20,7 +20,10 @@ each shape through, in order (the result's ``kind`` in brackets):
 6. for n = 3, the exact mean |det| of a 3 x 3 matrix, a 2-D integral over
    the sphere taken by tanh-sinh quadrature ("exact_3x3", see
    ``abs_det_3x3``), unless the rule's two levels disagree;
-7. otherwise Monte Carlo estimation of the determinant factor
+7. for two blocks, one of size 1 (P^1 x P^m), the exact mean |det|, a 1-D
+   integral taken by the trapezoid rule ("exact_p1", see ``abs_det_p1``),
+   unless the rule's two levels disagree;
+8. otherwise Monte Carlo estimation of the determinant factor
    ("monte_carlo").
 
 Every result is a pure function of (seed, canonical shape, samples): the
@@ -37,10 +40,10 @@ again under the same seed and sample count, as ``bounds`` and each
 ``row_recursion_check`` of a shape do, estimates it once.  A shape that
 steps 4 or 5 resolve also has a Monte Carlo estimate of its own, under its
 own memo key, for the checks that must compare independent values
-(``expectation(..., reduce=False)``); step 6 has none, as its value is
-computed independently of the n = 2 values it is compared with.  The memo
-holds only what recomputing would give; ``_EXPECTATION_MEMO.clear()``
-empties it.
+(``expectation(..., reduce=False)``); steps 6 and 7 have none, as their
+values are computed independently of the values at n - 1 they are compared
+with.  The memo holds only what recomputing would give;
+``_EXPECTATION_MEMO.clear()`` empties it.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ from .bkk import _canonical, bkk_count, is_simply_reducible, product_split
 from .gaussian import MCEstimate, mc_abs_det, variance_profile
 from .permanent import has_zero_block, permanent_float
 from .shape import ShapeSpec, _factorial_product, expand_delta, validate
-from .specialfn import SQRT_PI, ellipe, gamma_half
+from .specialfn import SQRT_PI, ellipe, gamma_half, log_gamma_half
 
 DEFAULT_SAMPLES = 100_000
 LOG_PREFACTOR_DIM = 60
@@ -73,9 +76,11 @@ EXPECTATION_MEMO_SIZE = 4096
 # quadrature ("exact_3x3") is not among them: its value is computed
 # independently of the 2 x 2 values of the sub-shapes, so a row check on an
 # n = 3 shape compares independent exact values and is a FAIL-level check.
+# Nor is the P^1 x P^m value ("exact_p1"): its sub-shapes have one block
+# (closed form) or are P^1 x P^(m-1), whose value is another integral.
 REDUCED_KINDS = ("peel", "exact_2x2")
 # Tanh-sinh level of the 3 x 3 rule, the relative gap to the half level that
-# it accepts, and the theta rows evaluated at once.
+# it and the P^1 x P^m rule accept, and the theta rows evaluated at once.
 EXACT_3X3_LEVEL = 64
 EXACT_3X3_RTOL = 1e-8
 EXACT_3X3_CHUNK = 32
@@ -111,8 +116,8 @@ class ExpectationResult:
     """Expected real-root count with provenance.
 
     ``kind`` is one of "closed_form", "product", "zero", "peel",
-    "exact_2x2", "exact_3x3", "monte_carlo"; ``closed`` carries the exact
-    symbolic value on the closed-form path and ``mc`` the raw |det| estimate
+    "exact_2x2", "exact_3x3", "exact_p1", "monte_carlo"; ``closed`` carries
+    the exact symbolic value on the closed-form path and ``mc`` the raw |det| estimate
     on the Monte Carlo path.  A product's ``parts`` are its two factors; a peel's
     ``parts`` hold its residual (none when nothing is left) and ``peeled``
     the exact product P of the peeled degrees, the value being sqrt(P) times
@@ -350,12 +355,13 @@ def expectation(
 
     Dispatch order: product decomposition, rank-one closed form, exact zero
     when the generic complex-root count vanishes, the peel, the exact 2 x 2
-    value, the exact 3 x 3 value, Monte Carlo otherwise.  With
-    ``reduce=False`` a shape that the peel or the 2 x 2 value would resolve
-    gets its own Monte Carlo estimate instead, memoized under its own key;
-    the 3 x 3 value is kept (see REDUCED_KINDS).  The shape is resolved as
-    its canonical representative, through the memo; ``workers`` never
-    changes a result, so it is not part of the key.
+    value, the exact 3 x 3 value, the exact P^1 x P^m value, Monte Carlo
+    otherwise.  With ``reduce=False`` a shape that the peel or the 2 x 2
+    value would resolve gets its own Monte Carlo estimate instead, memoized
+    under its own key; the 3 x 3 and P^1 x P^m values are kept (see
+    REDUCED_KINDS).  The shape is resolved as its canonical representative,
+    through the memo; ``workers`` never changes a result, so it is not part
+    of the key.
     """
     blocks, rows = _canonical(spec.block_sizes, spec.degrees)
     canonical = ShapeSpec(blocks, rows)
@@ -412,6 +418,10 @@ def _dispatch(spec: ShapeSpec, samples: int, seed: int, workers: int) -> Expecta
         if value is not None:
             pf = prefactor(spec)
             return ExpectationResult(pf * value, "exact_3x3", pf)
+    value = abs_det_p1(spec)
+    if value is not None:
+        pf = prefactor(spec)
+        return ExpectationResult(pf * value, "exact_p1", pf)
     return _monte_carlo(spec, samples, seed, workers)
 
 
@@ -568,6 +578,71 @@ def abs_det_3x3(variances) -> float | None:
     return (2.0 / math.pi) ** 2 * 2.0 * math.sqrt(2.0 / math.pi) * float(fine)
 
 
+def abs_det_p1(spec: ShapeSpec) -> float | None:
+    """Exact E|det Z| of a shape with two blocks, one of size 1 (P^1 x P^m),
+    by a 1-D integral; None for any other shape, when a row has degree 0 on
+    the other block (the peel drops such rows first), or when the rule's
+    two levels differ by more than EXACT_3X3_RTOL.
+
+    Row i has degree a_i on the size-1 block and b_i on the other, whose n - 1
+    columns are G = D_b**(1/2) H, with H standard Gaussian.  Given G, det Z
+    is normal with variance sum_i a_i M_i**2 over the maximal minors M_i of
+    G, and M_i = sqrt(prod_k b_k / b_i) times the minor m_i of H.  The
+    vector of the m_i is sqrt(det H^T H) u, with u uniform on the sphere and
+    independent of its length (rotation invariance, as in Edelman & Kostlan
+    1995), and E sqrt(det H^T H) = 2**((n-1)/2) Gamma((n+1)/2) by the
+    Bartlett decomposition.  With u = g / |g| for g standard in R^n and
+    w_i = a_i / b_i:
+
+        E|det Z| = sqrt(2/pi) 2**((n-2)/2) Gamma(n/2) sqrt(prod_i b_i)
+                   * E sqrt(sum_i w_i g_i**2),
+
+    and E sqrt(X) = (1 / (2 sqrt(pi))) int_0^inf (1 - E exp(-t X)) t**(-3/2) dt
+    with E exp(-t X) = prod_i (1 + 2 w_i t)**(-1/2).  The w are scaled by
+    their largest entry, so that one is 1 and the integral is at least
+    2 sqrt(2); the integrand in x = log t is then at most
+    min(n exp(x/2), exp(-x/2)), and the rule's range [-100, 80] leaves out
+    less than 1e-16 of it below n = 10**5.  The integrand is analytic in
+    the strip |Im x| < pi, so the trapezoid rule's error falls as
+    exp(-2 pi**2 / h): at the step h = 1/4, 721 nodes, it is far below the
+    float error, and the rule on every other node, with no further
+    evaluation, is the check.  The factor before the mean is formed in the
+    log domain, so degrees past float range give OverflowError only when
+    E|det Z| itself is past it.
+    """
+    if len(spec.block_sizes) != 2 or min(spec.block_sizes) != 1:
+        return None
+    single = spec.block_sizes.index(1)
+    a = [row[single] for row in spec.degrees]
+    b = [row[1 - single] for row in spec.degrees]
+    if 0 in b:
+        return None
+    w = np.array([ai / bi for ai, bi in zip(a, b)])
+    w_max = float(w.max())
+    if w_max == 0.0:  # the size-1 block's column is zero
+        return 0.0
+    x = np.arange(-400, 321) / 4.0
+    # 1 - prod_i (1 + 2 w_i t)**(-1/2), without cancellation at small t
+    f = -np.expm1(-0.5 * np.log1p(np.outer(np.exp(x), (2.0 / w_max) * w)).sum(axis=1))
+    f *= 0.25 * np.exp(-0.5 * x)  # the step times t**(-1/2)
+    fine = float(f.sum())
+    coarse = 2.0 * float(f[::2].sum())
+    if abs(fine - coarse) > EXACT_3X3_RTOL * fine:
+        return None
+    n = spec.n
+    log_value = (
+        0.5 * (n - 2) * math.log(2.0)
+        + log_gamma_half(n)
+        + 0.5 * (math.log(math.prod(b)) + math.log(w_max))
+        # sqrt(2/pi) / (2 sqrt(pi)) = 1 / (sqrt(2) pi)
+        + math.log(fine / (math.sqrt(2.0) * math.pi))
+    )
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        raise OverflowError(f"E|det Z| at n={n} is past float range") from None
+
+
 def bounds(
     spec: ShapeSpec, samples: int = DEFAULT_SAMPLES, seed: int = 0, workers: int = 1
 ) -> BoundsReport:
@@ -616,7 +691,8 @@ def row_recursion_check(
     the 2 x 2 value resolves is compared with its own Monte Carlo estimate:
     the peel is the very equality these rows test.  An n = 3 shape keeps
     its exact 3 x 3 value, which is computed independently of the 2 x 2
-    values of its sub-shapes, so its rows compare exact values.
+    values of its sub-shapes, so its rows compare exact values; so does a
+    P^1 x P^m shape its exact value.
     """
     if not 1 <= row <= spec.n:
         raise ValueError(f"row index {row} outside 1..{spec.n}")

@@ -545,6 +545,15 @@ class TestMatchingAdmissibility:
         assert bkk._BKK_MEMO == {}
         assert len(bkk._REDUCIBLE_MEMO) == 1
 
+    def test_walk_memoizes_only_its_start(self, monkeypatch):
+        # 300 steps, each into a state of its own: memory of one state, not 300
+        _fresh_memos(monkeypatch, DP_CELLS)
+        diagonal = validate((1,) * 300, np.eye(300, dtype=int).tolist())
+        res = is_simply_reducible(diagonal)
+        assert res.reducible and len(res.witness) == 300
+        assert len(bkk._REDUCIBLE_MEMO) == 1
+        assert is_simply_reducible(diagonal) == res  # from the memo
+
 
 class TestTableLeaves:
     """Table leaves against pure row expansion (DP_CELLS = 0) as the oracle."""

@@ -19,8 +19,9 @@ mx = importlib.import_module("mhroots.expectation")
 BILINEAR = {"block_sizes": [1, 1], "degrees": [[1, 1], [1, 1]]}
 QUARTIC = {"block_sizes": [1], "degrees": [[4]]}
 MIXED = {"block_sizes": [1, 1], "degrees": [[1, 2], [2, 1]]}
-# n = 4, neither factors, splits, peels nor vanishes: the Monte Carlo path
-MIXED_4 = {"block_sizes": [1, 3], "degrees": [[1, 2], [2, 1], [1, 3], [2, 2]]}
+# n = 4, neither factors, splits, peels nor vanishes, and has three blocks:
+# the Monte Carlo path
+MIXED_4 = {"block_sizes": [1, 1, 2], "degrees": [[1, 1, 2], [2, 1, 1], [1, 2, 1], [1, 1, 3]]}
 
 
 def _write_shape(tmp_path, data, name="shape.json"):
@@ -297,6 +298,16 @@ class TestExitCodes:
         assert rep["results"]["simply_reducible"] is True
         assert rep["results"]["witness"] == [[1, 1]] * 1100
 
+    def test_out_of_memory_is_a_resource_cap(self, tmp_path, capsys, monkeypatch):
+        def exhausted(spec):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "bkk_recursive", exhausted)
+        assert main(["bkk", _write_shape(tmp_path, BILINEAR)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "resource cap: out of memory\n"
+
     def test_bkk_deep_within_the_recursion_limit(self, tmp_path, capsys):
         deep = {"block_sizes": [900], "degrees": [[1]] * 900}
         code, rep = _run(capsys, ["bkk", _write_shape(tmp_path, deep)])
@@ -563,11 +574,24 @@ class TestVerifyCommand:
         exact = []
         original_exact = mx.abs_det_3x3
         monkeypatch.setattr(mx, "abs_det_3x3", lambda var: exact.append(1) or original_exact(var))
-        argv = ["verify", "--count", "30", "--n-max", "4", "--samples", "2000", "--seed", "0"]
+        # the first 30 shapes make no Monte Carlo estimate at all
+        argv = ["verify", "--count", "60", "--n-max", "4", "--samples", "2000", "--seed", "0"]
         code, rep = _run(capsys, argv)
         assert code == 0 and exact and profiles
         assert (3, 3) not in profiles
         assert {c["status"] for c in rep["results"]["checks"]} == {"PASS"}
+
+    def test_p1_shapes_reach_monte_carlo_only_as_independent_middles(self, capsys):
+        # a P^1 x P^m shape resolves exactly; only a row check's middle of a
+        # peeled one, memoized under its own key, has a Monte Carlo estimate
+        mx._EXPECTATION_MEMO.clear()
+        code, rep = _run(capsys, ["verify", "--count", "100", "--samples", "2000", "--seed", "0"])
+        assert code == 0 and {c["status"] for c in rep["results"]["checks"]} == {"PASS"}
+        p1 = [(key, res) for key, res in mx._EXPECTATION_MEMO.items()
+              if len(key[0]) == 2 and min(key[0]) == 1]
+        plain = [res.kind for key, res in p1 if len(key) == 4]
+        assert "exact_p1" in plain and "monte_carlo" not in plain
+        assert any(key[4:] == ("monte_carlo",) for key, _ in p1)
 
     def test_report_independent_of_workers(self, capsys, monkeypatch):
         # one-block batches, so every estimate of 4096 samples folds four batches

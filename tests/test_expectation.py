@@ -14,6 +14,7 @@ from mhroots.expectation import (
     EXPECTATION_MEMO_SIZE,
     abs_det_2x2,
     abs_det_3x3,
+    abs_det_p1,
     bounds,
     closed_form,
     derive_seed,
@@ -262,11 +263,11 @@ class TestRowRecursion:
                 assert rep.holds, (spec, i)
 
 
-# not rank one, no product split, nonzero count, nothing to peel, n = 4: the
-# Monte Carlo path
-MC_SHAPE = validate((1, 3), [[1, 2], [2, 1], [1, 3], [2, 2]])
-# the same shape with its blocks swapped and its rows reversed
-MC_SHAPE_PERMUTED = validate((3, 1), [[2, 2], [3, 1], [1, 2], [2, 1]])
+# not rank one, no product split, nonzero count, nothing to peel, n = 4 on
+# three blocks: the Monte Carlo path
+MC_SHAPE = validate((1, 1, 2), [[1, 1, 2], [2, 1, 1], [1, 2, 1], [1, 1, 3]])
+# the same shape with its last block moved first and its rows reversed
+MC_SHAPE_PERMUTED = validate((2, 1, 1), [[3, 1, 1], [1, 1, 2], [1, 2, 1], [2, 1, 1]])
 
 
 class TestCanonicalMemo:
@@ -323,9 +324,9 @@ class TestSharedEstimateErrors:
 
     def test_product_of_one_estimate_with_itself(self):
         spec = validate(
-            (1, 3, 1, 3),
-            [[1, 2, 0, 0], [2, 1, 0, 0], [1, 3, 0, 0], [2, 2, 0, 0],
-             [0, 0, 1, 2], [0, 0, 2, 1], [0, 0, 1, 3], [0, 0, 2, 2]],
+            (1, 1, 2, 1, 1, 2),
+            [[1, 1, 2, 0, 0, 0], [2, 1, 1, 0, 0, 0], [1, 2, 1, 0, 0, 0], [1, 1, 3, 0, 0, 0],
+             [0, 0, 0, 1, 1, 2], [0, 0, 0, 2, 1, 1], [0, 0, 0, 1, 2, 1], [0, 0, 0, 1, 1, 3]],
         )
         res = expectation(spec, samples=4_000, seed=5)
         left, right = res.parts
@@ -335,9 +336,9 @@ class TestSharedEstimateErrors:
 
     def test_independent_parts_still_add_in_quadrature(self):
         spec = validate(
-            (1, 3, 1, 3),
-            [[1, 2, 0, 0], [2, 1, 0, 0], [1, 3, 0, 0], [2, 2, 0, 0],
-             [0, 0, 1, 2], [0, 0, 2, 1], [0, 0, 1, 4], [0, 0, 2, 2]],
+            (1, 1, 2, 1, 1, 2),
+            [[1, 1, 2, 0, 0, 0], [2, 1, 1, 0, 0, 0], [1, 2, 1, 0, 0, 0], [1, 1, 3, 0, 0, 0],
+             [0, 0, 0, 1, 1, 2], [0, 0, 0, 2, 1, 1], [0, 0, 0, 1, 2, 1], [0, 0, 0, 1, 1, 4]],
         )
         res = expectation(spec, samples=4_000, seed=5)
         left, right = res.parts
@@ -360,9 +361,10 @@ def cycle_shape(n: int, degree: int = 2) -> ShapeSpec:
 # Row 1 lives in block 1 alone (size 2): the peel drops it, and its residual
 # (1, 2) [[1, 1], [2, 1], [1, 2]] has the exact 3 x 3 value.
 PEEL_SHAPE = validate((2, 2), [[3, 0], [1, 1], [2, 1], [1, 2]])
-# The same with a fifth equation: its residual, with n = 4, goes to Monte Carlo.
-PEEL_SHAPE_MC = validate((2, 3), [[3, 0], [1, 1], [2, 1], [1, 2], [2, 2]])
-PEEL_RESIDUAL_MC = validate((1, 3), [[1, 1], [2, 1], [1, 2], [2, 2]])
+# Row 1 lives in block 3 alone (size 3): the residual, MC_SHAPE with n = 4 on
+# three blocks, goes to Monte Carlo.
+PEEL_SHAPE_MC = validate((1, 1, 3), [[0, 0, 3], [1, 1, 2], [2, 1, 1], [1, 2, 1], [1, 1, 3]])
+PEEL_RESIDUAL_MC = MC_SHAPE
 MIXED_2x2 = validate((1, 1), [[1, 2], [2, 1]])
 
 
@@ -388,6 +390,8 @@ class TestExact2x2:
 
 
 MIXED_3x3 = validate((1, 2), [[1, 2], [2, 1], [1, 3]])
+# n = 3 on three blocks, outside the P^1 x P^m family
+THREE_BLOCK_3x3 = validate((1, 1, 1), [[1, 1, 1], [1, 2, 1], [2, 1, 1]])
 
 
 class TestExact3x3:
@@ -426,7 +430,7 @@ class TestExact3x3:
 
     def test_falls_back_to_monte_carlo_when_the_levels_disagree(self, monkeypatch):
         monkeypatch.setattr(mx, "EXACT_3X3_RTOL", 0.0)
-        res = expectation(MIXED_3x3, samples=4_000, seed=2)
+        res = expectation(THREE_BLOCK_3x3, samples=4_000, seed=2)
         assert res.kind == "monte_carlo" and res.stderr > 0
 
     def test_row_checks_compare_exact_values(self):
@@ -436,6 +440,90 @@ class TestExact3x3:
         for i in range(1, 4):
             rep = row_recursion_check(MIXED_3x3, i, seed=3)
             assert rep.middle.kind == "exact_3x3"
+            assert rep.middle.stderr == rep.upper_stderr == rep.lower_stderr == 0.0
+            assert rep.holds
+
+
+def p1_shape(a, b) -> ShapeSpec:
+    """Blocks (1, n - 1): row i has degree a_i on the size-1 block, b_i on the other."""
+    return validate((1, len(a) - 1), [[int(x), int(y)] for x, y in zip(a, b)])
+
+
+# n = 4 on blocks (1, 3): neither factors, splits, peels nor vanishes
+MIXED_P1 = p1_shape([1, 2, 1, 2], [2, 1, 3, 2])
+
+
+class TestExactP1:
+    def test_rank_one_members_are_the_closed_form(self):
+        gen = np.random.default_rng(2401)
+        for n in range(2, 41):
+            d, e = gen.integers(1, 6, size=n), gen.integers(1, 5, size=2)
+            spec = p1_shape(d * e[0], d * e[1])
+            value = prefactor(spec) * abs_det_p1(spec)
+            assert value == pytest.approx(closed_form(spec).value, rel=1e-12), spec
+
+    def test_against_the_2x2_and_3x3_values(self):
+        gen = np.random.default_rng(2402)
+        for n, exact in ((2, abs_det_2x2), (3, abs_det_3x3)):
+            for _ in range(5):
+                spec = p1_shape(gen.integers(1, 6, size=n), gen.integers(1, 6, size=n))
+                expected = exact(variance_profile(spec))
+                assert abs_det_p1(spec) == pytest.approx(expected, rel=1e-13), spec
+
+    def test_against_monte_carlo_on_random_members(self):
+        gen = np.random.default_rng(2403)
+        for n in range(4, 8):
+            spec = p1_shape(gen.integers(0, 5, size=n), gen.integers(1, 5, size=n))
+            est = mc_abs_det(variance_profile(spec), 1_000_000, seed=2410 + n)
+            assert abs(abs_det_p1(spec) - est.mean) <= 4 * est.stderr, spec
+
+    def test_block_order_does_not_matter(self):
+        swapped = validate((3, 1), [row[::-1] for row in MIXED_P1.degrees])
+        assert abs_det_p1(swapped) == abs_det_p1(MIXED_P1)
+
+    def test_other_shapes_are_refused(self):
+        assert abs_det_p1(MC_SHAPE) is None  # three blocks
+        assert abs_det_p1(validate((2, 2), [[1, 2], [2, 1], [1, 3], [2, 2]])) is None
+        # a row with degree 0 on the other block: the peel drops it first
+        assert abs_det_p1(p1_shape([1, 2, 1, 2], [2, 1, 0, 2])) is None
+
+    def test_zero_column_gives_zero(self):
+        assert abs_det_p1(p1_shape([0, 0, 0], [1, 2, 3])) == 0.0
+
+    def test_every_p1_shape_left_over_is_exact(self):
+        res = expectation(MIXED_P1, samples=2, seed=2)
+        assert res.kind == "exact_p1" and res.stderr == 0.0 and res.mc is None
+        assert res.value == res.prefactor * abs_det_p1(MIXED_P1)
+
+    def test_falls_back_to_monte_carlo_when_the_levels_disagree(self, monkeypatch):
+        monkeypatch.setattr(mx, "EXACT_3X3_RTOL", 0.0)
+        assert abs_det_p1(MIXED_P1) is None
+        res = expectation(MIXED_P1, samples=4_000, seed=2)
+        assert res.kind == "monte_carlo" and res.stderr > 0
+
+    def test_degrees_near_2_62_are_finite(self):
+        a, b = [1, 2, 1, 2], [2, 1, 3, 2]
+        big = p1_shape([2**61 * x for x in a], [2**61 * y for y in b])
+        # scaling every degree by s scales E|det Z| by s**(n/2)
+        assert abs_det_p1(big) == pytest.approx(2.0**122 * abs_det_p1(p1_shape(a, b)), rel=1e-12)
+        spread = p1_shape([2**62, 1, 3, 2**62], [1, 2**62, 2**62, 3])
+        assert math.isfinite(abs_det_p1(spread)) and abs_det_p1(spread) > 0.0
+        res = expectation(spread, samples=2, seed=0)
+        assert res.kind == "exact_p1" and math.isfinite(res.value)
+
+    def test_past_float_range_raises(self):
+        # sqrt(prod b) = 2**(31 * 40) alone is past float range
+        spec = p1_shape([1] + [2] * 39, [2**62] * 40)
+        with pytest.raises(OverflowError, match="past float range"):
+            abs_det_p1(spec)
+
+    def test_row_checks_compare_exact_values(self):
+        # the kind is not a reduced one: the middle is the exact value itself,
+        # and the sub-shapes have one block or are P^1 x P^2, all exact
+        assert expectation(MIXED_P1, seed=3, reduce=False) is expectation(MIXED_P1, seed=3)
+        for i in range(1, 5):
+            rep = row_recursion_check(MIXED_P1, i, seed=3)
+            assert rep.middle.kind == "exact_p1"
             assert rep.middle.stderr == rep.upper_stderr == rep.lower_stderr == 0.0
             assert rep.holds
 

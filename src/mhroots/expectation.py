@@ -15,15 +15,15 @@ each shape through, in order (the result's ``kind`` in brackets):
    size makes the paper's row inequalities an equality, E = sqrt(d_ij) *
    E(sub-shape), so every such equation is dropped and its block shrunk,
    to a fixed point, and the residual goes through the dispatcher again;
-5. for n = 2, the exact mean |det| of a 2 x 2 matrix, the perimeter of an
-   ellipse over 2 pi ("exact_2x2", see ``abs_det_2x2``);
+5. for two blocks of positive size, one of size 1 (P^1 x P^m, every n = 2
+   shape left over among them), the exact mean |det|, a 1-D integral taken
+   by the trapezoid rule ("exact_p1", see ``abs_det_p1``), unless the
+   rule's two levels disagree;
 6. for n = 3, the exact mean |det| of a 3 x 3 matrix, a 2-D integral over
    the sphere taken by tanh-sinh quadrature ("exact_3x3", see
-   ``abs_det_3x3``), unless the rule's two levels disagree;
-7. for two blocks, one of size 1 (P^1 x P^m), the exact mean |det|, a 1-D
-   integral taken by the trapezoid rule ("exact_p1", see ``abs_det_p1``),
-   unless the rule's two levels disagree;
-8. otherwise Monte Carlo estimation of the determinant factor
+   ``abs_det_3x3``), unless the rule's two levels disagree: in practice
+   only P^1 x P^1 x P^1 is left for it;
+7. otherwise Monte Carlo estimation of the determinant factor
    ("monte_carlo").
 
 Every result is a pure function of (seed, canonical shape, samples): the
@@ -38,9 +38,9 @@ out (see ``gaussian``).  Results are memoized in _EXPECTATION_MEMO, at
 most EXPECTATION_MEMO_SIZE of them, so a run that asks for one shape
 again under the same seed and sample count, as ``bounds`` and each
 ``row_recursion_check`` of a shape do, estimates it once.  A shape that
-steps 4 or 5 resolve also has a Monte Carlo estimate of its own, under its
-own memo key, for the checks that must compare independent values
-(``expectation(..., reduce=False)``); steps 6 and 7 have none, as their
+step 4 resolves also has a Monte Carlo estimate of its own, under its own
+memo key, for the checks that must compare independent values
+(``expectation(..., reduce=False)``); steps 5 and 6 have none, as their
 values are computed independently of the values at n - 1 they are compared
 with.  The memo holds only what recomputing would give;
 ``_EXPECTATION_MEMO.clear()`` empties it.
@@ -72,13 +72,12 @@ STDERR_MULT = 4.0
 # README's verify run (100 shapes) stores 330.
 EXPECTATION_MEMO_SIZE = 4096
 # Kinds of the exact reductions that ``reduce=False`` replaces by Monte Carlo.
-# A row check on a peeled shape would compare a value with itself.  The 3 x 3
-# quadrature ("exact_3x3") is not among them: its value is computed
-# independently of the 2 x 2 values of the sub-shapes, so a row check on an
-# n = 3 shape compares independent exact values and is a FAIL-level check.
-# Nor is the P^1 x P^m value ("exact_p1"): its sub-shapes have one block
-# (closed form) or are P^1 x P^(m-1), whose value is another integral.
-REDUCED_KINDS = ("peel", "exact_2x2")
+# A row check on a peeled shape would compare a value with itself.  The exact
+# values "exact_p1" and "exact_3x3" are not among them: each is computed
+# independently of the values of its sub-shapes, which have one block (closed
+# form), are P^1 x P^(m-1) (another integral) or are P^1 x P^1, so a row check
+# on such a shape compares independent exact values and is a FAIL-level check.
+REDUCED_KINDS = ("peel",)
 # Tanh-sinh level of the 3 x 3 rule, the relative gap to the half level that
 # it and the P^1 x P^m rule accept, and the theta rows evaluated at once.
 EXACT_3X3_LEVEL = 64
@@ -116,7 +115,7 @@ class ExpectationResult:
     """Expected real-root count with provenance.
 
     ``kind`` is one of "closed_form", "product", "zero", "peel",
-    "exact_2x2", "exact_3x3", "exact_p1", "monte_carlo"; ``closed`` carries
+    "exact_p1", "exact_3x3", "monte_carlo"; ``closed`` carries
     the exact symbolic value on the closed-form path and ``mc`` the raw |det| estimate
     on the Monte Carlo path.  A product's ``parts`` are its two factors; a peel's
     ``parts`` hold its residual (none when nothing is left) and ``peeled``
@@ -354,14 +353,13 @@ def expectation(
     """Expected number of real projective roots under the invariant ensemble.
 
     Dispatch order: product decomposition, rank-one closed form, exact zero
-    when the generic complex-root count vanishes, the peel, the exact 2 x 2
-    value, the exact 3 x 3 value, the exact P^1 x P^m value, Monte Carlo
-    otherwise.  With ``reduce=False`` a shape that the peel or the 2 x 2
-    value would resolve gets its own Monte Carlo estimate instead, memoized
-    under its own key; the 3 x 3 and P^1 x P^m values are kept (see
-    REDUCED_KINDS).  The shape is resolved as its canonical representative,
-    through the memo; ``workers`` never changes a result, so it is not part
-    of the key.
+    when the generic complex-root count vanishes, the peel, the exact
+    P^1 x P^m value, the exact 3 x 3 value, Monte Carlo otherwise.  With
+    ``reduce=False`` a shape that the peel would resolve gets its own Monte
+    Carlo estimate instead, memoized under its own key; the P^1 x P^m and
+    3 x 3 values are kept (see REDUCED_KINDS).  The shape is resolved as its
+    canonical representative, through the memo; ``workers`` never changes a
+    result, so it is not part of the key.
     """
     blocks, rows = _canonical(spec.block_sizes, spec.degrees)
     canonical = ShapeSpec(blocks, rows)
@@ -410,18 +408,12 @@ def _dispatch(spec: ShapeSpec, samples: int, seed: int, workers: int) -> Expecta
             parts=(rest,),
             peeled=peeled,
         )
-    if spec.n == 2:
-        pf = prefactor(spec)
-        return ExpectationResult(pf * abs_det_2x2(variance_profile(spec)), "exact_2x2", pf)
-    if spec.n == 3:
-        value = abs_det_3x3(variance_profile(spec))
-        if value is not None:
-            pf = prefactor(spec)
-            return ExpectationResult(pf * value, "exact_3x3", pf)
-    value = abs_det_p1(spec)
+    value, kind = abs_det_p1(spec), "exact_p1"
+    if value is None and spec.n == 3:
+        value, kind = abs_det_3x3(variance_profile(spec)), "exact_3x3"
     if value is not None:
         pf = prefactor(spec)
-        return ExpectationResult(pf * value, "exact_p1", pf)
+        return ExpectationResult(pf * value, kind, pf)
     return _monte_carlo(spec, samples, seed, workers)
 
 
@@ -489,24 +481,6 @@ def _sqrt_int(value: int) -> float:
         return math.sqrt(value)
     except OverflowError:
         return math.exp(0.5 * math.log(value))
-
-
-def abs_det_2x2(variances) -> float:
-    """Exact E|det Z| of a 2 x 2 matrix of independent centred normal
-    entries with variances ``variances``.
-
-    det Z = a*g1*g2 - b*g3*g4 with a**2 = v11*v22 and b**2 = v12*v21, and
-    the mean of its absolute value is (2/pi) * max(a, b) * E(m) with
-    m = 1 - (min/max)**2 and E the complete elliptic integral of the second
-    kind: the perimeter of the ellipse with semi-axes a and b over 2 pi.
-    a = b = 1 gives 1 and b = 0 gives 2a/pi.
-    """
-    (v11, v12), (v21, v22) = np.asarray(variances, dtype=np.float64).tolist()
-    p, q = v11 * v22, v12 * v21
-    hi, lo = max(p, q), min(p, q)
-    if hi == 0.0:
-        return 0.0
-    return 2.0 / math.pi * math.sqrt(hi) * ellipe((hi - lo) / hi)
 
 
 @functools.lru_cache(maxsize=1)
@@ -579,10 +553,11 @@ def abs_det_3x3(variances) -> float | None:
 
 
 def abs_det_p1(spec: ShapeSpec) -> float | None:
-    """Exact E|det Z| of a shape with two blocks, one of size 1 (P^1 x P^m),
-    by a 1-D integral; None for any other shape, when a row has degree 0 on
-    the other block (the peel drops such rows first), or when the rule's
-    two levels differ by more than EXACT_3X3_RTOL.
+    """Exact E|det Z| of a shape with two blocks of positive size, one of
+    size 1 (P^1 x P^m), by a 1-D integral; None for any other shape, when a
+    row has degree 0 on the other block (the peel drops such rows first), or
+    when the rule's two levels differ by more than EXACT_3X3_RTOL.  Blocks
+    of size 0 carry no variable and are passed over.
 
     Row i has degree a_i on the size-1 block and b_i on the other, whose n - 1
     columns are G = D_b**(1/2) H, with H standard Gaussian.  Given G, det Z
@@ -610,11 +585,12 @@ def abs_det_p1(spec: ShapeSpec) -> float | None:
     log domain, so degrees past float range give OverflowError only when
     E|det Z| itself is past it.
     """
-    if len(spec.block_sizes) != 2 or min(spec.block_sizes) != 1:
+    live = [j for j, nj in enumerate(spec.block_sizes) if nj]
+    if len(live) != 2 or min(spec.block_sizes[j] for j in live) != 1:
         return None
-    single = spec.block_sizes.index(1)
+    single, other = live if spec.block_sizes[live[0]] == 1 else live[::-1]
     a = [row[single] for row in spec.degrees]
-    b = [row[1 - single] for row in spec.degrees]
+    b = [row[other] for row in spec.degrees]
     if 0 in b:
         return None
     w = np.array([ai / bi for ai, bi in zip(a, b)])
@@ -687,12 +663,11 @@ def row_recursion_check(
     dispatcher; the report carries both bound values, the direct expectation
     of the full shape, propagated standard errors, and whether the exact
     equality condition (at most one contributing block) holds.  The direct
-    expectation is taken with ``reduce=False``, so a shape that the peel or
-    the 2 x 2 value resolves is compared with its own Monte Carlo estimate:
-    the peel is the very equality these rows test.  An n = 3 shape keeps
-    its exact 3 x 3 value, which is computed independently of the 2 x 2
-    values of its sub-shapes, so its rows compare exact values; so does a
-    P^1 x P^m shape its exact value.
+    expectation is taken with ``reduce=False``, so a shape that the peel
+    resolves is compared with its own Monte Carlo estimate: the peel is the
+    very equality these rows test.  A P^1 x P^m or P^1 x P^1 x P^1 shape
+    keeps its exact value, which is computed independently of the values of
+    its sub-shapes, so its rows compare exact values.
     """
     if not 1 <= row <= spec.n:
         raise ValueError(f"row index {row} outside 1..{spec.n}")

@@ -333,7 +333,7 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["expect", "MIXED", "--samples", "0"],  # the exact 2 x 2 value
+            ["expect", "MIXED", "--samples", "0"],  # the exact P^1 x P^m value
             ["bounds", "BILINEAR", "--samples", "1"],  # a closed form
             ["verify", "--count", "3", "--samples", "1"],
         ],
@@ -571,9 +571,13 @@ class TestVerifyCommand:
             lambda var, samples, seed, workers=1: profiles.append(var.shape)
             or original_mc(var, samples, seed, workers),
         )
+        # the n = 3 shapes resolve through the P^1 x P^m value or the 3 x 3 one
         exact = []
-        original_exact = mx.abs_det_3x3
-        monkeypatch.setattr(mx, "abs_det_3x3", lambda var: exact.append(1) or original_exact(var))
+        for name in ("abs_det_p1", "abs_det_3x3"):
+            original_exact = getattr(mx, name)
+            monkeypatch.setattr(
+                mx, name, lambda arg, f=original_exact: exact.append(1) or f(arg)
+            )
         # the first 30 shapes make no Monte Carlo estimate at all
         argv = ["verify", "--count", "60", "--n-max", "4", "--samples", "2000", "--seed", "0"]
         code, rep = _run(capsys, argv)

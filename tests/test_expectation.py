@@ -7,12 +7,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.special import ellipe as scipy_ellipe
 
 from mhroots.bkk import _canonical, bkk_count
 from mhroots.corpus import random_rank_one_shape, random_shape
 from mhroots.expectation import (
     EXPECTATION_MEMO_SIZE,
-    abs_det_2x2,
+    ExpectationResult,
     abs_det_3x3,
     abs_det_p1,
     bounds,
@@ -368,28 +369,52 @@ PEEL_RESIDUAL_MC = MC_SHAPE
 MIXED_2x2 = validate((1, 1), [[1, 2], [2, 1]])
 
 
+def ellipse_abs_det(variances) -> float:
+    """E|det Z| of a 2 x 2 matrix with independent centred normal entries of
+    the given variances: det Z = a g1 g2 - b g3 g4 with a**2 = v11 v22 and
+    b**2 = v12 v21, and its mean absolute value is the perimeter of the
+    ellipse with semi-axes a and b over 2 pi, (2/pi) max(a, b) E(1 - m**2)
+    with m = min/max and E from scipy.  An oracle independent of the
+    package's integrals and of its own ``ellipe``."""
+    (v11, v12), (v21, v22) = np.asarray(variances, dtype=np.float64).tolist()
+    hi, lo = max(v11 * v22, v12 * v21), min(v11 * v22, v12 * v21)
+    if hi == 0.0:
+        return 0.0
+    return 2.0 / math.pi * math.sqrt(hi) * float(scipy_ellipe(1.0 - lo / hi))
+
+
 class TestExact2x2:
     def test_exact_cases(self):
-        assert abs_det_2x2(np.ones((2, 2))) == pytest.approx(1.0, rel=1e-15)
-        assert abs_det_2x2([[4.0, 0.0], [3.0, 9.0]]) == pytest.approx(12 / math.pi, rel=1e-15)
-        assert abs_det_2x2([[0.0, 2.0], [3.0, 0.0]]) == pytest.approx(2 * math.sqrt(6) / math.pi)
-        assert abs_det_2x2(np.zeros((2, 2))) == 0.0
-        assert abs_det_2x2([[0.0, 5.0], [0.0, 7.0]]) == 0.0
+        # n = 2 shapes whose E|det Z| is elementary, through the dispatcher:
+        # a closed form, two peels and two zeros
+        for rows, det_mean in [
+            ([[1, 1], [1, 1]], 1.0),
+            ([[4, 0], [3, 9]], 12 / math.pi),
+            ([[0, 2], [3, 0]], 2 * math.sqrt(6) / math.pi),
+            ([[0, 0], [0, 0]], 0.0),
+            ([[0, 5], [0, 7]], 0.0),
+        ]:
+            spec = validate((1, 1), rows)
+            assert ellipse_abs_det(rows) == pytest.approx(det_mean, rel=1e-15)
+            res = expectation(spec, samples=2, seed=2)
+            assert res.value == pytest.approx(prefactor(spec) * det_mean, rel=1e-15), rows
 
     def test_against_monte_carlo_on_random_profiles(self):
+        # the oracle itself, on float profiles
         gen = np.random.default_rng(1801)
         for t in range(10):
             v = gen.uniform(0.2, 4.0, size=(2, 2))
             est = mc_abs_det(v, 1_000_000, seed=1810 + t)
-            assert abs(abs_det_2x2(v) - est.mean) <= 4 * est.stderr, v
+            assert abs(ellipse_abs_det(v) - est.mean) <= 4 * est.stderr, v
 
     def test_every_2x2_shape_left_over_is_exact(self):
         res = expectation(MIXED_2x2, samples=2, seed=2)
-        assert res.kind == "exact_2x2" and res.stderr == 0.0 and res.mc is None
-        assert res.value == res.prefactor * abs_det_2x2([[1, 2], [2, 1]])
+        assert res.kind == "exact_p1" and res.stderr == 0.0 and res.mc is None
+        assert res.value == res.prefactor * abs_det_p1(MIXED_2x2)
+        expected = res.prefactor * ellipse_abs_det([[1, 2], [2, 1]])
+        assert res.value == pytest.approx(expected, rel=1e-13)
 
 
-MIXED_3x3 = validate((1, 2), [[1, 2], [2, 1], [1, 3]])
 # n = 3 on three blocks, outside the P^1 x P^m family
 THREE_BLOCK_3x3 = validate((1, 1, 1), [[1, 1, 1], [1, 2, 1], [2, 1, 1]])
 
@@ -405,7 +430,7 @@ class TestExact3x3:
         # row 0 has one entry, so l2 = 0 at every node (E(1) = 1), and
         # det = z_01 * det of a 2 x 2 matrix with variances [[3, 1], [1, 1]]
         value = abs_det_3x3([[0, 2, 0], [3, 2, 1], [1, 0, 1]])
-        exact = math.sqrt(2) * math.sqrt(2 / math.pi) * abs_det_2x2([[3, 1], [1, 1]])
+        exact = math.sqrt(2) * math.sqrt(2 / math.pi) * ellipse_abs_det([[3, 1], [1, 1]])
         assert value == pytest.approx(exact, rel=1e-13)
 
     def test_row_and_column_permutations_agree(self):
@@ -423,9 +448,9 @@ class TestExact3x3:
             assert abs(abs_det_3x3(v) - est.mean) <= 4 * est.stderr, v
 
     def test_every_3x3_shape_left_over_is_exact(self):
-        res = expectation(MIXED_3x3, samples=2, seed=2)
+        res = expectation(THREE_BLOCK_3x3, samples=2, seed=2)
         assert res.kind == "exact_3x3" and res.stderr == 0.0 and res.mc is None
-        profile = variance_profile(MIXED_3x3)
+        profile = variance_profile(THREE_BLOCK_3x3)
         assert res.value == pytest.approx(res.prefactor * abs_det_3x3(profile), rel=1e-13)
 
     def test_falls_back_to_monte_carlo_when_the_levels_disagree(self, monkeypatch):
@@ -436,9 +461,10 @@ class TestExact3x3:
     def test_row_checks_compare_exact_values(self):
         # the kind is not a reduced one: the middle is the exact value itself,
         # independent of the n = 2 sub-values, so each row is an exact check
-        assert expectation(MIXED_3x3, seed=3, reduce=False) is expectation(MIXED_3x3, seed=3)
+        spec = THREE_BLOCK_3x3
+        assert expectation(spec, seed=3, reduce=False) is expectation(spec, seed=3)
         for i in range(1, 4):
-            rep = row_recursion_check(MIXED_3x3, i, seed=3)
+            rep = row_recursion_check(spec, i, seed=3)
             assert rep.middle.kind == "exact_3x3"
             assert rep.middle.stderr == rep.upper_stderr == rep.lower_stderr == 0.0
             assert rep.holds
@@ -449,8 +475,17 @@ def p1_shape(a, b) -> ShapeSpec:
     return validate((1, len(a) - 1), [[int(x), int(y)] for x, y in zip(a, b)])
 
 
+def with_empty_blocks(spec: ShapeSpec) -> ShapeSpec:
+    """``spec`` after 11 blocks of size 0, degree 1 in each.  Above 12 blocks
+    product_split tries connected components only, so the empty blocks reach
+    the dispatcher's exact steps."""
+    return validate((0,) * 11 + spec.block_sizes, [[1] * 11 + list(r) for r in spec.degrees])
+
+
 # n = 4 on blocks (1, 3): neither factors, splits, peels nor vanishes
 MIXED_P1 = p1_shape([1, 2, 1, 2], [2, 1, 3, 2])
+# n = 4 on blocks (1, 3); after empty blocks it used to go to Monte Carlo
+P1_X_P3 = p1_shape([1, 2, 1, 3], [2, 1, 3, 1])
 
 
 class TestExactP1:
@@ -464,7 +499,7 @@ class TestExactP1:
 
     def test_against_the_2x2_and_3x3_values(self):
         gen = np.random.default_rng(2402)
-        for n, exact in ((2, abs_det_2x2), (3, abs_det_3x3)):
+        for n, exact in ((2, ellipse_abs_det), (3, abs_det_3x3)):
             for _ in range(5):
                 spec = p1_shape(gen.integers(1, 6, size=n), gen.integers(1, 6, size=n))
                 expected = exact(variance_profile(spec))
@@ -472,7 +507,7 @@ class TestExactP1:
 
     def test_against_monte_carlo_on_random_members(self):
         gen = np.random.default_rng(2403)
-        for n in range(4, 8):
+        for n in (4, 5, 6, 7, 2):
             spec = p1_shape(gen.integers(0, 5, size=n), gen.integers(1, 5, size=n))
             est = mc_abs_det(variance_profile(spec), 1_000_000, seed=2410 + n)
             assert abs(abs_det_p1(spec) - est.mean) <= 4 * est.stderr, spec
@@ -517,15 +552,52 @@ class TestExactP1:
         with pytest.raises(OverflowError, match="past float range"):
             abs_det_p1(spec)
 
+    def test_empty_blocks_are_passed_over(self):
+        for plain in (MIXED_2x2, P1_X_P3):
+            padded = with_empty_blocks(plain)
+            res = expectation(padded, samples=2, seed=2)
+            assert res.kind == "exact_p1" and res.stderr == 0.0
+            assert res.value == expectation(plain, samples=2, seed=2).value
+            assert abs_det_p1(padded) == abs_det_p1(plain)
+
     def test_row_checks_compare_exact_values(self):
         # the kind is not a reduced one: the middle is the exact value itself,
-        # and the sub-shapes have one block or are P^1 x P^2, all exact
-        assert expectation(MIXED_P1, seed=3, reduce=False) is expectation(MIXED_P1, seed=3)
-        for i in range(1, 5):
-            rep = row_recursion_check(MIXED_P1, i, seed=3)
-            assert rep.middle.kind == "exact_p1"
-            assert rep.middle.stderr == rep.upper_stderr == rep.lower_stderr == 0.0
-            assert rep.holds
+        # and the sub-shapes have one block or are P^1 x P^(m-1), all exact
+        for spec in (MIXED_P1, MIXED_2x2):
+            assert expectation(spec, seed=3, reduce=False) is expectation(spec, seed=3)
+            for i in range(1, spec.n + 1):
+                rep = row_recursion_check(spec, i, seed=3)
+                assert rep.middle.kind == "exact_p1"
+                assert rep.middle.stderr == rep.upper_stderr == rep.lower_stderr == 0.0
+                assert rep.holds
+
+
+def _result_kinds(res: ExpectationResult):
+    """The kinds of every node of a result tree."""
+    yield res.kind
+    for part in res.parts or ():
+        yield from _result_kinds(part)
+
+
+class TestExactRoutes:
+    def test_small_shapes_never_reach_monte_carlo(self, monkeypatch):
+        # every shape with n <= 3 resolves exactly, and the 3 x 3 quadrature
+        # sees only P^1 x P^1 x P^1 (with or without empty blocks)
+        profiled, quadrature = [], []
+        original_profile, original_3x3 = mx.variance_profile, mx.abs_det_3x3
+        monkeypatch.setattr(
+            mx, "variance_profile", lambda spec: profiled.append(spec) or original_profile(spec)
+        )
+        monkeypatch.setattr(
+            mx, "abs_det_3x3", lambda var: quadrature.append(profiled[-1]) or original_3x3(var)
+        )
+        shapes = [random_shape(2501, i, max_n=3) for i in range(400)]
+        shapes += [with_empty_blocks(s) for s in (MIXED_2x2, P1_X_P3, THREE_BLOCK_3x3)]
+        for spec in shapes:
+            res = expectation(spec, samples=2, seed=2)
+            assert "monte_carlo" not in set(_result_kinds(res)), spec
+        assert quadrature
+        assert all(sum(nj > 0 for nj in spec.block_sizes) == 3 for spec in quadrature)
 
 
 class TestPeel:
@@ -568,7 +640,7 @@ class TestPeel:
 
 
 class TestIndependentRowChecks:
-    @pytest.mark.parametrize("spec", [PEEL_SHAPE, MIXED_2x2], ids=["peel", "exact_2x2"])
+    @pytest.mark.parametrize("spec", [PEEL_SHAPE], ids=["peel"])
     def test_reduced_shape_is_compared_with_its_own_estimate(self, spec, monkeypatch):
         canonical = ShapeSpec(*_canonical(spec.block_sizes, spec.degrees))
         seed = derive_seed(10, canonical)
@@ -584,7 +656,7 @@ class TestIndependentRowChecks:
             assert rep.middle is reports[0].middle
             assert rep.holds
         assert calls.count(seed) == 1
-        assert expectation(spec, samples=4_000, seed=10).kind in ("peel", "exact_2x2")
+        assert expectation(spec, samples=4_000, seed=10).kind == "peel"
 
     def test_memo_entries_do_not_depend_on_call_order(self):
         first = expectation(PEEL_SHAPE_MC, samples=4_000, seed=11)

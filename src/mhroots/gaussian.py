@@ -6,26 +6,44 @@ in block j.  The Monte Carlo mean of |det| over such draws is the kernel of
 the expected-root-count formula.  Sample i of an estimate is row i of the
 block-keyed normal stream of ``rng.normals``, so the result is a pure
 function of (seed, samples), bitwise independent of the worker count, and
-``sample_matrix(var, seed, i)`` replays sample i of any run.
+``sample_matrix(var, seed, i)`` replays sample i of any run.  Above n = 1
+a sample draws only part of the matrix and integrates the rest out in
+closed form, so its value is a conditional mean of |det|: it has the mean
+of |det|, a lower variance, and a plain iid stderr.  Which part is drawn is
+the stream contract, and SMALL_DET_DIM is part of it.
 
 For 2 <= n <= SMALL_DET_DIM a sample draws only rows 1..n-1 and integrates
 the top row out: det is linear in row 0, so its value is E[|det| | rows
 1..n-1] = sqrt(2/pi) * sqrt(sum_c v_0c * M_c**2), M_c the minor without row
-0 and column c.  It has the same mean as |det|, a lower variance (its
-second moment is (2/pi) * per(V)) and n fewer normals; its stderr is a plain
-iid one.  So SMALL_DET_DIM is part of the stream contract.  The minors come
-from a vectorised Laplace expansion by complementary minors, run on chunks
-of DET_CHUNK samples with each entry a contiguous vector over the chunk;
-there batched LAPACK spends most of its time on per-matrix overhead.  At
-n = 1 a sample is |sigma z|.  Above SMALL_DET_DIM a sample draws the whole
-matrix and its log |det| comes from LAPACK's pivoted triangular
-factorization.
+0 and column c.  Its second moment is (2/pi) * per(V), and it takes n fewer
+normals.  The minors come from a vectorised Laplace expansion by
+complementary minors, run on chunks of DET_CHUNK samples with each entry a
+contiguous vector over the chunk; there batched LAPACK spends most of its
+time on per-matrix overhead.  At n = 1 a sample is |sigma z|.
+
+Above SMALL_DET_DIM the largest group of identical columns of the profile
+(ties to the first) is integrated out.  Its k columns are iid N(0, D), D =
+diag(d_i), so given the m = n - k other columns O, det is a Gaussian
+multilinear form and (Edelman & Kostlan 1995; the projection argument of
+``expectation.abs_det_p1``)
+
+    E[|det| | O] = c_k * sqrt(sum_{|S| = k} prod_{i in S} d_i * det(O_{S^c})**2),
+
+with c_k = ``abs_det_closed_standard(k)``.  A sample draws the n * m entries
+of O only, row by row.  With p rows where d_i = 0, O_Z those rows of O and W
+= D_+**(-1/2) O_+ the others, the sum is prod_{d_i > 0} d_i * det(O_Z O_Z^T)
+* det(W_2^T W_2), W_2 = W Q_2 where O_Z^T = [Q_1 Q_2] R.  Householder
+reflections, vectorised over the samples, give both determinants as
+products of the norms they remove, the rows of W sorted by their expected
+norm, largest first.  So no Gram matrix is formed, and rows of W that
+differ in scale by 2**60 keep their digits.  The sum is 0 when p > m, and
+when k = n it is prod d_i: both are exact, with stderr 0, and draw nothing.
 
 One moment fold serves every n: each piece of samples, each batch and the
 estimate carry (shift, e1, e2), the sums of |v| and v**2 scaled by
 exp(-shift) and exp(-2 * shift), and ``_merge`` folds them in stream order.
 Plain values (n <= SMALL_DET_DIM) carry shift 0 and fold as plain sums.
-Above SMALL_DET_DIM a piece's shift is its largest log |det|, and the mean
+Above SMALL_DET_DIM a piece's shift is its largest log value, and the mean
 and the stderr are scaled by exp(shift) only at the end, so they overflow
 only when they are past float range themselves.
 """
@@ -43,10 +61,11 @@ import numpy as np
 from . import rng
 from .permanent import _check_finite_nonnegative, permanent_float
 from .shape import ShapeSpec, expand_delta
-from .specialfn import SQRT_PI, gamma_half
+from .specialfn import LOG_SQRT_PI, SQRT_PI, gamma_half, log_gamma_half
 
-# Largest n at which the Laplace kernel beats batched LAPACK on 65,536
-# samples: x1.25 at n = 7, x0.71 at n = 8 (2-core Xeon, numpy 2.4 OpenBLAS).
+# Largest n of the Laplace kernel; above it a column block is integrated out.
+# The bound is part of the stream contract, so n <= 7 values stay as they
+# were; where the two kernels cross over in speed is not measured.
 SMALL_DET_DIM = 7
 # Matrices per kernel pass: each operand, one entry over the chunk, fits in cache.
 DET_CHUNK = 4096
@@ -87,27 +106,97 @@ def _check_profile(variances) -> np.ndarray:
     return arr
 
 
+@dataclass(frozen=True)
+class _ColumnBlock:
+    """The block of identical columns that a sample above SMALL_DET_DIM
+    integrates out, and how its value is computed from the other columns O.
+
+    A sample's normals are the entries of O row-major, over ``others`` (the
+    m columns of O in order) and every row in order.  ``order`` puts the p
+    rows where d_i = 0 first, then the others by the expected norm of their
+    row of W, largest first; ``scale``, in that row order, turns the normals
+    into O_Z and W.  ``log_const`` is log c_k + (1/2) sum_{d_i > 0} log d_i.
+    """
+
+    others: np.ndarray
+    order: np.ndarray
+    p: int
+    scale: np.ndarray
+    log_const: float
+
+    @property
+    def width(self) -> int:
+        """Normals per sample: the entries of O, or none where the value is exact."""
+        return 0 if self.exact is not None else self.scale.size
+
+    @property
+    def exact(self) -> float | None:
+        """The conditional mean where it does not depend on O: 0 when p > m
+        (the p rows live on m columns), exp(log_const) when k = n."""
+        if self.p > self.others.size:
+            return 0.0
+        return math.exp(self.log_const) if self.others.size == 0 else None
+
+    @property
+    def piece_rows(self) -> int:
+        """Samples per piece: the piece's normals and its working copy fit
+        rng.PIECE_ELEMENTS together."""
+        return max(1, min(DET_CHUNK, rng.PIECE_ELEMENTS // (2 * self.scale.size)))
+
+
+def _column_block(arr: np.ndarray) -> _ColumnBlock:
+    """The largest group of identical columns of ``arr``, ties to the first."""
+    n = arr.shape[0]
+    groups: dict[tuple, list[int]] = {}
+    for j, col in enumerate(map(tuple, arr.T)):
+        groups.setdefault(col, []).append(j)
+    block = max(groups.values(), key=len)  # dicts keep first-seen order
+    d = arr[:, block[0]]
+    others = np.setdiff1d(np.arange(n), block)
+    live = d > 0
+    # the variances of W = D_+**(-1/2) O_+, and of O_Z unscaled
+    var = arr[:, others] / np.where(live, d, 1.0)[:, None]
+    order = np.argsort(np.where(live, -var.sum(axis=1), -np.inf), kind="stable")
+    scale = np.sqrt(var[order])
+    k = len(block)
+    log_ck = 0.5 * k * math.log(2.0) + log_gamma_half(k + 1) - LOG_SQRT_PI
+    log_const = log_ck + 0.5 * float(np.log(d[live]).sum())
+    return _ColumnBlock(others, order, n - int(live.sum()), scale, log_const)
+
+
 def _draws_per_sample(n: int) -> int:
-    """Normals each sample of an n x n estimate draws: rows 1..n-1 where the
-    top row is integrated out (2 <= n <= SMALL_DET_DIM), else all n rows."""
-    return n * (n - 1) if 2 <= n <= SMALL_DET_DIM else n * n
+    """Normals each sample of an n x n estimate draws up to SMALL_DET_DIM:
+    rows 1..n-1 where the top row is integrated out (n >= 2), else the one
+    entry.  Above SMALL_DET_DIM the count depends on the profile, see
+    ``_ColumnBlock.width``."""
+    return n * (n - 1) if n >= 2 else n
 
 
 def sample_matrix(variances, seed: int, index: int = 0) -> np.ndarray:
     """One draw of the structured matrix for stream position ``index``: the
-    rows that sample ``index`` of ``mc_abs_det`` draws.
+    entries that sample ``index`` of ``mc_abs_det`` draws, the others zero.
 
     Zero-variance entries are exact structural zeros.  For 2 <= n <=
     SMALL_DET_DIM the estimator integrates the top row out, so row 0 is
     zero and the sample's value is sqrt(2/pi) * sqrt(sum_c v_0c * M_c**2),
-    M_c the determinant of rows 1..n-1 without column c.
+    M_c the determinant of rows 1..n-1 without column c.  Above
+    SMALL_DET_DIM it integrates the largest group of identical columns out
+    (ties to the first), so those columns are zero and the normals fill the
+    other columns row by row.  Where the value needs no draw (see
+    ``mc_abs_det``) the matrix is zero.
     """
     arr = _check_profile(variances)
     n = arr.shape[0]
-    width = _draws_per_sample(n)
-    z = np.zeros(n * n)
-    z[n * n - width :] = rng.normals(seed, index, 1, width)[0]
-    return z.reshape(n, n) * np.sqrt(arr)
+    mat = np.zeros((n, n))
+    if n > SMALL_DET_DIM:
+        block = _column_block(arr)
+        drawn = rng.normals(seed, index, 1, block.width)[0]
+        if drawn.size:
+            mat[:, block.others] = drawn.reshape(n, -1)
+    else:
+        width = _draws_per_sample(n)
+        mat.reshape(-1)[n * n - width :] = rng.normals(seed, index, 1, width)[0]
+    return mat * np.sqrt(arr)
 
 
 @functools.lru_cache(maxsize=SMALL_DET_DIM)
@@ -184,30 +273,77 @@ def _merge(acc: tuple, part: tuple) -> tuple:
     return shift, acc[1] * a + part[1] * b, acc[2] * (a * a) + part[2] * (b * b)
 
 
-def _log_dets(z: np.ndarray, sigma_flat: np.ndarray, n: int) -> tuple:
-    """(shift, |det| * exp(-shift)) of each row of ``z`` scaled by
-    ``sigma_flat`` as an n x n matrix, through log |det|.  The shift is the
-    largest log |det|, or 0 when every matrix is singular."""
-    z *= sigma_flat
-    _, logabs = np.linalg.slogdet(z.reshape(-1, n, n))
-    shift = float(logabs.max())
-    if shift == -math.inf:
-        shift = 0.0
-    return shift, np.exp(logabs - shift, out=logabs)
+def _reflect(x: np.ndarray, rest: np.ndarray, scratch: np.ndarray, acc: np.ndarray) -> None:
+    """One Householder step on every sample at once, the last axis running
+    over the samples: add log |x| to ``acc`` and reflect each vector of
+    ``rest`` (r, i, samples) by the reflection that takes x (i, samples) to
+    a multiple of e_0.  Overwrites x; ``scratch`` holds ``rest.size`` floats."""
+    norm = np.sqrt(np.einsum("is,is->s", x, x))
+    with np.errstate(divide="ignore"):
+        acc += np.log(norm)
+    if rest.size == 0:
+        return
+    # x becomes v = x + sign(x_0) |x| e_0, and each r of rest loses (2 / |v|**2) (r . v) v
+    x[0] += np.copysign(norm, x[0])
+    tau = norm * np.abs(x[0])
+    np.divide(1.0, tau, out=tau, where=tau > 0)  # a zero norm: nothing to reflect
+    dots = np.einsum("ris,is->rs", rest, x)
+    dots *= tau
+    step = scratch[: rest.size].reshape(rest.shape)
+    np.multiply(dots[:, None], x, out=step)
+    rest -= step
+
+
+def _block_values(z: np.ndarray, block: _ColumnBlock, work: np.ndarray) -> tuple:
+    """(shift, v * exp(-shift)) of the samples whose normals are the rows of
+    ``z``, v = E[|det| | O] = exp(log_const) * sqrt(det(O_Z O_Z^T) *
+    det(W_2^T W_2)).  The shift is the largest log v, or log_const when
+    every value is 0.
+
+    ``work`` holds O for at least as many samples as ``z``, each entry a
+    vector over the samples, rows O_Z then W.  Steps j < p reflect columns
+    j.. so that row j of O_Z ends in column j, which applies Q to W; then
+    W_2, the columns p.. of W Q, is copied into ``z`` column by column,
+    and steps on its columns reflect rows so that each column ends on the
+    diagonal.  Each step removes one norm, whose log it adds up.
+    """
+    n, m = block.scale.shape
+    p, samples = block.p, z.shape[0]
+    a = work[: z.size].reshape(n, m, samples)
+    rows = z.T.reshape(n, m, samples)
+    for r, i in enumerate(block.order):
+        np.multiply(rows[i], block.scale[r, :, None], out=a[r])
+    scratch = z.reshape(-1)  # the normals are copied into a
+    logv = np.zeros(samples)
+    for j in range(p):
+        _reflect(a[j, j:], a[j + 1 :, j:], scratch, logv)
+    w2 = scratch[: (n - p) * (m - p) * samples].reshape(m - p, n - p, samples)
+    np.copyto(w2, a[p:, p:].transpose(1, 0, 2))
+    for j in range(m - p):
+        _reflect(w2[j, j:], w2[j + 1 :, j:], work, logv)
+    top = float(logv.max())
+    if top == -math.inf:
+        top = 0.0
+    logv -= top
+    return block.log_const + top, np.exp(logv, out=logv)
 
 
 def _batch_absdet_moments(
-    arr: np.ndarray, sigma_flat: np.ndarray, seed: int, start: int, count: int
+    arr: np.ndarray, block: _ColumnBlock | None, seed: int, start: int, count: int
 ):
     n = arr.shape[0]
-    pieces = rng.normal_pieces(seed, start, count, _draws_per_sample(n), DET_CHUNK)
     # (shift, |v| * exp(-shift)) per piece
-    if n > SMALL_DET_DIM:
-        values = (_log_dets(z, sigma_flat, n) for z in pieces)
-    elif n > 1:
-        values = ((0.0, _top_row_values(z, sigma_flat, arr[0], n)) for z in pieces)
+    if block is not None:
+        work = np.empty(min(block.piece_rows, count) * block.width)
+        pieces = rng.normal_pieces(seed, start, count, block.width, block.piece_rows)
+        values = (_block_values(z, block, work) for z in pieces)
     else:
-        values = ((0.0, np.abs(z[:, 0]) * sigma_flat[0]) for z in pieces)
+        sigma_flat = np.sqrt(arr).ravel()
+        pieces = rng.normal_pieces(seed, start, count, _draws_per_sample(n), DET_CHUNK)
+        if n > 1:
+            values = ((0.0, _top_row_values(z, sigma_flat, arr[0], n)) for z in pieces)
+        else:
+            values = ((0.0, np.abs(z[:, 0]) * sigma_flat[0]) for z in pieces)
     # folded piece by piece, in stream order: no batch-sized array of values
     return functools.reduce(_merge, ((s, float(v.sum()), float((v * v).sum())) for s, v in values))
 
@@ -216,19 +352,28 @@ def mc_abs_det(variances, samples: int, seed: int, workers: int = 1) -> MCEstima
     """Monte Carlo mean of |det| of the structured Gaussian matrix.
 
     The estimate depends only on (seed, samples): the sample range is cut
-    into the batches of ``rng.batches``, whose size depends only on n, and
-    their moments are folded in batch order, so any worker count gives
-    bitwise identical results.  For 2 <= n <= SMALL_DET_DIM (7) each sample
-    draws rows 1..n-1 only and contributes E[|det| | rows 1..n-1] =
-    sqrt(2/pi) * sqrt(sum_c v_0c * M_c**2), whose mean is E|det|; the minors
-    M_c come from the Laplace kernel.  At n = 1 a sample is |sigma z|.
-    Above SMALL_DET_DIM a sample is |det| of a whole draw, taken in the log
-    domain from LAPACK's pivoted triangular factorization.
+    into the batches of ``rng.batches``, whose size depends only on the
+    normals per sample, and their moments are folded in batch order, so any
+    worker count gives bitwise identical results.  Each sample's value is a
+    conditional mean of |det| given the entries it draws (see the module
+    docstring):
+
+    - n = 1: |sigma z|;
+    - 2 <= n <= SMALL_DET_DIM (7): rows 1..n-1 are drawn and the value is
+      sqrt(2/pi) * sqrt(sum_c v_0c * M_c**2), the minors M_c from the
+      Laplace kernel;
+    - above SMALL_DET_DIM: the columns outside the largest group of
+      identical columns are drawn and the value is E[|det| | O], its log
+      from Householder reflections of O, vectorised over the samples.
+      When that mean does not depend on O (p > m gives 0, k = n gives c_n *
+      sqrt(prod d_i)), nothing is drawn and the estimate is exact, with
+      stderr 0.
 
     Samples are drawn in pieces of at most DET_CHUNK samples and
-    PIECE_ELEMENTS normals (``rng.normal_pieces``), and every piece and
-    batch folds into moments (shift, e1, e2) through ``_merge``.  The mean
-    and the stderr come from the scaled sums and are multiplied by
+    PIECE_ELEMENTS normals (``rng.normal_pieces``); above SMALL_DET_DIM a
+    piece's normals and its working copy fit PIECE_ELEMENTS together.  Every
+    piece and batch folds into moments (shift, e1, e2) through ``_merge``.
+    The mean and the stderr come from the scaled sums and are multiplied by
     exp(shift) at the end: OverflowError only when they are past float
     range themselves.  Plain values fold unscaled, so at n <= SMALL_DET_DIM
     OverflowError also comes when the sum of |v| or of v**2 is.
@@ -237,20 +382,21 @@ def mc_abs_det(variances, samples: int, seed: int, workers: int = 1) -> MCEstima
     check_samples(samples)
     n = arr.shape[0]
     t0 = time.perf_counter()
-    if n == 0:
-        return MCEstimate(1.0, 0.0, samples, seed, time.perf_counter() - t0)
-    sigma_flat = np.sqrt(arr).ravel()
-    batches = rng.batches(samples, _draws_per_sample(n))
+    block = _column_block(arr) if n > SMALL_DET_DIM else None
+    exact = 1.0 if n == 0 else None if block is None else block.exact
+    if exact is not None:
+        return MCEstimate(exact, 0.0, samples, seed, time.perf_counter() - t0)
+    batches = rng.batches(samples, _draws_per_sample(n) if block is None else block.width)
     if workers > 1 and len(batches) > 1:
         # imported here: it adds about 7 ms to every start-up that needs no pool
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(
-                pool.map(lambda b: _batch_absdet_moments(arr, sigma_flat, seed, *b), batches)
+                pool.map(lambda b: _batch_absdet_moments(arr, block, seed, *b), batches)
             )
     else:
-        results = [_batch_absdet_moments(arr, sigma_flat, seed, *b) for b in batches]
+        results = [_batch_absdet_moments(arr, block, seed, *b) for b in batches]
     shift, e1, e2 = functools.reduce(_merge, results)
     if not (math.isfinite(e1) and math.isfinite(e2)):  # only plain values: scaled ones are <= 1
         raise OverflowError(f"a sum of |det| or |det|**2 at n={n} is past float range")

@@ -252,8 +252,10 @@ class TestExitCodes:
             ),
             ("mc-det", {"block_sizes": [48], "degrees": [[2**62]] * 48}),
             ("mc-det", {"block_sizes": [40], "degrees": [[2**62]] * 40}),
+            # two groups of equal columns: sampled, not exact
+            ("mc-det", {"block_sizes": [20, 20], "degrees": [[2**62, 2**61]] * 40}),
         ],
-        ids=["closed-form-40", "product-of-three", "mc-det-48", "mc-det-40"],
+        ids=["closed-form-40", "product-of-three", "mc-det-48", "mc-det-40", "mc-det-two-groups"],
     )
     def test_result_past_float_range(self, tmp_path, capsys, command, shape):
         # no traceback and no Infinity, which is not JSON

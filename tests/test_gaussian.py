@@ -1,5 +1,6 @@
 """Structured-matrix sampling and the |det| Monte Carlo estimator."""
 
+import itertools
 import math
 
 import numpy as np
@@ -80,8 +81,10 @@ class TestMonteCarlo:
     def test_bitwise_determinism_across_workers_several_batches(self):
         n = 10
         var = np.arange(1.0, n * n + 1).reshape(n, n) % 4
-        samples = 100_000
-        assert len(rng.batches(samples, n * n)) >= 3
+        # columns 0, 4 and 8 are the largest group of equal columns, so a
+        # sample draws the other 7 columns
+        samples = 3 * rng.batch_size(n * 7) + 1000
+        assert len(rng.batches(samples, n * 7)) >= 3
         runs = [mc_abs_det(var, samples, seed=19, workers=w) for w in (1, 2, 8)]
         assert runs[0].mean == runs[1].mean == runs[2].mean
         assert runs[0].stderr == runs[1].stderr == runs[2].stderr
@@ -122,9 +125,18 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("n", [1, SMALL_DET_DIM + 1])
     def test_sample_matrix_replays_every_row_outside_the_kernel(self, n):
-        var = _profile("graded", n)
-        row = rng.normals(29, 7, 1, n * n)[0]
-        assert np.array_equal(sample_matrix(var, 29, 7), row.reshape(n, n) * np.sqrt(var))
+        # n = 1 draws the whole matrix.  Above SMALL_DET_DIM every column of
+        # the zero-diagonal profile is distinct, so column 0 is the block
+        # integrated out: a sample draws columns 1..n-1 row by row, and
+        # column 0 stays zero
+        if n == 1:
+            var = _profile("graded", n)
+            drawn = rng.normals(29, 7, 1, 1).reshape(1, 1)
+        else:
+            var = _profile("game", n)
+            drawn = np.zeros((n, n))
+            drawn[:, 1:] = rng.normals(29, 7, 1, n * (n - 1)).reshape(n, n - 1)
+        assert np.array_equal(sample_matrix(var, 29, 7), drawn * np.sqrt(var))
 
     def test_row_scale_equivariance(self):
         base = mc_abs_det(np.ones((2, 2)), 200_000, seed=10)
@@ -139,13 +151,25 @@ class TestMonteCarlo:
 
     def test_log_domain_path_matches_direct_computation(self, monkeypatch):
         # above SMALL_DET_DIM moments accumulate in the log domain; force
-        # several batches so the fold across batches is exercised too
-        n = 41
-        monkeypatch.setattr(rng, "BATCH_ELEMENTS", rng.SAMPLE_BLOCK * n * n)
-        est = mc_abs_det(np.ones((n, n)), 4000, seed=55)
-        direct = np.abs(np.linalg.det(rng.normals(55, 0, 4000, n * n).reshape(-1, n, n)))
+        # several batches so the fold across batches is exercised too.  The
+        # 21 even columns (zero on rows 0..2) are integrated out and the 20
+        # odd ones O drawn.  Directly, by LAPACK: with a QR of the zero rows'
+        # O_Z^T = [Q1 Q2] R, the sum over row subsets is prod d *
+        # det(O_Z O_Z^T) * det((W Q2)^T W Q2), W the other rows of O
+        n, m, p, samples = 41, 20, 3, 4000
+        var = _split_profile(n, p)
+        monkeypatch.setattr(rng, "BATCH_ELEMENTS", rng.SAMPLE_BLOCK * n * m)
+        est = mc_abs_det(var, samples, seed=55)
+        o = rng.normals(55, 0, samples, n * m).reshape(-1, n, m) * math.sqrt(2.0)
+        o_z, w = o[:, :p], o[:, p:]
+        q2 = np.linalg.qr(o_z.transpose(0, 2, 1), mode="complete")[0][:, :, p:]
+        wq = w @ q2
+        gram = np.linalg.det(o_z @ o_z.transpose(0, 2, 1))
+        direct = abs_det_closed_standard(n - m) * np.sqrt(
+            gram * np.linalg.det(wq.transpose(0, 2, 1) @ wq)
+        )
         assert est.mean == pytest.approx(direct.mean(), rel=1e-10)
-        assert est.stderr == pytest.approx(direct.std(ddof=1) / math.sqrt(4000), rel=1e-8)
+        assert est.stderr == pytest.approx(direct.std(ddof=1) / math.sqrt(samples), rel=1e-8)
 
 
 # float.hex of (mean, stderr) of mc_abs_det(_positive_profile(n), 70_000,
@@ -170,6 +194,15 @@ PINNED_SMALL = (
 )
 
 
+def _split_profile(n: int, p: int) -> np.ndarray:
+    """Variance 1 on even and 2 on odd columns, and 0 on rows 0..p-1 of the
+    even ones.  The even group comes first and is at least as large, so it
+    is the block integrated out above SMALL_DET_DIM, with p zero rows."""
+    var = np.tile(1.0 + np.arange(n) % 2, (n, 1))
+    var[:p, ::2] = 0.0
+    return var
+
+
 def _positive_profile(n: int) -> np.ndarray:
     """Variances 1..4 in a pattern with no zero row or column."""
     return np.array([[1.0 + (3 * i + 5 * j) % 4 for j in range(n)] for i in range(n)])
@@ -187,16 +220,25 @@ class TestMomentFold:
     def test_scaled_profile_scales_mean_and_stderr(self, n, log2_var, samples):
         # every entry scaled by 2**(log2_var / 2) scales |det| by
         # 2**(n * log2_var / 2); at n = 20 the sum of det**2 is past float range
-        unit = mc_abs_det(np.ones((n, n)), samples, seed=4)
-        scaled = mc_abs_det(np.full((n, n), 2.0**log2_var), samples, seed=4)
+        unit = mc_abs_det(_split_profile(n, 2), samples, seed=4)
+        scaled = mc_abs_det(_split_profile(n, 2) * 2.0**log2_var, samples, seed=4)
         factor = 2.0 ** (n * log2_var // 2)
         assert scaled.mean == pytest.approx(factor * unit.mean, rel=1e-12)
         assert scaled.stderr == pytest.approx(factor * unit.stderr, rel=1e-12)
         assert unit.stderr > 0
 
     def test_mean_past_float_range_raises(self):
+        # one group of equal columns: the exact value c_n * sqrt(prod d)
         with pytest.raises(OverflowError):
             mc_abs_det(np.full((40, 40), 2.0**62), 100, seed=1)
+
+    def test_sampled_mean_past_float_range_raises(self):
+        # two groups: sampled, and the mean overflows only where the fold
+        # scales it by exp(shift) at the end
+        var = _split_profile(40, 2) * 2.0**62
+        assert gaussian._column_block(var).width == 40 * 20
+        with pytest.raises(OverflowError, match="math range error"):
+            mc_abs_det(var, 100, seed=1)
 
     @pytest.mark.parametrize("n, variance", [(2, 1e300), (4, 1e150), (7, 1e44)])
     def test_plain_sums_past_float_range_raise(self, n, variance):
@@ -225,15 +267,50 @@ def _lapack_values(var: np.ndarray, seed: int, samples: int) -> np.ndarray:
 
     For 2 <= n <= SMALL_DET_DIM a sample draws rows B = rows 1..n-1 and its
     value is E[|det| | B] = sqrt(2/pi) * sqrt(sum_c v_0c * det(B without
-    column c)**2); otherwise it draws the whole matrix and its value is |det|.
+    column c)**2); at n = 1 it is |det|; above SMALL_DET_DIM it is the
+    brute-force subset sum ``_subset_sum_values`` over the columns it draws.
     """
     n = var.shape[0]
-    if 2 <= n <= SMALL_DET_DIM:
+    if n > SMALL_DET_DIM:
+        block = _block_of(var)
+        return _subset_sum_values(var, block, _drawn_columns(var, block, seed, samples))
+    if n >= 2:
         rows = rng.normals(seed, 0, samples, n * (n - 1)).reshape(-1, n - 1, n) * np.sqrt(var[1:])
         acc = sum(var[0, c] * np.linalg.det(np.delete(rows, c, axis=2)) ** 2 for c in range(n))
         return math.sqrt(2 / math.pi) * np.sqrt(acc)
     z = rng.normals(seed, 0, samples, n * n) * np.sqrt(var).ravel()
     return np.abs(np.linalg.det(z.reshape(-1, n, n)))
+
+
+def _block_of(var: np.ndarray) -> list[int]:
+    """The columns integrated out above SMALL_DET_DIM: the largest group of
+    equal columns, the first such group where sizes tie."""
+    n = len(var)
+    groups = [[j for j in range(n) if (var[:, j] == var[:, i]).all()] for i in range(n)]
+    return max(groups, key=len)
+
+
+def _drawn_columns(var: np.ndarray, block: list[int], seed: int, samples: int) -> np.ndarray:
+    """O of samples 0..samples-1 above SMALL_DET_DIM: the columns outside
+    ``block``, drawn row-major."""
+    n, m = len(var), len(var) - len(block)
+    others = [j for j in range(n) if j not in block]
+    o = rng.normals(seed, 0, samples, n * m).reshape(samples, n, m)
+    return o * np.sqrt(var[:, others])
+
+
+def _subset_sum_values(var: np.ndarray, block: list[int], o: np.ndarray) -> np.ndarray:
+    """E[|det| | O] for each O in ``o``, by brute force: c_k * sqrt(sum over
+    k-subsets S of rows of prod_{i in S} d_i * det(O without rows S)**2),
+    k = len(block) and d the block's column of variances."""
+    n, k = len(var), len(block)
+    d = var[:, block[0]]
+    acc = np.zeros(len(o))
+    for s in itertools.combinations(range(n), k):
+        weight = np.prod(d[list(s)])
+        if weight:
+            acc += weight * np.linalg.det(np.delete(o, s, axis=1)) ** 2
+    return abs_det_closed_standard(k) * np.sqrt(acc)
 
 
 # E|det| of the zero-diagonal profile: at n = 3 by quadrature, sqrt(2/pi) *
@@ -272,7 +349,12 @@ class TestSmallDeterminantKernel:
         monkeypatch.setattr(rng, "normal_pieces", recording)
         samples = DET_CHUNK + 100
         mc_abs_det(_profile("graded", n), samples, seed=3)
-        per_sample = n * (n - 1) if 2 <= n <= SMALL_DET_DIM else n * n
+        if n > SMALL_DET_DIM:
+            # columns j and j + 4 of the graded profile are equal, so the
+            # block integrated out has 2 columns
+            per_sample = n * (n - 2)
+        else:
+            per_sample = n * (n - 1) if n >= 2 else 1
         assert {width for _, width in shapes} == {per_sample}
         assert sum(rows for rows, _ in shapes) == samples
 
@@ -308,22 +390,152 @@ class TestSmallDeterminantKernel:
         assert runs[0].stderr == runs[1].stderr == runs[2].stderr
 
     def test_batch_normals_stay_within_the_budget_at_n_100(self, monkeypatch):
-        n = 100
-        assert rng.SAMPLE_BLOCK * n * n > rng.BATCH_ELEMENTS
+        # a sample draws the 50 odd columns; each piece's normals and its
+        # working copy fit PIECE_ELEMENTS together
+        n, m = 100, 50
+        assert rng.SAMPLE_BLOCK * n * m > rng.BATCH_ELEMENTS
         held = []
-        pieces = rng.normal_pieces
+        block_values = gaussian._block_values
+
+        def recording(z, block, work):
+            held.append((z.size, work.size))
+            return block_values(z, block, work)
+
+        monkeypatch.setattr(gaussian, "_block_values", recording)
+        samples = rng.SAMPLE_BLOCK + 76
+        est = mc_abs_det(_split_profile(n, 2), samples, seed=31)
+        assert sum(z for z, _ in held) == samples * n * m
+        assert max(z + w for z, w in held) <= rng.PIECE_ELEMENTS <= rng.BATCH_ELEMENTS
+        assert est.mean > 0 and math.isfinite(est.mean)
+
+
+# E|det| of game-2x4 (n = 8, four blocks of size 2, zero diagonal blocks)
+# from 4e7 samples of the plain estimator, mean |det| over whole matrices.
+# (mean, standard error)
+GAME_2X4_ABS_DET = (33.3951004423, 0.0095283)
+# Variances of the block columns: degrees from 1 to 10**4, and from 1 to 2**62.
+BLOCK_DEGREES = (1, 3, 10, 70, 500, 2000, 10**4)
+WIDE_BLOCK_DEGREES = (1, 5, 2**20, 2**40, 2**51, 2**62)
+
+
+def _block_profile(n: int, k: int, p: int, degrees=BLOCK_DEGREES) -> np.ndarray:
+    """Columns 0..k-1 equal, with ``degrees`` and 0 on p rows; the other
+    columns distinct, with degrees from 1 to 10**4."""
+    gen = np.random.default_rng(1000 * n + 10 * k + p)
+    var = np.floor(10.0 ** gen.uniform(0.0, 4.0, (n, n)))
+    var[:, :k] = gen.choice(degrees, n)[:, None]
+    var[gen.permutation(n)[:p], :k] = 0.0
+    return var
+
+
+def _alternating_profile(n: int) -> np.ndarray:
+    """Column 0 alternates degrees 1 and 2**62; column j > 0 is constant j.
+    W has n / 2 rows of order 1 for its n - 1 columns, so its other singular
+    values are about 2**31 times smaller, and a Gram matrix W^T W rounds
+    away what the value is made of."""
+    var = np.tile(np.arange(float(n)), (n, 1))
+    var[:, 0] = [1.0, 2.0**62] * (n // 2)
+    return var
+
+
+class TestColumnBlockKernel:
+    """Above SMALL_DET_DIM a sample integrates the largest group of equal
+    columns out and draws the others."""
+
+    @pytest.mark.parametrize(
+        "var",
+        [
+            pytest.param(_block_profile(n, k, p), id=f"n{n}-k{k}-p{p}")
+            for n, k, p in [
+                (8, 1, 0), (8, 1, 1), (8, 3, 2), (9, 3, 0), (9, 2, 4), (10, 3, 7), (10, 4, 1)
+            ]
+        ]
+        + [
+            pytest.param(_block_profile(n, k, p, WIDE_BLOCK_DEGREES), id=f"n{n}-k{k}-p{p}-wide")
+            for n, k, p in [(8, 1, 0), (8, 2, 1), (8, 3, 2), (10, 2, 0)]
+        ]
+        + [pytest.param(_alternating_profile(n), id=f"n{n}-alternating") for n in (8, 10)],
+    )
+    def test_value_is_the_subset_sum(self, monkeypatch, var):
+        values = []
+        block_values = gaussian._block_values
 
         def recording(*args):
-            for z in pieces(*args):
-                held.append(z.nbytes)
-                yield z
+            shift, v = block_values(*args)
+            values.append(math.exp(shift) * v)
+            return shift, v
 
-        monkeypatch.setattr(rng, "normal_pieces", recording)
-        samples = rng.SAMPLE_BLOCK + 76
-        est = mc_abs_det(np.ones((n, n)), samples, seed=31)
-        assert sum(held) == samples * n * n * 8
-        assert max(held) <= rng.PIECE_ELEMENTS * 8 <= rng.BATCH_ELEMENTS * 8
-        assert est.mean > 0 and math.isfinite(est.mean)
+        monkeypatch.setattr(gaussian, "_block_values", recording)
+        samples = 200
+        est = mc_abs_det(var, samples, seed=17)
+        values = np.concatenate(values)
+        block = _block_of(var)
+        assert block[0] == 0
+        direct = _subset_sum_values(var, block, _drawn_columns(var, block, 17, samples))
+        assert values.size == samples and (direct > 0).all()
+        np.testing.assert_allclose(values, direct, rtol=1e-10, atol=0)
+        assert est.mean == pytest.approx(direct.mean(), rel=1e-10)
+
+    @pytest.mark.parametrize("n, k, p", [(8, 3, 6), (10, 1, 10), (9, 8, 2)])
+    def test_more_zero_rows_than_drawn_columns_is_exactly_zero(self, monkeypatch, n, k, p):
+        # the p rows where the block vanishes live on the m = n - k other
+        # columns, so p > m makes every matrix singular
+        var = _block_profile(n, k, p)
+        drawn = []
+        monkeypatch.setattr(rng, "normal_pieces", lambda *args: drawn.append(args) or iter(()))
+        est = mc_abs_det(var, 1000, seed=3)
+        assert (est.mean, est.stderr, drawn) == (0.0, 0.0, [])
+        assert not sample_matrix(var, 3, 5).any()
+
+    def test_structurally_singular_profile_is_zero(self):
+        # columns 1 and 2 live on row 0 only, so every draw is singular: a
+        # reflection meets a zero norm, and each value is exactly 0
+        var = np.tile(1.0 + np.arange(8), (8, 1))
+        var[1:, 1:3] = 0.0
+        with np.errstate(all="raise"):
+            est = mc_abs_det(var, 3000, seed=1)
+        assert (est.mean, est.stderr) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("n", [8, 12, 40])
+    def test_one_block_is_exact(self, monkeypatch, n):
+        # every column equal: the whole matrix is D**(1/2) G, G standard
+        var = _block_profile(n, n, 0)
+        drawn = []
+        monkeypatch.setattr(rng, "normal_pieces", lambda *args: drawn.append(args) or iter(()))
+        est = mc_abs_det(var, 1000, seed=3)
+        exact = abs_det_closed_standard(n) * math.prod(math.sqrt(d) for d in var[:, 0])
+        assert est.mean == pytest.approx(exact, rel=1e-12)
+        assert (est.stderr, drawn) == (0.0, [])
+
+    @pytest.mark.parametrize("kind", ["rank-one", "game"])
+    def test_replicated_coverage(self, kind):
+        # the block-conditional sample is unbiased and its iid stderr honest.
+        # rank-one: degrees a_i * b_j (n = 10, six equal columns integrated
+        # out), E|det| = c_n * sqrt(prod a * prod b); game: game-2x4, two of
+        # whose eight rows are zero on the block integrated out
+        if kind == "rank-one":
+            a, b = 1.0 + np.arange(10) % 2, np.repeat([2.0, 1.0], [4, 6])
+            var = np.outer(a, b)
+            target, target_se = abs_det_closed_standard(10) * math.sqrt(a.prod() * b.prod()), 0.0
+        else:
+            var = variance_profile(game_shape((2,) * 4))
+            target, target_se = GAME_2X4_ABS_DET
+        z = []
+        for r in range(COVERAGE_REPLICATES):
+            est = mc_abs_det(var, 4096, seed=9000 + r)
+            z.append((est.mean - target) / math.hypot(est.stderr, target_se))
+        z = np.array(z)
+        assert abs(z.mean()) <= 4 / math.sqrt(COVERAGE_REPLICATES)
+        assert 0.75 <= z.std(ddof=1) <= 1.25
+
+    def test_bitwise_determinism_across_workers_zero_rows(self):
+        var = variance_profile(game_shape((2,) * 4))
+        width = 8 * 6  # six columns drawn
+        samples = 2 * rng.batch_size(width) + 1000
+        assert len(rng.batches(samples, width)) == 3
+        runs = [mc_abs_det(var, samples, seed=43, workers=w) for w in (1, 2, 8)]
+        assert runs[0].mean == runs[1].mean == runs[2].mean
+        assert runs[0].stderr == runs[1].stderr == runs[2].stderr
 
 
 class TestOrthogonalInvariance:

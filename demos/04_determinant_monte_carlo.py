@@ -7,6 +7,8 @@ the result is a pure function of (seed, samples) and is bitwise identical
 for any worker count, so closed-form comparisons replay exactly.
 """
 
+import math
+
 import numpy as np
 
 from mhroots import (
@@ -20,19 +22,24 @@ from mhroots import (
     variance_profile,
 )
 
-print("standard Gaussian matrices: Monte Carlo vs closed form")
-# For 2 <= n <= SMALL_DET_DIM (7) each sample draws rows 2..n only and takes
-# the exact mean of |det| over the top row, sqrt(2/pi) * sqrt(sum_c M_c**2)
-# with M_c its cofactors: the same mean as |det| with less variance.  At
-# n = 1 a sample is |z|.  Above SMALL_DET_DIM a sample draws only the columns
-# outside the largest group of identical columns and takes the exact mean
-# over that group; an all-ones profile is one group, so from n = 8 on its
-# estimate is the closed form itself, with stderr 0.
+print("standard Gaussian matrices: the estimator vs the closed form")
+# Each sample draws only the columns outside the largest group of identical
+# columns and takes the exact mean of |det| over that group: the same mean as
+# |det| with less variance.  An all-ones profile is one group, so its
+# estimate is the closed form itself, with stderr 0.  Scaling column j by
+# j + 1 makes the columns distinct, so a sample draws all but the first (at
+# n = 1 there is none to draw), and the mean scales by sqrt(n!).
 for n in range(1, 6):
-    est = mc_abs_det(np.ones((n, n)), 200_000, seed=11 * n)
     target = abs_det_closed_standard(n)
-    sigmas = abs(est.mean - target) / est.stderr
-    print(f"  n={n}: mc {est.mean:8.4f}  closed {target:8.4f}  ({sigmas:.2f} stderr away)")
+    exact = mc_abs_det(np.ones((n, n)), 200_000, seed=11 * n)
+    scales = np.arange(1.0, n + 1)
+    est = mc_abs_det(np.tile(scales, (n, 1)), 200_000, seed=11 * n)
+    scaled = math.sqrt(scales.prod()) * target
+    away = f"{abs(est.mean - scaled) / est.stderr:.2f} stderr away" if est.stderr else "exact"
+    print(
+        f"  n={n}: all ones {exact.mean:8.4f} (closed {target:8.4f}, stderr {exact.stderr:g});"
+        f"  columns scaled: mc {est.mean:9.4f}  closed {scaled:9.4f}  ({away})"
+    )
 
 print()
 print("worker count never changes the estimate:")
@@ -59,8 +66,6 @@ print(f"  {upper:.4f} >= {est.mean:.4f} >= {lower:.4f}")
 
 print()
 print("one-row minor expansion bounds (exact sub-means for 1x1 minors):")
-import math
-
 minor = math.sqrt(2 / math.pi)
 upper, lower = minor_expansion_bounds(np.ones((2, 2)), 1, [minor, minor])
 print(f"  {upper:.4f} >= 1.0 >= {lower:.4f}")

@@ -32,12 +32,11 @@ permutations and block relabellings (``bkk._canonical``), which leave the
 expectation unchanged, and a Monte Carlo estimate draws its streams from
 ``derive_seed(seed, canonical shape)``.  So an estimate's ``mc.seed`` is
 that derived seed, and ``sample_matrix`` replays it on the canonical
-shape's variance profile: the entries each sample draws.  For 2 <= n <=
-SMALL_DET_DIM they leave row 0 zero, since the estimator integrates the top
-row out; above it they leave the largest group of identical columns zero,
-since it integrates that block out (see ``gaussian``).  The form is
-canonical under row permutations; two labellings that swap blocks of equal
-size can still give two representatives, and so two derived seeds.
+shape's variance profile: the entries each sample draws.  They leave the
+largest group of identical columns zero, since the estimator integrates
+that block out (see ``gaussian``).  The form is canonical under row
+permutations; two labellings that swap blocks of equal size can still give
+two representatives, and so two derived seeds.
 Results are memoized in _EXPECTATION_MEMO, at most EXPECTATION_MEMO_SIZE
 of them, so a run that asks for one shape again under the same seed and
 sample count, as ``bounds`` and each ``row_recursion_check`` of a shape

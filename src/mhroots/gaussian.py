@@ -6,23 +6,14 @@ in block j.  The Monte Carlo mean of |det| over such draws is the kernel of
 the expected-root-count formula.  Sample i of an estimate is row i of the
 block-keyed normal stream of ``rng.normals``, so the result is a pure
 function of (seed, samples), bitwise independent of the worker count, and
-``sample_matrix(var, seed, i)`` replays sample i of any run.  Above n = 1
-a sample draws only part of the matrix and integrates the rest out in
-closed form, so its value is a conditional mean of |det|: it has the mean
-of |det|, a lower variance, and a plain iid stderr.  Which part is drawn is
-the stream contract, and SMALL_DET_DIM is part of it.
+``sample_matrix(var, seed, i)`` replays sample i of any run.  A sample
+draws only part of the matrix and integrates the rest out in closed form,
+so its value is a conditional mean of |det|: it has the mean of |det|, a
+lower variance, and a plain iid stderr.  Which part is drawn is the stream
+contract.
 
-For 2 <= n <= SMALL_DET_DIM a sample draws only rows 1..n-1 and integrates
-the top row out: det is linear in row 0, so its value is E[|det| | rows
-1..n-1] = sqrt(2/pi) * sqrt(sum_c v_0c * M_c**2), M_c the minor without row
-0 and column c.  Its second moment is (2/pi) * per(V), and it takes n fewer
-normals.  The minors come from a vectorised Laplace expansion by
-complementary minors, run on chunks of DET_CHUNK samples with each entry a
-contiguous vector over the chunk; there batched LAPACK spends most of its
-time on per-matrix overhead.  At n = 1 a sample is |sigma z|.
-
-Above SMALL_DET_DIM the largest group of identical columns of the profile
-(ties to the first) is integrated out.  Its k columns are iid N(0, D), D =
+At every n the largest group of identical columns of the profile (ties to
+the first) is integrated out.  Its k columns are iid N(0, D), D =
 diag(d_i), so given the m = n - k other columns O, det is a Gaussian
 multilinear form and (Edelman & Kostlan 1995; the projection argument of
 ``expectation.abs_det_p1``)
@@ -38,20 +29,20 @@ products of the norms they remove, the rows of W sorted by their expected
 norm, largest first.  So no Gram matrix is formed, and rows of W that
 differ in scale by 2**60 keep their digits.  The sum is 0 when p > m, and
 when k = n it is prod d_i: both are exact, with stderr 0, and draw nothing.
+So every n = 1 profile and every profile with one distinct column is exact.
 
-One moment fold serves every n: each piece of samples, each batch and the
-estimate carry (shift, e1, e2), the sums of |v| and v**2 scaled by
-exp(-shift) and exp(-2 * shift), and ``_merge`` folds them in stream order.
-Plain values (n <= SMALL_DET_DIM) carry shift 0 and fold as plain sums.
-Above SMALL_DET_DIM a piece's shift is its largest log value, and the mean
-and the stderr are scaled by exp(shift) only at the end, so they overflow
-only when they are past float range themselves.
+Each piece of samples, each batch and the estimate carry moments (shift,
+e1, e2), the sums of |v| and v**2 scaled by exp(-shift) and exp(-2 *
+shift), and ``_merge`` folds them in stream order.  A piece's shift is its
+largest log value, so every scaled value is at most 1 and no sum
+overflows; the mean and the stderr are scaled by exp(shift) in the log
+domain at the end, so they overflow only when they are past float range
+themselves.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -63,13 +54,8 @@ from .permanent import _check_finite_nonnegative, permanent_float
 from .shape import ShapeSpec, expand_delta
 from .specialfn import LOG_SQRT_PI, SQRT_PI, gamma_half, log_gamma_half
 
-# Largest n of the Laplace kernel; above it a column block is integrated out.
-# The bound is part of the stream contract, so n <= 7 values stay as they
-# were; where the two kernels cross over in speed is not measured.
-SMALL_DET_DIM = 7
-# Matrices per kernel pass: each operand, one entry over the chunk, fits in cache.
+# Samples per piece at most; a piece of many normals per sample has fewer.
 DET_CHUNK = 4096
-_SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 
 class SampleCountError(ValueError):
@@ -108,8 +94,8 @@ def _check_profile(variances) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _ColumnBlock:
-    """The block of identical columns that a sample above SMALL_DET_DIM
-    integrates out, and how its value is computed from the other columns O.
+    """The block of identical columns that a sample integrates out, and how
+    its value is computed from the other columns O.
 
     A sample's normals are the entries of O row-major, over ``others`` (the
     m columns of O in order) and every row in order.  ``order`` puts the p
@@ -152,7 +138,7 @@ def _column_block(arr: np.ndarray) -> _ColumnBlock:
         groups.setdefault(col, []).append(j)
     block = max(groups.values(), key=len)  # dicts keep first-seen order
     d = arr[:, block[0]]
-    others = np.setdiff1d(np.arange(n), block)
+    others = np.delete(np.arange(n), block)
     live = d > 0
     # the variances of W = D_+**(-1/2) O_+, and of O_Z unscaled
     var = arr[:, others] / np.where(live, d, 1.0)[:, None]
@@ -164,99 +150,23 @@ def _column_block(arr: np.ndarray) -> _ColumnBlock:
     return _ColumnBlock(others, order, n - int(live.sum()), scale, log_const)
 
 
-def _draws_per_sample(n: int) -> int:
-    """Normals each sample of an n x n estimate draws up to SMALL_DET_DIM:
-    rows 1..n-1 where the top row is integrated out (n >= 2), else the one
-    entry.  Above SMALL_DET_DIM the count depends on the profile, see
-    ``_ColumnBlock.width``."""
-    return n * (n - 1) if n >= 2 else n
-
-
 def sample_matrix(variances, seed: int, index: int = 0) -> np.ndarray:
     """One draw of the structured matrix for stream position ``index``: the
     entries that sample ``index`` of ``mc_abs_det`` draws, the others zero.
 
-    Zero-variance entries are exact structural zeros.  For 2 <= n <=
-    SMALL_DET_DIM the estimator integrates the top row out, so row 0 is
-    zero and the sample's value is sqrt(2/pi) * sqrt(sum_c v_0c * M_c**2),
-    M_c the determinant of rows 1..n-1 without column c.  Above
-    SMALL_DET_DIM it integrates the largest group of identical columns out
-    (ties to the first), so those columns are zero and the normals fill the
-    other columns row by row.  Where the value needs no draw (see
-    ``mc_abs_det``) the matrix is zero.
+    Zero-variance entries are exact structural zeros.  The estimator
+    integrates the largest group of identical columns out (ties to the
+    first), so those columns are zero and the normals fill the other
+    columns row by row.  Where the value needs no draw (see ``mc_abs_det``)
+    the matrix is zero.
     """
     arr = _check_profile(variances)
     n = arr.shape[0]
     mat = np.zeros((n, n))
-    if n > SMALL_DET_DIM:
-        block = _column_block(arr)
-        drawn = rng.normals(seed, index, 1, block.width)[0]
-        if drawn.size:
-            mat[:, block.others] = drawn.reshape(n, -1)
-    else:
-        width = _draws_per_sample(n)
-        mat.reshape(-1)[n * n - width :] = rng.normals(seed, index, 1, width)[0]
+    block = _column_block(arr) if n else None
+    if block is not None and block.width:
+        mat[:, block.others] = rng.normals(seed, index, 1, block.width).reshape(n, -1)
     return mat * np.sqrt(arr)
-
-
-@functools.lru_cache(maxsize=SMALL_DET_DIM)
-def _laplace_plan(n: int) -> tuple:
-    """Bottom-up Laplace expansion of the maximal minors of an (n - 1) x n
-    matrix.
-
-    Level r (r = 2..n-1) lists, for each r-subset S of the columns in
-    lexicographic order, the minor on the last r rows and columns S as terms
-    (sign, flat index of entry (n - 1 - r, c), index of the level r - 1 minor
-    on S minus c), for c running through S.  Level 1 is the last row itself.
-    """
-    levels = []
-    index = {(c,): c for c in range(n)}
-    for r in range(2, n):
-        row = (n - 1 - r) * n
-        subsets = list(itertools.combinations(range(n), r))
-        levels.append(
-            tuple(
-                tuple((k % 2 == 0, row + c, index[s[:k] + s[k + 1 :]]) for k, c in enumerate(s))
-                for s in subsets
-            )
-        )
-        index = {s: i for i, s in enumerate(subsets)}
-    return tuple(levels)
-
-
-def _maximal_minors(zt: np.ndarray, n: int):
-    """The n maximal minors of the (n - 1) x n matrices whose row-major
-    entries are the rows of ``zt``, of shape (n * (n - 1), matrices): one
-    vector operation per term.  The minor without column c is entry n - 1 - c."""
-    minors = zt[n * (n - 2) :]
-    for level in _laplace_plan(n):
-        nxt = []
-        for (_, entry, minor), *rest in level:
-            acc = zt[entry] * minors[minor]
-            for plus, entry, minor in rest:
-                if plus:
-                    acc += zt[entry] * minors[minor]
-                else:
-                    acc -= zt[entry] * minors[minor]
-            nxt.append(acc)
-        minors = nxt
-    return minors
-
-
-def _top_row_values(z: np.ndarray, sigma_flat: np.ndarray, var_top: np.ndarray, n: int):
-    """E[|det| | rows 1..n-1] for each row of ``z``, the unscaled rows 1..n-1
-    of a sample.  det is linear in row 0, so given the other rows it is
-    normal with variance sum_c v_0c * M_c**2, M_c the minor without row 0
-    and column c, and its mean absolute value is sqrt(2/pi) times the root."""
-    # one transposed copy makes each entry a contiguous vector over the chunk
-    minors = _maximal_minors(np.multiply(z.T, sigma_flat[n:, None], order="C"), n)
-    acc = np.zeros(z.shape[0])
-    for c in np.flatnonzero(var_top):
-        m = minors[n - 1 - c]
-        acc += var_top[c] * (m * m)
-    acc = np.sqrt(acc, out=acc)
-    acc *= _SQRT_2_OVER_PI
-    return acc
 
 
 def _merge(acc: tuple, part: tuple) -> tuple:
@@ -264,8 +174,7 @@ def _merge(acc: tuple, part: tuple) -> tuple:
 
     Moments are (shift, e1, e2): the sums of |v| and v**2 over a run of
     samples, scaled by exp(-shift) and exp(-2 * shift).  The result carries
-    the larger shift.  Plain values carry shift 0; their scale factors are
-    exactly 1.0, so they fold as plain sums.
+    the larger shift.
     """
     shift = max(acc[0], part[0])
     a = math.exp(acc[0] - shift)
@@ -328,24 +237,19 @@ def _block_values(z: np.ndarray, block: _ColumnBlock, work: np.ndarray) -> tuple
     return block.log_const + top, np.exp(logv, out=logv)
 
 
-def _batch_absdet_moments(
-    arr: np.ndarray, block: _ColumnBlock | None, seed: int, start: int, count: int
-):
-    n = arr.shape[0]
-    # (shift, |v| * exp(-shift)) per piece
-    if block is not None:
-        work = np.empty(min(block.piece_rows, count) * block.width)
-        pieces = rng.normal_pieces(seed, start, count, block.width, block.piece_rows)
-        values = (_block_values(z, block, work) for z in pieces)
-    else:
-        sigma_flat = np.sqrt(arr).ravel()
-        pieces = rng.normal_pieces(seed, start, count, _draws_per_sample(n), DET_CHUNK)
-        if n > 1:
-            values = ((0.0, _top_row_values(z, sigma_flat, arr[0], n)) for z in pieces)
-        else:
-            values = ((0.0, np.abs(z[:, 0]) * sigma_flat[0]) for z in pieces)
-    # folded piece by piece, in stream order: no batch-sized array of values
+def _batch_absdet_moments(block: _ColumnBlock, seed: int, start: int, count: int):
+    work = np.empty(min(block.piece_rows, count) * block.width)
+    pieces = rng.normal_pieces(seed, start, count, block.width, block.piece_rows)
+    # (shift, |v| * exp(-shift)) per piece, folded piece by piece in stream
+    # order: no batch-sized array of values
+    values = (_block_values(z, block, work) for z in pieces)
     return functools.reduce(_merge, ((s, float(v.sum()), float((v * v).sum())) for s, v in values))
+
+
+def _unshift(shift: float, x: float) -> float:
+    """x * exp(shift), taken in the log domain: OverflowError only when the
+    product itself is past float range."""
+    return math.exp(shift + math.log(x)) if x > 0 else 0.0
 
 
 def mc_abs_det(variances, samples: int, seed: int, workers: int = 1) -> MCEstimate:
@@ -354,57 +258,46 @@ def mc_abs_det(variances, samples: int, seed: int, workers: int = 1) -> MCEstima
     The estimate depends only on (seed, samples): the sample range is cut
     into the batches of ``rng.batches``, whose size depends only on the
     normals per sample, and their moments are folded in batch order, so any
-    worker count gives bitwise identical results.  Each sample's value is a
-    conditional mean of |det| given the entries it draws (see the module
-    docstring):
+    worker count gives bitwise identical results.  Each sample draws the
+    columns outside the largest group of identical columns and its value is
+    E[|det| | O], its log from Householder reflections of O, vectorised
+    over the samples (see the module docstring).  When that mean does not
+    depend on O (p > m gives 0, k = n gives c_n * sqrt(prod d_i), every
+    n = 1 profile among them), nothing is drawn and the estimate is exact,
+    with stderr 0.
 
-    - n = 1: |sigma z|;
-    - 2 <= n <= SMALL_DET_DIM (7): rows 1..n-1 are drawn and the value is
-      sqrt(2/pi) * sqrt(sum_c v_0c * M_c**2), the minors M_c from the
-      Laplace kernel;
-    - above SMALL_DET_DIM: the columns outside the largest group of
-      identical columns are drawn and the value is E[|det| | O], its log
-      from Householder reflections of O, vectorised over the samples.
-      When that mean does not depend on O (p > m gives 0, k = n gives c_n *
-      sqrt(prod d_i)), nothing is drawn and the estimate is exact, with
-      stderr 0.
-
-    Samples are drawn in pieces of at most DET_CHUNK samples and
-    PIECE_ELEMENTS normals (``rng.normal_pieces``); above SMALL_DET_DIM a
-    piece's normals and its working copy fit PIECE_ELEMENTS together.  Every
-    piece and batch folds into moments (shift, e1, e2) through ``_merge``.
-    The mean and the stderr come from the scaled sums and are multiplied by
-    exp(shift) at the end: OverflowError only when they are past float
-    range themselves.  Plain values fold unscaled, so at n <= SMALL_DET_DIM
-    OverflowError also comes when the sum of |v| or of v**2 is.
+    Samples are drawn in pieces of at most DET_CHUNK samples whose normals
+    and working copy fit PIECE_ELEMENTS together (``rng.normal_pieces``).
+    Every piece and batch folds into moments (shift, e1, e2) through
+    ``_merge``.  The mean and the stderr come from the scaled sums and are
+    scaled by exp(shift) at the end: OverflowError only when they are past
+    float range themselves.
     """
     arr = _check_profile(variances)
     check_samples(samples)
-    n = arr.shape[0]
     t0 = time.perf_counter()
-    block = _column_block(arr) if n > SMALL_DET_DIM else None
-    exact = 1.0 if n == 0 else None if block is None else block.exact
+    block = _column_block(arr) if arr.shape[0] else None
+    exact = 1.0 if block is None else block.exact  # the empty determinant is 1
     if exact is not None:
         return MCEstimate(exact, 0.0, samples, seed, time.perf_counter() - t0)
-    batches = rng.batches(samples, _draws_per_sample(n) if block is None else block.width)
+    batches = rng.batches(samples, block.width)
     if workers > 1 and len(batches) > 1:
         # imported here: it adds about 7 ms to every start-up that needs no pool
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(lambda b: _batch_absdet_moments(arr, block, seed, *b), batches)
-            )
+            results = list(pool.map(lambda b: _batch_absdet_moments(block, seed, *b), batches))
     else:
-        results = [_batch_absdet_moments(arr, block, seed, *b) for b in batches]
+        results = [_batch_absdet_moments(block, seed, *b) for b in batches]
     shift, e1, e2 = functools.reduce(_merge, results)
-    if not (math.isfinite(e1) and math.isfinite(e2)):  # only plain values: scaled ones are <= 1
-        raise OverflowError(f"a sum of |det| or |det|**2 at n={n} is past float range")
     mean = e1 / samples
     var = max(0.0, (e2 - samples * mean * mean) / (samples - 1))
-    scale = math.exp(shift)
     return MCEstimate(
-        scale * mean, scale * math.sqrt(var / samples), samples, seed, time.perf_counter() - t0
+        _unshift(shift, mean),
+        _unshift(shift, math.sqrt(var / samples)),
+        samples,
+        seed,
+        time.perf_counter() - t0,
     )
 
 

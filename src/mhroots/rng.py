@@ -41,8 +41,8 @@ MAX_BATCH = 1 << 16
 # batch budget keep the allocator from holding two batch-sized buffers.  At
 # 4 MB, a small block that numpy keeps for reuse could land on the C heap
 # above a freed piece and stop the heap from shrinking, so the estimator's
-# peak memory moved by 4 MB with the heap's layout.  A DET_CHUNK of n = 7
-# samples (4096 x 42 draws) still fits in one piece.
+# peak memory moved by 4 MB with the heap's layout.  The determinant
+# estimator cuts its pieces so that a piece and its working copy fit here.
 PIECE_ELEMENTS = 1 << 18
 
 

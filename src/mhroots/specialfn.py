@@ -104,8 +104,8 @@ def ellipe(m):
     """Complete elliptic integral of the second kind,
     E(m) = integral over [0, pi/2] of sqrt(1 - m sin(t)**2), for m in [0, 1].
 
-    ``m`` is a float or an array of them; a float gives a float, an array an
-    array of its shape.  By the arithmetic-geometric mean: a, b = 1,
+    ``m`` is an array, and the result an array of its shape.  By the
+    arithmetic-geometric mean: a, b = 1,
     sqrt(1 - m) and c**2 = a**2 - b**2 with c_{n+1} = c_n**2 / (4 a_{n+1}),
     which has no cancellation; then E = pi / (2 a_inf) * (1 - sum_n
     2**(n - 1) c_n**2).  Each entry steps until its c underflows to zero,
@@ -131,5 +131,4 @@ def ellipe(m):
         weight *= 2.0
         total = total + weight * c * c
         live = c != 0.0
-    out = np.where(one, 1.0, math.pi / (2.0 * a) * (1.0 - total))
-    return float(out) if out.ndim == 0 else out
+    return np.where(one, 1.0, math.pi / (2.0 * a) * (1.0 - total))

@@ -47,21 +47,44 @@ def test_criterion_01_univariate_sqrt_d_reproduction():
     assert not failures, failures
 
 
+# Rank-one shapes with two blocks of positive size whose factors e_j differ,
+# (block sizes, d, e): their columns form two groups, so E|det Z| is sampled.
+TWO_FACTOR_RANK_ONE = (
+    ((1, 1), (1, 2), (1, 2)),
+    ((1, 2), (1, 2, 1), (2, 1)),
+    ((2, 2), (1, 2, 1, 2), (2, 1)),
+    ((2, 3), (1, 1, 2, 1, 2), (1, 2)),
+)
+
+
 def test_criterion_02_central_formula_self_consistency():
     """prefactor * E|det Z| (Monte Carlo, 1e6) matches the closed form on
-    rank-one shapes."""
+    rank-one shapes: to 1e-12 where E|det Z| is exact (all columns equal),
+    within 4 standard errors where it is sampled."""
+    shapes = [random_rank_one_shape(777, t, max_n=5) for t in range(20)] + [
+        validate(sizes, [[di * ej for ej in e] for di in d]) for sizes, d, e in TWO_FACTOR_RANK_ONE
+    ]
     failures = []
-    for t in range(20):
-        spec = random_rank_one_shape(777, t, max_n=5)
+    sampled = 0
+    for t, spec in enumerate(shapes):
         cf = closed_form(spec)
         assert cf is not None
         pf = prefactor(spec)
         est = mc_abs_det(variance_profile(spec), 1_000_000, seed=3000 + t)
-        if abs(cf.value - pf * est.mean) > 4 * pf * est.stderr:
+        sampled += est.stderr > 0
+        if est.stderr == 0:
+            ok = pf * est.mean == pytest.approx(cf.value, rel=1e-12)
+        else:
+            ok = abs(cf.value - pf * est.mean) <= 4 * pf * est.stderr
+        if not ok:
             failures.append(
                 f"shape {spec.to_json()}: closed {cf.value:.5f} vs mc {pf * est.mean:.5f}"
             )
-    _report("2 central formula self-consistency (20 rank-one shapes)", not failures)
+    assert sampled >= len(TWO_FACTOR_RANK_ONE)
+    _report(
+        f"2 central formula self-consistency ({len(shapes)} rank-one shapes, {sampled} sampled)",
+        not failures,
+    )
     assert not failures, failures
 
 
@@ -85,15 +108,25 @@ def test_criterion_03_bilinear_ground_truth():
 
 
 def test_criterion_04_standard_gaussian_det_mean():
-    """Monte Carlo |det| means for all-ones profiles match
-    2**(n/2) Gamma((n+1)/2) / Gamma(1/2) for n = 1..6."""
+    """|det| means for all-ones profiles match 2**(n/2) Gamma((n+1)/2) /
+    Gamma(1/2) for n = 1..6: exactly, since an all-ones profile is one
+    column; and by Monte Carlo (1e6) with column j scaled by j + 1, which
+    scales the mean by sqrt(n!), for n = 2..6 (at n = 1 it is still one
+    column, and exact)."""
     failures = []
     details = []
     for n in range(1, 7):
-        est = mc_abs_det(np.ones((n, n)), 1_000_000, seed=500 + n)
         target = abs_det_closed_standard(n)
-        details.append(f"n={n}: {est.mean:.4f} vs {target:.4f}")
-        if abs(est.mean - target) > 4 * est.stderr:
+        exact = mc_abs_det(np.ones((n, n)), 1_000_000, seed=500 + n)
+        if exact.stderr != 0 or exact.mean != pytest.approx(target, rel=1e-12):
+            failures.append(f"n={n}: exact {exact.mean!r} vs {target!r}")
+        if n == 1:
+            continue
+        scales = np.arange(1.0, n + 1)
+        est = mc_abs_det(np.tile(scales, (n, 1)), 1_000_000, seed=500 + n)
+        scaled_target = math.sqrt(scales.prod()) * target
+        details.append(f"n={n}: {est.mean:.4f} vs {scaled_target:.4f}")
+        if est.stderr == 0 or abs(est.mean - scaled_target) > 4 * est.stderr:
             failures.append(details[-1])
     _report("4 standard-Gaussian determinant mean", not failures, "; ".join(details))
     assert not failures, failures

@@ -189,13 +189,20 @@ class TestDispatch:
                 assert res.value > 0.0
 
     def test_central_formula_consistency_light(self):
-        # closed form vs prefactor * MC on a few rank-one shapes
-        for t in range(3):
-            spec = random_rank_one_shape(8002, t, max_n=4)
+        # closed form vs prefactor * MC on a few rank-one shapes.  The
+        # corpus shapes have all columns equal, so E|det Z| is exact; the
+        # last shape's two blocks have factors 1 and 2, so it is sampled
+        shapes = [random_rank_one_shape(8002, t, max_n=4) for t in range(3)]
+        shapes.append(validate((1, 2), [[1, 2], [2, 4], [1, 2]]))
+        for t, spec in enumerate(shapes):
             cf = closed_form(spec)
             est = mc_abs_det(variance_profile(spec), 200_000, seed=200 + t)
             pf = prefactor(spec)
-            assert abs(cf.value - pf * est.mean) <= 4 * pf * est.stderr, spec
+            if t < 3:
+                assert est.stderr == 0 and pf * est.mean == pytest.approx(cf.value, rel=1e-12)
+            else:
+                assert est.stderr > 0
+                assert abs(cf.value - pf * est.mean) <= 4 * pf * est.stderr, spec
 
 
 class TestBounds:

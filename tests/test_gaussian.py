@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from mhroots import gaussian, rng
 from mhroots.corpus import random_variance_profile
 from mhroots.gaussian import (
     DET_CHUNK,
-    SMALL_DET_DIM,
     abs_det_closed_standard,
     mc_abs_det,
     minor_expansion_bounds,
@@ -53,18 +53,39 @@ class TestClosedStandard:
         assert abs_det_closed_standard(4) == pytest.approx(3.0)
 
 
+def _column_scaled(n: int) -> np.ndarray:
+    """The standard profile with column j scaled by j + 1: the columns are
+    distinct, so a sample draws all but the first, and E|det| is
+    sqrt(n!) * abs_det_closed_standard(n)."""
+    return np.tile(1.0 + np.arange(n), (n, 1))
+
+
+def _column_scaled_target(n: int) -> float:
+    return math.sqrt(math.factorial(n)) * abs_det_closed_standard(n)
+
+
 class TestMonteCarlo:
     def test_scalar_standard_gaussian(self):
+        # every n = 1 profile is one column: exact, and nothing is sampled
         est = mc_abs_det(np.ones((1, 1)), 200_000, seed=5)
-        assert abs(est.mean - math.sqrt(2 / math.pi)) <= 4 * est.stderr
+        assert (est.mean, est.stderr) == (pytest.approx(math.sqrt(2 / math.pi), rel=1e-12), 0.0)
+        est = mc_abs_det(np.full((1, 1), 4.0), 200_000, seed=5)
+        assert (est.mean, est.stderr) == (pytest.approx(2 * math.sqrt(2 / math.pi), rel=1e-12), 0.0)
 
     def test_two_by_two_standard(self):
-        est = mc_abs_det(np.ones((2, 2)), 200_000, seed=6)
-        assert abs(est.mean - 1.0) <= 4 * est.stderr
+        exact = mc_abs_det(np.ones((2, 2)), 200_000, seed=6)
+        assert (exact.mean, exact.stderr) == (pytest.approx(1.0, rel=1e-12), 0.0)
+        est = mc_abs_det(_column_scaled(2), 200_000, seed=6)
+        assert est.stderr > 0
+        assert abs(est.mean - _column_scaled_target(2)) <= 4 * est.stderr
 
     def test_three_by_three_standard(self):
-        est = mc_abs_det(np.ones((3, 3)), 100_000, seed=7)
-        assert abs(est.mean - abs_det_closed_standard(3)) <= 4 * est.stderr
+        exact = mc_abs_det(np.ones((3, 3)), 100_000, seed=7)
+        target = abs_det_closed_standard(3)
+        assert (exact.mean, exact.stderr) == (pytest.approx(target, rel=1e-12), 0.0)
+        est = mc_abs_det(_column_scaled(3), 100_000, seed=7)
+        assert est.stderr > 0
+        assert abs(est.mean - _column_scaled_target(3)) <= 4 * est.stderr
 
     def test_zero_column_exact_zero(self):
         var = np.ones((3, 3))
@@ -90,14 +111,15 @@ class TestMonteCarlo:
         assert runs[0].stderr == runs[1].stderr == runs[2].stderr
 
     def test_sample_matrix_replays_the_estimator_draw(self, monkeypatch):
-        # at 2 <= n <= SMALL_DET_DIM a sample draws rows 1..n-1, and its value
-        # comes through the cofactors of the zero top row
+        # every column is distinct, so column 0 is integrated out: a sample
+        # draws columns 1..n-1 row by row, and its value comes through the
+        # cofactors of the zero column 0
         n = 3
         var = np.array([[1.0, 2.0, 0.0], [3.0, 1.0, 1.0], [2.0, 2.0, 4.0]])
         drawn = {}
         values = []
         normals = rng.normals
-        top_row_values = gaussian._top_row_values
+        block_values = gaussian._block_values
 
         def recording(seed, first, count, width):
             z = normals(seed, first, count, width)
@@ -105,33 +127,33 @@ class TestMonteCarlo:
             return z
 
         def recording_values(*args):
-            v = top_row_values(*args)
-            values.append(v.copy())  # one worker: pieces come in stream order
-            return v
+            shift, v = block_values(*args)
+            values.append(math.exp(shift) * v)  # one worker: pieces come in stream order
+            return shift, v
 
         monkeypatch.setattr(rng, "normals", recording)
-        monkeypatch.setattr(gaussian, "_top_row_values", recording_values)
+        monkeypatch.setattr(gaussian, "_block_values", recording_values)
         est = mc_abs_det(var, 3000, seed=23)
         monkeypatch.undo()
         values = np.concatenate(values)
         assert values.size == 3000 and est.mean == pytest.approx(values.mean(), rel=1e-12)
         for index in (0, rng.SAMPLE_BLOCK + 5, 2999):
             mat = sample_matrix(var, 23, index)
-            assert (mat[0] == 0).all()
-            assert np.array_equal(mat[1:], drawn[index].reshape(n - 1, n) * np.sqrt(var[1:]))
-            cofactors = [np.linalg.det(np.delete(mat, c, axis=1)[1:]) for c in range(n)]
-            value = math.sqrt(2 / math.pi) * math.sqrt(np.dot(var[0], np.square(cofactors)))
+            assert (mat[:, 0] == 0).all()
+            assert np.array_equal(mat[:, 1:], drawn[index].reshape(n, n - 1) * np.sqrt(var[:, 1:]))
+            cofactors = [np.linalg.det(np.delete(mat, r, axis=0)[:, 1:]) for r in range(n)]
+            value = math.sqrt(2 / math.pi) * math.sqrt(np.dot(var[:, 0], np.square(cofactors)))
             assert values[index] == pytest.approx(value, rel=1e-12)
 
-    @pytest.mark.parametrize("n", [1, SMALL_DET_DIM + 1])
+    @pytest.mark.parametrize("n", [1, 8])
     def test_sample_matrix_replays_every_row_outside_the_kernel(self, n):
-        # n = 1 draws the whole matrix.  Above SMALL_DET_DIM every column of
-        # the zero-diagonal profile is distinct, so column 0 is the block
-        # integrated out: a sample draws columns 1..n-1 row by row, and
+        # n = 1 is one column, integrated out: nothing is drawn.  Every
+        # column of the zero-diagonal profile is distinct, so column 0 is the
+        # block integrated out: a sample draws columns 1..n-1 row by row, and
         # column 0 stays zero
         if n == 1:
             var = _profile("graded", n)
-            drawn = rng.normals(29, 7, 1, 1).reshape(1, 1)
+            drawn = np.zeros((1, 1))
         else:
             var = _profile("game", n)
             drawn = np.zeros((n, n))
@@ -139,10 +161,15 @@ class TestMonteCarlo:
         assert np.array_equal(sample_matrix(var, 29, 7), drawn * np.sqrt(var))
 
     def test_row_scale_equivariance(self):
+        # one column (exact), then distinct columns (sampled)
         base = mc_abs_det(np.ones((2, 2)), 200_000, seed=10)
-        scaled_var = np.array([[4.0, 4.0], [1.0, 1.0]])
-        scaled = mc_abs_det(scaled_var, 200_000, seed=11)
+        scaled = mc_abs_det(np.array([[4.0, 4.0], [1.0, 1.0]]), 200_000, seed=11)
+        assert scaled.stderr == base.stderr == 0.0
+        assert scaled.mean == pytest.approx(2 * base.mean, rel=1e-12)
+        base = mc_abs_det(_column_scaled(2), 200_000, seed=10)
+        scaled = mc_abs_det(_column_scaled(2) * np.array([[4.0], [1.0]]), 200_000, seed=11)
         joint = math.hypot(2 * base.stderr, scaled.stderr)
+        assert joint > 0
         assert abs(scaled.mean - 2 * base.mean) <= 4 * joint
 
     def test_minimum_samples(self):
@@ -150,12 +177,12 @@ class TestMonteCarlo:
             mc_abs_det(np.ones((2, 2)), 1, seed=0)
 
     def test_log_domain_path_matches_direct_computation(self, monkeypatch):
-        # above SMALL_DET_DIM moments accumulate in the log domain; force
-        # several batches so the fold across batches is exercised too.  The
-        # 21 even columns (zero on rows 0..2) are integrated out and the 20
-        # odd ones O drawn.  Directly, by LAPACK: with a QR of the zero rows'
-        # O_Z^T = [Q1 Q2] R, the sum over row subsets is prod d *
-        # det(O_Z O_Z^T) * det((W Q2)^T W Q2), W the other rows of O
+        # moments accumulate in the log domain; force several batches so the
+        # fold across batches is exercised too.  The 21 even columns (zero on
+        # rows 0..2) are integrated out and the 20 odd ones O drawn.
+        # Directly, by LAPACK: with a QR of the zero rows' O_Z^T = [Q1 Q2] R,
+        # the sum over row subsets is prod d * det(O_Z O_Z^T) *
+        # det((W Q2)^T W Q2), W the other rows of O
         n, m, p, samples = 41, 20, 3, 4000
         var = _split_profile(n, p)
         monkeypatch.setattr(rng, "BATCH_ELEMENTS", rng.SAMPLE_BLOCK * n * m)
@@ -173,31 +200,31 @@ class TestMonteCarlo:
 
 
 # float.hex of (mean, stderr) of mc_abs_det(_positive_profile(n), 70_000,
-# seed, workers=2), 70,000 samples being two batches.  At n <= SMALL_DET_DIM
-# values carry shift 0 and ``_merge`` scales them by exactly 1.0, so the
-# fold gives the plain sums bit for bit.
+# seed, workers=2), 70,000 samples being two batches: the stream contract,
+# the kernel and the moment fold bit for bit.  At n = 1 the profile is one
+# column and the value is exact.
 PINNED_SMALL = (
-    (1, 3, "0x1.988350962464ep-1", "0x1.2ae5a7bc956cfp-9"),
-    (1, 11, "0x1.9a200a3a0af48p-1", "0x1.2bac0a2b2ab6fp-9"),
-    (2, 3, "0x1.030877457a4ebp+1", "0x1.3a8cf9c3e541fp-8"),
-    (2, 11, "0x1.03ad12484b2eap+1", "0x1.3c3467b03b52dp-8"),
-    (3, 3, "0x1.7030d9ad9a4b7p+2", "0x1.1e31425e9abc9p-6"),
-    (3, 11, "0x1.70c80f367d9c1p+2", "0x1.1f78fd0435354p-6"),
-    (4, 3, "0x1.307273c9267c3p+4", "0x1.0ec063ac7f5cap-4"),
-    (4, 11, "0x1.30da384743d52p+4", "0x1.10a48d8835981p-4"),
-    (5, 3, "0x1.cfffe4a6d2960p+5", "0x1.ca87498e8f2cep-3"),
-    (5, 11, "0x1.d0ef5ae361c7ap+5", "0x1.ca5ceb6d60586p-3"),
-    (6, 3, "0x1.afd9bc18b7543p+7", "0x1.cdbd68908e014p-1"),
-    (6, 11, "0x1.ae0a405b0342dp+7", "0x1.d49665a9c5f39p-1"),
-    (7, 3, "0x1.c6eaa91857e32p+9", "0x1.06bc6b9f0cf8ep+2"),
-    (7, 11, "0x1.c351501935bd1p+9", "0x1.046fddff8000ap+2"),
+    (1, 3, "0x1.9884533d43651p-1", "0x0.0p+0"),
+    (1, 11, "0x1.9884533d43651p-1", "0x0.0p+0"),
+    (2, 3, "0x1.030877457a4ebp+1", "0x1.3a8cf9c3e5418p-8"),
+    (2, 11, "0x1.03ad12484b2e8p+1", "0x1.3c3467b03b531p-8"),
+    (3, 3, "0x1.704f50917aaabp+2", "0x1.1f470fd63330dp-6"),
+    (3, 11, "0x1.715851a458e08p+2", "0x1.1fb293a30c3aap-6"),
+    (4, 3, "0x1.316dff5246ee2p+4", "0x1.0fed7fa140386p-4"),
+    (4, 11, "0x1.30f1933cbf6a2p+4", "0x1.0ef4924149e5fp-4"),
+    (5, 3, "0x1.d313c9ed082b6p+5", "0x1.5dc7fca9a8458p-3"),
+    (5, 11, "0x1.d1f3bbe4d1f01p+5", "0x1.60a9553ee7008p-3"),
+    (6, 3, "0x1.adec0e0d22f51p+7", "0x1.66e003b29722fp-1"),
+    (6, 11, "0x1.ad53f4936e7dfp+7", "0x1.6cdf05ab83a06p-1"),
+    (7, 3, "0x1.c412697dbf262p+9", "0x1.9e67c63095fd5p+1"),
+    (7, 11, "0x1.c271b9dc1431ep+9", "0x1.9d1adbd9d2e55p+1"),
 )
 
 
 def _split_profile(n: int, p: int) -> np.ndarray:
     """Variance 1 on even and 2 on odd columns, and 0 on rows 0..p-1 of the
     even ones.  The even group comes first and is at least as large, so it
-    is the block integrated out above SMALL_DET_DIM, with p zero rows."""
+    is the block integrated out, with p zero rows."""
     var = np.tile(1.0 + np.arange(n) % 2, (n, 1))
     var[:p, ::2] = 0.0
     return var
@@ -209,10 +236,14 @@ def _positive_profile(n: int) -> np.ndarray:
 
 
 class TestMomentFold:
-    @pytest.mark.parametrize("n, seed, mean, stderr", PINNED_SMALL)
+    @pytest.mark.parametrize(
+        "n, seed, mean, stderr", PINNED_SMALL, ids=[f"{n}-{seed}" for n, seed, *_ in PINNED_SMALL]
+    )
     def test_small_dimensions_pinned(self, n, seed, mean, stderr):
         samples = 70_000
-        assert len(rng.batches(samples, gaussian._draws_per_sample(n))) == 2
+        width = gaussian._column_block(_positive_profile(n)).width
+        # n = 1 draws nothing; above, two batches
+        assert width == 0 if n == 1 else len(rng.batches(samples, width)) == 2
         est = mc_abs_det(_positive_profile(n), samples, seed, workers=2)
         assert (est.mean.hex(), est.stderr.hex()) == (mean, stderr)
 
@@ -241,12 +272,37 @@ class TestMomentFold:
             mc_abs_det(var, 100, seed=1)
 
     @pytest.mark.parametrize("n, variance", [(2, 1e300), (4, 1e150), (7, 1e44)])
-    def test_plain_sums_past_float_range_raise(self, n, variance):
-        # plain values fold unscaled, so their sums overflow here; unchecked,
-        # the estimate read a mean of inf or nan with stderr 0.0
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(OverflowError, match="past float range"):
-                mc_abs_det(np.full((n, n), variance), 4096, seed=1)
+    def test_sums_past_float_range_give_a_finite_mean(self, n, variance):
+        # the sums of |v| and v**2 are past float range; every value is
+        # folded shifted, so the mean and the stderr scale as |det| does
+        unit = mc_abs_det(_column_scaled(n), 4096, seed=1)
+        scaled = mc_abs_det(_column_scaled(n) * variance, 4096, seed=1)
+        factor = variance ** (n / 2)
+        assert factor * unit.mean > math.sqrt(sys.float_info.max / 4096)
+        assert scaled.mean == pytest.approx(factor * unit.mean, rel=1e-12)
+        assert scaled.stderr == pytest.approx(factor * unit.stderr, rel=1e-12)
+
+    def test_overflow_only_past_float_range(self, monkeypatch):
+        # a mean of half the float range is returned although its largest
+        # sample is past float range; a mean past float range raises
+        n, samples = 4, 4096
+        unit = mc_abs_det(_column_scaled(n), samples, seed=2)
+        scale = math.sqrt(0.5 * sys.float_info.max / unit.mean)  # |det| scales as scale**2
+        shifts = []
+        block_values = gaussian._block_values
+
+        def recording(*args):
+            shift, v = block_values(*args)
+            shifts.append(shift)  # the log of the piece's largest value
+            return shift, v
+
+        monkeypatch.setattr(gaussian, "_block_values", recording)
+        est = mc_abs_det(_column_scaled(n) * scale, samples, seed=2)
+        assert max(shifts) > math.log(sys.float_info.max)
+        assert est.mean == pytest.approx(0.5 * sys.float_info.max, rel=1e-12)
+        assert est.stderr == pytest.approx(scale**2 * unit.stderr, rel=1e-12)
+        with pytest.raises(OverflowError):
+            mc_abs_det(_column_scaled(n) * (2 * scale), samples, seed=2)
 
 
 def _profile(kind: str, n: int) -> np.ndarray:
@@ -263,36 +319,24 @@ def _profile(kind: str, n: int) -> np.ndarray:
 
 
 def _lapack_values(var: np.ndarray, seed: int, samples: int) -> np.ndarray:
-    """The estimator's per-sample values by LAPACK over the same stream rows.
-
-    For 2 <= n <= SMALL_DET_DIM a sample draws rows B = rows 1..n-1 and its
-    value is E[|det| | B] = sqrt(2/pi) * sqrt(sum_c v_0c * det(B without
-    column c)**2); at n = 1 it is |det|; above SMALL_DET_DIM it is the
-    brute-force subset sum ``_subset_sum_values`` over the columns it draws.
-    """
-    n = var.shape[0]
-    if n > SMALL_DET_DIM:
-        block = _block_of(var)
-        return _subset_sum_values(var, block, _drawn_columns(var, block, seed, samples))
-    if n >= 2:
-        rows = rng.normals(seed, 0, samples, n * (n - 1)).reshape(-1, n - 1, n) * np.sqrt(var[1:])
-        acc = sum(var[0, c] * np.linalg.det(np.delete(rows, c, axis=2)) ** 2 for c in range(n))
-        return math.sqrt(2 / math.pi) * np.sqrt(acc)
-    z = rng.normals(seed, 0, samples, n * n) * np.sqrt(var).ravel()
-    return np.abs(np.linalg.det(z.reshape(-1, n, n)))
+    """The estimator's per-sample values by LAPACK over the same stream rows:
+    the brute-force subset sum ``_subset_sum_values`` over the columns a
+    sample draws."""
+    block = _block_of(var)
+    return _subset_sum_values(var, block, _drawn_columns(var, block, seed, samples))
 
 
 def _block_of(var: np.ndarray) -> list[int]:
-    """The columns integrated out above SMALL_DET_DIM: the largest group of
-    equal columns, the first such group where sizes tie."""
+    """The columns integrated out: the largest group of equal columns, the
+    first such group where sizes tie."""
     n = len(var)
     groups = [[j for j in range(n) if (var[:, j] == var[:, i]).all()] for i in range(n)]
     return max(groups, key=len)
 
 
 def _drawn_columns(var: np.ndarray, block: list[int], seed: int, samples: int) -> np.ndarray:
-    """O of samples 0..samples-1 above SMALL_DET_DIM: the columns outside
-    ``block``, drawn row-major."""
+    """O of samples 0..samples-1: the columns outside ``block``, drawn
+    row-major."""
     n, m = len(var), len(var) - len(block)
     others = [j for j in range(n) if j not in block]
     o = rng.normals(seed, 0, samples, n * m).reshape(samples, n, m)
@@ -321,9 +365,24 @@ GAME_ABS_DET = {3: (0.849086394557, 0.0), 5: (3.67466, 0.00062)}
 COVERAGE_REPLICATES = 100
 
 
+def _assert_coverage(var, target: float, target_se: float, first_seed: int) -> None:
+    """The conditional sample is unbiased and its iid stderr honest: the
+    z-scores of COVERAGE_REPLICATES runs of 4096 samples, seeds first_seed
+    onward, have mean 0 and standard deviation 1."""
+    z = []
+    for r in range(COVERAGE_REPLICATES):
+        est = mc_abs_det(var, 4096, seed=first_seed + r)
+        z.append((est.mean - target) / math.hypot(est.stderr, target_se))
+    z = np.array(z)
+    assert abs(z.mean()) <= 4 / math.sqrt(COVERAGE_REPLICATES)
+    assert 0.75 <= z.std(ddof=1) <= 1.25
+
+
 class TestSmallDeterminantKernel:
+    """n = 1..8 through the one column-block kernel, against LAPACK."""
+
     @pytest.mark.parametrize("kind", ["unit", "game", "graded", "singular"])
-    @pytest.mark.parametrize("n", range(1, SMALL_DET_DIM + 2))
+    @pytest.mark.parametrize("n", range(1, 9))
     def test_matches_lapack_over_the_same_rows(self, n, kind):
         # two whole chunks and a partial one
         samples = 2 * DET_CHUNK + 808
@@ -332,11 +391,11 @@ class TestSmallDeterminantKernel:
         direct = _lapack_values(var, 70 + n, samples)
         assert est.mean == pytest.approx(direct.mean(), rel=1e-10)
         assert est.stderr == pytest.approx(direct.std(ddof=1) / math.sqrt(samples), rel=1e-10)
-        if kind == "singular" and n <= SMALL_DET_DIM:
-            # every expansion term holds an exact zero factor
+        if kind == "singular":
+            # a reflection meets a zero norm, or p > m: every value is exactly 0
             assert est.mean == 0.0 and est.stderr == 0.0
 
-    @pytest.mark.parametrize("n", range(1, SMALL_DET_DIM + 2))
+    @pytest.mark.parametrize("n", range(1, 9))
     def test_normals_drawn_per_sample(self, monkeypatch, n):
         shapes = []
         pieces = rng.normal_pieces
@@ -349,16 +408,14 @@ class TestSmallDeterminantKernel:
         monkeypatch.setattr(rng, "normal_pieces", recording)
         samples = DET_CHUNK + 100
         mc_abs_det(_profile("graded", n), samples, seed=3)
-        if n > SMALL_DET_DIM:
-            # columns j and j + 4 of the graded profile are equal, so the
-            # block integrated out has 2 columns
-            per_sample = n * (n - 2)
-        else:
-            per_sample = n * (n - 1) if n >= 2 else 1
-        assert {width for _, width in shapes} == {per_sample}
-        assert sum(rows for rows, _ in shapes) == samples
+        # columns j and j + 4 of the graded profile are equal, so from n = 5
+        # on the block integrated out has 2 columns; at n = 1 it is the whole
+        # matrix, and nothing is drawn
+        per_sample = n * (n - 2) if n > 4 else n * (n - 1)
+        assert {width for _, width in shapes} == ({per_sample} if n > 1 else set())
+        assert sum(rows for rows, _ in shapes) == (samples if n > 1 else 0)
 
-    @pytest.mark.parametrize("n", range(3, SMALL_DET_DIM))
+    @pytest.mark.parametrize("n", range(3, 7))
     def test_bitwise_determinism_across_workers_conditional_kernel(self, n):
         var = _profile("game", n)
         samples = 2 * rng.batch_size(n * (n - 1)) + 1000
@@ -369,22 +426,23 @@ class TestSmallDeterminantKernel:
     @pytest.mark.parametrize("kind", ["unit", "game"])
     @pytest.mark.parametrize("n", [3, 5])
     def test_replicated_coverage(self, n, kind):
-        # the conditional sample is unbiased and its iid stderr honest: the
-        # z-scores of independent runs have mean 0 and standard deviation 1
-        var = _profile(kind, n)
-        target, target_se = (abs_det_closed_standard(n), 0.0) if kind == "unit" else GAME_ABS_DET[n]
-        z = []
-        for r in range(COVERAGE_REPLICATES):
-            est = mc_abs_det(var, 4096, seed=5000 + 1000 * n + r)
-            z.append((est.mean - target) / math.hypot(est.stderr, target_se))
-        z = np.array(z)
-        assert abs(z.mean()) <= 4 / math.sqrt(COVERAGE_REPLICATES)
-        assert 0.75 <= z.std(ddof=1) <= 1.25
+        # the all-ones profile is one column, so its value is exact; its
+        # columns scaled apart, it is sampled
+        if kind == "unit":
+            exact = mc_abs_det(_profile(kind, n), 4096, seed=5000 + 1000 * n)
+            assert exact.mean == pytest.approx(abs_det_closed_standard(n), rel=1e-12)
+            assert exact.stderr == 0.0
+            var, target, target_se = _column_scaled(n), _column_scaled_target(n), 0.0
+        else:
+            var = _profile(kind, n)
+            target, target_se = GAME_ABS_DET[n]
+        _assert_coverage(var, target, target_se, first_seed=5000 + 1000 * n)
 
     def test_bitwise_determinism_across_workers_several_batches(self):
-        n = SMALL_DET_DIM
+        # columns 0 and 4, 1 and 5, 2 and 6 are equal: a sample draws 5 columns
+        n = 7
         var = _profile("graded", n)
-        samples = 3 * rng.batch_size(n * n) + 1000
+        samples = 3 * rng.batch_size(n * 5) + 1000
         runs = [mc_abs_det(var, samples, seed=29, workers=w) for w in (1, 2, 8)]
         assert runs[0].mean == runs[1].mean == runs[2].mean
         assert runs[0].stderr == runs[1].stderr == runs[2].stderr
@@ -413,6 +471,22 @@ class TestSmallDeterminantKernel:
 # from 4e7 samples of the plain estimator, mean |det| over whole matrices.
 # (mean, standard error)
 GAME_2X4_ABS_DET = (33.3951004423, 0.0095283)
+# E|det| of two profiles of the README verify run's Monte Carlo estimates,
+# blocks (2, 2) at n = 4 and (1, 2, 2) at n = 5, each a pair of equal columns
+# integrated out, from 4e7 samples of the plain estimator on numpy's own
+# generator, mean |det| over whole matrices.  (profile, mean, standard error)
+VERIFY_ABS_DET = {
+    4: (
+        [[1, 1, 1, 1], [1, 1, 3, 3], [2, 2, 3, 3], [3, 3, 3, 3]],
+        11.302572320460502,
+        0.0023447224883940605,
+    ),
+    5: (
+        [[0, 1, 1, 1, 1], [0, 2, 2, 3, 3], [1, 0, 0, 2, 2], [1, 0, 0, 3, 3], [1, 1, 1, 3, 3]],
+        8.427108428778633,
+        0.0022172462626014267,
+    ),
+}
 # Variances of the block columns: degrees from 1 to 10**4, and from 1 to 2**62.
 BLOCK_DEGREES = (1, 3, 10, 70, 500, 2000, 10**4)
 WIDE_BLOCK_DEGREES = (1, 5, 2**20, 2**40, 2**51, 2**62)
@@ -438,23 +512,45 @@ def _alternating_profile(n: int) -> np.ndarray:
     return var
 
 
+@pytest.fixture
+def valued_samples(monkeypatch):
+    """A list that gets the number of samples of each piece that
+    ``gaussian._block_values`` values, from any worker."""
+    counts = []
+    block_values = gaussian._block_values
+
+    def recording(z, block, work):
+        counts.append(z.shape[0])
+        return block_values(z, block, work)
+
+    monkeypatch.setattr(gaussian, "_block_values", recording)
+    return counts
+
+
 class TestColumnBlockKernel:
-    """Above SMALL_DET_DIM a sample integrates the largest group of equal
-    columns out and draws the others."""
+    """At every n a sample integrates the largest group of equal columns out
+    and draws the others."""
 
     @pytest.mark.parametrize(
         "var",
         [
             pytest.param(_block_profile(n, k, p), id=f"n{n}-k{k}-p{p}")
             for n, k, p in [
-                (8, 1, 0), (8, 1, 1), (8, 3, 2), (9, 3, 0), (9, 2, 4), (10, 3, 7), (10, 4, 1)
+                (8, 1, 0), (8, 1, 1), (8, 3, 2), (9, 3, 0), (9, 2, 4), (10, 3, 7), (10, 4, 1),
+                (2, 1, 0), (2, 1, 1), (3, 1, 0), (3, 2, 1), (4, 1, 2), (4, 2, 0), (5, 2, 2),
+                (5, 3, 0), (6, 1, 3), (6, 3, 1), (7, 2, 3), (7, 4, 0),
             ]
         ]
         + [
             pytest.param(_block_profile(n, k, p, WIDE_BLOCK_DEGREES), id=f"n{n}-k{k}-p{p}-wide")
-            for n, k, p in [(8, 1, 0), (8, 2, 1), (8, 3, 2), (10, 2, 0)]
+            for n, k, p in [
+                (8, 1, 0), (8, 2, 1), (8, 3, 2), (10, 2, 0), (3, 1, 0), (5, 2, 1), (7, 3, 2)
+            ]
         ]
-        + [pytest.param(_alternating_profile(n), id=f"n{n}-alternating") for n in (8, 10)],
+        + [
+            pytest.param(_alternating_profile(n), id=f"n{n}-alternating")
+            for n in (8, 10, 2, 4, 6)
+        ],
     )
     def test_value_is_the_subset_sum(self, monkeypatch, var):
         values = []
@@ -476,7 +572,9 @@ class TestColumnBlockKernel:
         np.testing.assert_allclose(values, direct, rtol=1e-10, atol=0)
         assert est.mean == pytest.approx(direct.mean(), rel=1e-10)
 
-    @pytest.mark.parametrize("n, k, p", [(8, 3, 6), (10, 1, 10), (9, 8, 2)])
+    @pytest.mark.parametrize(
+        "n, k, p", [(8, 3, 6), (10, 1, 10), (9, 8, 2), (1, 1, 1), (3, 2, 2), (5, 3, 3), (7, 1, 7)]
+    )
     def test_more_zero_rows_than_drawn_columns_is_exactly_zero(self, monkeypatch, n, k, p):
         # the p rows where the block vanishes live on the m = n - k other
         # columns, so p > m makes every matrix singular
@@ -487,16 +585,19 @@ class TestColumnBlockKernel:
         assert (est.mean, est.stderr, drawn) == (0.0, 0.0, [])
         assert not sample_matrix(var, 3, 5).any()
 
-    def test_structurally_singular_profile_is_zero(self):
+    def test_structurally_singular_profile_is_zero(self, valued_samples):
         # columns 1 and 2 live on row 0 only, so every draw is singular: a
         # reflection meets a zero norm, and each value is exactly 0
-        var = np.tile(1.0 + np.arange(8), (8, 1))
-        var[1:, 1:3] = 0.0
-        with np.errstate(all="raise"):
-            est = mc_abs_det(var, 3000, seed=1)
-        assert (est.mean, est.stderr) == (0.0, 0.0)
+        for n in range(3, 9):
+            var = np.tile(1.0 + np.arange(n), (n, 1))
+            var[1:, 1:3] = 0.0
+            valued_samples.clear()
+            with np.errstate(all="raise"):
+                est = mc_abs_det(var, 3000, seed=1)
+            assert (est.mean, est.stderr) == (0.0, 0.0)
+            assert sum(valued_samples) == 3000
 
-    @pytest.mark.parametrize("n", [8, 12, 40])
+    @pytest.mark.parametrize("n", [8, 12, 40, 1, 2, 3, 4, 5, 6, 7])
     def test_one_block_is_exact(self, monkeypatch, n):
         # every column equal: the whole matrix is D**(1/2) G, G standard
         var = _block_profile(n, n, 0)
@@ -509,7 +610,6 @@ class TestColumnBlockKernel:
 
     @pytest.mark.parametrize("kind", ["rank-one", "game"])
     def test_replicated_coverage(self, kind):
-        # the block-conditional sample is unbiased and its iid stderr honest.
         # rank-one: degrees a_i * b_j (n = 10, six equal columns integrated
         # out), E|det| = c_n * sqrt(prod a * prod b); game: game-2x4, two of
         # whose eight rows are zero on the block integrated out
@@ -520,13 +620,35 @@ class TestColumnBlockKernel:
         else:
             var = variance_profile(game_shape((2,) * 4))
             target, target_se = GAME_2X4_ABS_DET
-        z = []
-        for r in range(COVERAGE_REPLICATES):
-            est = mc_abs_det(var, 4096, seed=9000 + r)
-            z.append((est.mean - target) / math.hypot(est.stderr, target_se))
-        z = np.array(z)
-        assert abs(z.mean()) <= 4 / math.sqrt(COVERAGE_REPLICATES)
-        assert 0.75 <= z.std(ddof=1) <= 1.25
+        _assert_coverage(var, target, target_se, first_seed=9000)
+
+    @pytest.mark.parametrize("n", range(4, 6))
+    @pytest.mark.parametrize("kind", ["column-scaled", "verify"])
+    def test_replicated_coverage_on_verify_profiles(self, valued_samples, kind, n):
+        # k = 1: verify's det_mean_closed_form profile, whose target is
+        # exact; k = 2: a profile of the README verify run's Monte Carlo
+        # estimates, against a plain-estimator reference
+        if kind == "column-scaled":
+            var, target, target_se = _column_scaled(n), _column_scaled_target(n), 0.0
+        else:
+            profile, target, target_se = VERIFY_ABS_DET[n]
+            var = np.array(profile, dtype=float)
+        assert len(_block_of(var)) == (1 if kind == "column-scaled" else 2)
+        _assert_coverage(var, target, target_se, first_seed=7000 + 1000 * n)
+        assert sum(valued_samples) == COVERAGE_REPLICATES * 4096
+
+    @pytest.mark.parametrize(
+        "n, k, p", [(2, 1, 1), (3, 2, 0), (4, 1, 0), (5, 2, 1), (6, 3, 2), (7, 2, 0)]
+    )
+    def test_bitwise_determinism_across_workers_small_n(self, valued_samples, n, k, p):
+        width = n * (n - k)
+        samples = 2 * rng.batch_size(width) + 1000
+        assert len(rng.batches(samples, width)) == 3
+        runs = [mc_abs_det(_block_profile(n, k, p), samples, seed=47, workers=w) for w in (1, 2, 8)]
+        assert sum(valued_samples) == 3 * samples
+        assert runs[0].mean == runs[1].mean == runs[2].mean
+        assert runs[0].stderr == runs[1].stderr == runs[2].stderr
+        assert runs[0].stderr > 0
 
     def test_bitwise_determinism_across_workers_zero_rows(self):
         var = variance_profile(game_shape((2,) * 4))

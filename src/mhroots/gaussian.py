@@ -31,11 +31,11 @@ differ in scale by 2**60 keep their digits.  The sum is 0 when p > m, and
 when k = n it is prod d_i: both are exact, with stderr 0, and draw nothing.
 So every n = 1 profile and every profile with one distinct column is exact.
 
-Each piece of samples, each batch and the estimate carry moments (shift,
-e1, e2), the sums of |v| and v**2 scaled by exp(-shift) and exp(-2 *
-shift), and ``_merge`` folds them in stream order.  A piece's shift is its
-largest log value, so every scaled value is at most 1 and no sum
-overflows; the mean and the stderr are scaled by exp(shift) in the log
+Each piece of samples carries moments (shift, e1, e2), the sums of |v| and
+v**2 scaled by exp(-shift) and exp(-2 * shift), and ``_merge`` folds every
+piece's moments once, in stream order, into the estimate's.  A piece's
+shift is its largest log value, so every scaled value is at most 1 and no
+sum overflows; the mean and the stderr are scaled by exp(shift) in the log
 domain at the end, so they overflow only when they are past float range
 themselves.
 """
@@ -43,7 +43,9 @@ themselves.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import threading
 import time
 from dataclasses import dataclass
 
@@ -128,6 +130,13 @@ class _ColumnBlock:
         """Samples per piece: the piece's normals and its working copy fit
         rng.PIECE_ELEMENTS together."""
         return max(1, min(DET_CHUNK, rng.PIECE_ELEMENTS // (2 * self.scale.size)))
+
+    @property
+    def task_rows(self) -> int:
+        """Samples per pool task: one piece of whole blocks, or one block of
+        several pieces where a piece is smaller than a block."""
+        rows = self.piece_rows
+        return max(rng.SAMPLE_BLOCK, rows - rows % rng.SAMPLE_BLOCK)
 
 
 def _column_block(arr: np.ndarray) -> _ColumnBlock:
@@ -237,15 +246,6 @@ def _block_values(z: np.ndarray, block: _ColumnBlock, work: np.ndarray) -> tuple
     return block.log_const + top, np.exp(logv, out=logv)
 
 
-def _batch_absdet_moments(block: _ColumnBlock, seed: int, start: int, count: int):
-    work = np.empty(min(block.piece_rows, count) * block.width)
-    pieces = rng.normal_pieces(seed, start, count, block.width, block.piece_rows)
-    # (shift, |v| * exp(-shift)) per piece, folded piece by piece in stream
-    # order: no batch-sized array of values
-    values = (_block_values(z, block, work) for z in pieces)
-    return functools.reduce(_merge, ((s, float(v.sum()), float((v * v).sum())) for s, v in values))
-
-
 def _unshift(shift: float, x: float) -> float:
     """x * exp(shift), taken in the log domain: OverflowError only when the
     product itself is past float range."""
@@ -256,9 +256,9 @@ def mc_abs_det(variances, samples: int, seed: int, workers: int = 1) -> MCEstima
     """Monte Carlo mean of |det| of the structured Gaussian matrix.
 
     The estimate depends only on (seed, samples): the sample range is cut
-    into the batches of ``rng.batches``, whose size depends only on the
-    normals per sample, and their moments are folded in batch order, so any
-    worker count gives bitwise identical results.  Each sample draws the
+    into pieces whose size depends only on the normals per sample, and
+    their moments are folded once, in stream order, so any worker count
+    gives bitwise identical results.  Each sample draws the
     columns outside the largest group of identical columns and its value is
     E[|det| | O], its log from Householder reflections of O, vectorised
     over the samples (see the module docstring).  When that mean does not
@@ -268,10 +268,11 @@ def mc_abs_det(variances, samples: int, seed: int, workers: int = 1) -> MCEstima
 
     Samples are drawn in pieces of at most DET_CHUNK samples whose normals
     and working copy fit PIECE_ELEMENTS together (``rng.normal_pieces``).
-    Every piece and batch folds into moments (shift, e1, e2) through
-    ``_merge``.  The mean and the stderr come from the scaled sums and are
-    scaled by exp(shift) at the end: OverflowError only when they are past
-    float range themselves.
+    A pool task is one piece of whole blocks, or one block where pieces are
+    smaller (``_ColumnBlock.task_rows``), and returns its pieces' moments
+    (shift, e1, e2); one ``_merge`` fold takes them all.  The mean and the
+    stderr come from the scaled sums and are scaled by exp(shift) at the
+    end: OverflowError only when they are past float range themselves.
     """
     arr = _check_profile(variances)
     check_samples(samples)
@@ -280,16 +281,31 @@ def mc_abs_det(variances, samples: int, seed: int, workers: int = 1) -> MCEstima
     exact = 1.0 if block is None else block.exact  # the empty determinant is 1
     if exact is not None:
         return MCEstimate(exact, 0.0, samples, seed, time.perf_counter() - t0)
-    batches = rng.batches(samples, block.width)
-    if workers > 1 and len(batches) > 1:
+    step = block.task_rows
+    tasks = [(start, min(step, samples - start)) for start in range(0, samples, step)]
+    # one working copy per thread, for all its tasks: a new one per task
+    # faults its pages in again, up to 25% of the time at 65,536 samples
+    held = threading.local()
+
+    def task_moments(task: tuple[int, int]) -> list[tuple]:
+        """Moments (shift, e1, e2) of each piece of one task, in stream order."""
+        if not hasattr(held, "work"):
+            held.work = np.empty(min(block.piece_rows, samples) * block.width)
+        moments = []
+        for z in rng.normal_pieces(seed, *task, block.width, block.piece_rows):
+            shift, v = _block_values(z, block, held.work)
+            moments.append((shift, float(v.sum()), float((v * v).sum())))
+        return moments
+
+    if workers > 1 and len(tasks) > 1:
         # imported here: it adds about 7 ms to every start-up that needs no pool
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda b: _batch_absdet_moments(block, seed, *b), batches))
+            results = list(pool.map(task_moments, tasks))
     else:
-        results = [_batch_absdet_moments(block, seed, *b) for b in batches]
-    shift, e1, e2 = functools.reduce(_merge, results)
+        results = [task_moments(t) for t in tasks]
+    shift, e1, e2 = functools.reduce(_merge, itertools.chain.from_iterable(results))
     mean = e1 / samples
     var = max(0.0, (e2 - samples * mean * mean) / (samples - 1))
     return MCEstimate(

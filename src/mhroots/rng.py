@@ -11,14 +11,13 @@ into blocks of SAMPLE_BLOCK rows; block b is drawn, row after row, from
 Philox keyed by (seed, b) (each call makes one generator and re-keys it per
 block).  So any range of rows is a pure function of
 (seed, row, count), whatever partition of the range over workers or
-batches produced it.  SAMPLE_BLOCK is part of the stream contract, and the
+pieces produced it.  SAMPLE_BLOCK is part of the stream contract, and the
 values are pinned to the installed numpy's ziggurat.
 
-``batches`` is the batching policy of the determinant sampler: batches are
-whole blocks, sized by an element budget so that peak memory stays flat in
-the per-sample draw count.  ``normal_pieces`` hands a range's normals over
-in pieces of a smaller budget, which holds even where one block exceeds the
-batch budget; the root-counting sampler takes its draws from it directly.
+``normal_pieces`` hands a range's normals over in pieces of at most
+PIECE_ELEMENTS draws, even where one block exceeds that budget, so that
+peak memory stays flat in the per-sample draw count.  Both Monte Carlo
+samplers take their draws from it.
 """
 
 from __future__ import annotations
@@ -34,15 +33,11 @@ _MASK64 = (1 << 64) - 1
 
 # Stream contract: rows per Philox key.  Changing it changes every normal.
 SAMPLE_BLOCK = 1024
-# Batching policy: draws per batch, and samples per batch at most.
-BATCH_ELEMENTS = 1 << 22
-MAX_BATCH = 1 << 16
-# Draws held at once by one piece of a batch (2 MB).  Pieces far below the
-# batch budget keep the allocator from holding two batch-sized buffers.  At
-# 4 MB, a small block that numpy keeps for reuse could land on the C heap
-# above a freed piece and stop the heap from shrinking, so the estimator's
-# peak memory moved by 4 MB with the heap's layout.  The determinant
-# estimator cuts its pieces so that a piece and its working copy fit here.
+# Draws held at once by one piece (2 MB).  At 4 MB, a small block that
+# numpy keeps for reuse could land on the C heap above a freed piece and stop
+# the heap from shrinking, so the estimator's peak memory moved by 4 MB with
+# the heap's layout.  The determinant estimator cuts its pieces so that a
+# piece and its working copy fit here.
 PIECE_ELEMENTS = 1 << 18
 
 
@@ -164,20 +159,3 @@ def normal_pieces(
             yield piece
         row = stop
 
-
-def batch_size(count: int) -> int:
-    """Samples per batch for samples of ``count`` draws each.
-
-    At most MAX_BATCH samples and about BATCH_ELEMENTS draws, a whole number
-    of blocks, and never less than one block.  ``normal_pieces`` holds a
-    batch's normals within PIECE_ELEMENTS at a time, even where one block
-    exceeds this budget.
-    """
-    size = min(MAX_BATCH, max(SAMPLE_BLOCK, BATCH_ELEMENTS // max(count, 1)))
-    return size - size % SAMPLE_BLOCK
-
-
-def batches(samples: int, count: int) -> list[tuple[int, int]]:
-    """(first sample, sample count) of each batch covering ``samples`` samples."""
-    size = batch_size(count)
-    return [(start, min(size, samples - start)) for start in range(0, samples, size)]

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from mhroots import cli, empirical, rng
+from mhroots import cli, empirical, gaussian, rng
 from mhroots.bkk import _canonical
 from mhroots.cli import main
 from mhroots.shape import game_shape
@@ -600,8 +600,9 @@ class TestVerifyCommand:
         assert any(key[4:] == ("monte_carlo",) for key, _ in p1)
 
     def test_report_independent_of_workers(self, capsys, monkeypatch):
-        # one-block batches, so every estimate of 4096 samples folds four batches
-        monkeypatch.setattr(rng, "MAX_BATCH", rng.SAMPLE_BLOCK)
+        # pieces of at most one block, so every estimate of 4096 samples is
+        # four pool tasks
+        monkeypatch.setattr(gaussian, "DET_CHUNK", rng.SAMPLE_BLOCK)
         reports = []
         for workers in ("1", "2"):
             mx._EXPECTATION_MEMO.clear()

@@ -27,7 +27,8 @@ from mhroots.expectation import (
     split_expectation,
 )
 from mhroots.gaussian import abs_det_closed_standard, mc_abs_det, variance_profile
-from mhroots.shape import ShapeSpec, game_shape, validate
+from mhroots.permanent import has_zero_block
+from mhroots.shape import ShapeSpec, expand_delta, game_shape, validate
 
 # The package re-exports the function ``expectation`` under the module's name.
 mx = importlib.import_module("mhroots.expectation")
@@ -187,6 +188,20 @@ class TestDispatch:
                 assert res.value == 0.0 and res.stderr == 0.0
             else:
                 assert res.value > 0.0
+
+    def test_generic_zero_test_matches_the_expanded_pattern(self):
+        # the block matcher against the zero-block test of the column-expanded
+        # support, on shapes with sparse degrees and some blocks of size 0
+        gen = np.random.default_rng(8003)
+        verdicts = []
+        for _ in range(400):
+            sizes = gen.integers(0, 4, size=gen.integers(1, 5)).tolist()
+            rows = gen.choice(3, p=[0.6, 0.3, 0.1], size=(sum(sizes), len(sizes))).tolist()
+            spec = validate(sizes, rows)
+            zero = has_zero_block((expand_delta(spec) > 0).astype(int))[0]
+            assert mx._generic_count_is_zero(spec) == zero, spec
+            verdicts.append((zero, 0 in sizes))
+        assert set(verdicts) == set(itertools.product((False, True), repeat=2))
 
     def test_central_formula_consistency_light(self):
         # closed form vs prefactor * MC on a few rank-one shapes.  The

@@ -53,6 +53,11 @@ class TestClosedStandard:
         assert abs_det_closed_standard(4) == pytest.approx(3.0)
 
 
+def _task_count(var: np.ndarray, samples: int) -> int:
+    """Pool tasks of ``mc_abs_det(var, samples, ...)``."""
+    return -(-samples // gaussian._column_block(var).task_rows)
+
+
 def _column_scaled(n: int) -> np.ndarray:
     """The standard profile with column j scaled by j + 1: the columns are
     distinct, so a sample draws all but the first, and E|det| is
@@ -104,8 +109,10 @@ class TestMonteCarlo:
         var = np.arange(1.0, n * n + 1).reshape(n, n) % 4
         # columns 0, 4 and 8 are the largest group of equal columns, so a
         # sample draws the other 7 columns
-        samples = 3 * rng.batch_size(n * 7) + 1000
-        assert len(rng.batches(samples, n * 7)) >= 3
+        block = gaussian._column_block(var)
+        assert block.width == n * 7
+        samples = 3 * block.task_rows + 1000
+        assert _task_count(var, samples) >= 3
         runs = [mc_abs_det(var, samples, seed=19, workers=w) for w in (1, 2, 8)]
         assert runs[0].mean == runs[1].mean == runs[2].mean
         assert runs[0].stderr == runs[1].stderr == runs[2].stderr
@@ -176,16 +183,16 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             mc_abs_det(np.ones((2, 2)), 1, seed=0)
 
-    def test_log_domain_path_matches_direct_computation(self, monkeypatch):
-        # moments accumulate in the log domain; force several batches so the
-        # fold across batches is exercised too.  The 21 even columns (zero on
-        # rows 0..2) are integrated out and the 20 odd ones O drawn.
+    def test_log_domain_path_matches_direct_computation(self):
+        # moments accumulate in the log domain and fold across pieces: a
+        # sample draws 820 normals, so a piece is 159 samples and the 4000
+        # samples span many pieces.  The 21 even columns (zero on rows 0..2)
+        # are integrated out and the 20 odd ones O drawn.
         # Directly, by LAPACK: with a QR of the zero rows' O_Z^T = [Q1 Q2] R,
         # the sum over row subsets is prod d * det(O_Z O_Z^T) *
         # det((W Q2)^T W Q2), W the other rows of O
         n, m, p, samples = 41, 20, 3, 4000
         var = _split_profile(n, p)
-        monkeypatch.setattr(rng, "BATCH_ELEMENTS", rng.SAMPLE_BLOCK * n * m)
         est = mc_abs_det(var, samples, seed=55)
         o = rng.normals(55, 0, samples, n * m).reshape(-1, n, m) * math.sqrt(2.0)
         o_z, w = o[:, :p], o[:, p:]
@@ -200,14 +207,14 @@ class TestMonteCarlo:
 
 
 # float.hex of (mean, stderr) of mc_abs_det(_positive_profile(n), 70_000,
-# seed, workers=2), 70,000 samples being two batches: the stream contract,
-# the kernel and the moment fold bit for bit.  At n = 1 the profile is one
-# column and the value is exact.
+# seed, workers=2), 70,000 samples being several pool tasks: the stream
+# contract, the kernel and the moment fold bit for bit.  At n = 1 the
+# profile is one column and the value is exact.
 PINNED_SMALL = (
     (1, 3, "0x1.9884533d43651p-1", "0x0.0p+0"),
     (1, 11, "0x1.9884533d43651p-1", "0x0.0p+0"),
     (2, 3, "0x1.030877457a4ebp+1", "0x1.3a8cf9c3e5418p-8"),
-    (2, 11, "0x1.03ad12484b2e8p+1", "0x1.3c3467b03b531p-8"),
+    (2, 11, "0x1.03ad12484b2e9p+1", "0x1.3c3467b03b52cp-8"),
     (3, 3, "0x1.704f50917aaabp+2", "0x1.1f470fd63330dp-6"),
     (3, 11, "0x1.715851a458e08p+2", "0x1.1fb293a30c3aap-6"),
     (4, 3, "0x1.316dff5246ee2p+4", "0x1.0fed7fa140386p-4"),
@@ -242,8 +249,8 @@ class TestMomentFold:
     def test_small_dimensions_pinned(self, n, seed, mean, stderr):
         samples = 70_000
         width = gaussian._column_block(_positive_profile(n)).width
-        # n = 1 draws nothing; above, two batches
-        assert width == 0 if n == 1 else len(rng.batches(samples, width)) == 2
+        # n = 1 draws nothing; above, several pool tasks
+        assert width == 0 if n == 1 else _task_count(_positive_profile(n), samples) > 1
         est = mc_abs_det(_positive_profile(n), samples, seed, workers=2)
         assert (est.mean.hex(), est.stderr.hex()) == (mean, stderr)
 
@@ -418,7 +425,8 @@ class TestSmallDeterminantKernel:
     @pytest.mark.parametrize("n", range(3, 7))
     def test_bitwise_determinism_across_workers_conditional_kernel(self, n):
         var = _profile("game", n)
-        samples = 2 * rng.batch_size(n * (n - 1)) + 1000
+        samples = 2 * gaussian._column_block(var).task_rows + 1000
+        assert _task_count(var, samples) == 3
         runs = [mc_abs_det(var, samples, seed=41, workers=w) for w in (1, 2, 8)]
         assert runs[0].mean == runs[1].mean == runs[2].mean
         assert runs[0].stderr == runs[1].stderr == runs[2].stderr
@@ -442,16 +450,18 @@ class TestSmallDeterminantKernel:
         # columns 0 and 4, 1 and 5, 2 and 6 are equal: a sample draws 5 columns
         n = 7
         var = _profile("graded", n)
-        samples = 3 * rng.batch_size(n * 5) + 1000
+        assert gaussian._column_block(var).width == n * 5
+        samples = 3 * gaussian._column_block(var).task_rows + 1000
+        assert _task_count(var, samples) == 4
         runs = [mc_abs_det(var, samples, seed=29, workers=w) for w in (1, 2, 8)]
         assert runs[0].mean == runs[1].mean == runs[2].mean
         assert runs[0].stderr == runs[1].stderr == runs[2].stderr
 
     def test_batch_normals_stay_within_the_budget_at_n_100(self, monkeypatch):
-        # a sample draws the 50 odd columns; each piece's normals and its
-        # working copy fit PIECE_ELEMENTS together
+        # a sample draws the 50 odd columns, so one block's normals exceed
+        # PIECE_ELEMENTS; each piece's normals and its working copy fit it
         n, m = 100, 50
-        assert rng.SAMPLE_BLOCK * n * m > rng.BATCH_ELEMENTS
+        assert rng.SAMPLE_BLOCK * n * m > rng.PIECE_ELEMENTS
         held = []
         block_values = gaussian._block_values
 
@@ -463,7 +473,7 @@ class TestSmallDeterminantKernel:
         samples = rng.SAMPLE_BLOCK + 76
         est = mc_abs_det(_split_profile(n, 2), samples, seed=31)
         assert sum(z for z, _ in held) == samples * n * m
-        assert max(z + w for z, w in held) <= rng.PIECE_ELEMENTS <= rng.BATCH_ELEMENTS
+        assert max(z + w for z, w in held) <= rng.PIECE_ELEMENTS
         assert est.mean > 0 and math.isfinite(est.mean)
 
 
@@ -641,10 +651,11 @@ class TestColumnBlockKernel:
         "n, k, p", [(2, 1, 1), (3, 2, 0), (4, 1, 0), (5, 2, 1), (6, 3, 2), (7, 2, 0)]
     )
     def test_bitwise_determinism_across_workers_small_n(self, valued_samples, n, k, p):
-        width = n * (n - k)
-        samples = 2 * rng.batch_size(width) + 1000
-        assert len(rng.batches(samples, width)) == 3
-        runs = [mc_abs_det(_block_profile(n, k, p), samples, seed=47, workers=w) for w in (1, 2, 8)]
+        var = _block_profile(n, k, p)
+        assert gaussian._column_block(var).width == n * (n - k)
+        samples = 2 * gaussian._column_block(var).task_rows + 1000
+        assert _task_count(var, samples) == 3
+        runs = [mc_abs_det(var, samples, seed=47, workers=w) for w in (1, 2, 8)]
         assert sum(valued_samples) == 3 * samples
         assert runs[0].mean == runs[1].mean == runs[2].mean
         assert runs[0].stderr == runs[1].stderr == runs[2].stderr
@@ -652,12 +663,28 @@ class TestColumnBlockKernel:
 
     def test_bitwise_determinism_across_workers_zero_rows(self):
         var = variance_profile(game_shape((2,) * 4))
-        width = 8 * 6  # six columns drawn
-        samples = 2 * rng.batch_size(width) + 1000
-        assert len(rng.batches(samples, width)) == 3
+        assert gaussian._column_block(var).width == 8 * 6  # six columns drawn
+        samples = 2 * gaussian._column_block(var).task_rows + 1000
+        assert _task_count(var, samples) == 3
         runs = [mc_abs_det(var, samples, seed=43, workers=w) for w in (1, 2, 8)]
         assert runs[0].mean == runs[1].mean == runs[2].mean
         assert runs[0].stderr == runs[1].stderr == runs[2].stderr
+
+    def test_bitwise_determinism_across_workers_sub_block_pieces(self, valued_samples):
+        # game-4x4 draws 192 normals per sample, so a piece is 682 samples
+        # and each pool task is one block drawn in two pieces.  Over 24
+        # blocks, folding each task's pieces first, with tasks that grow
+        # with the worker count, moves the last bits at seed 53
+        var = variance_profile(game_shape((4,) * 4))
+        block = gaussian._column_block(var)
+        assert (block.piece_rows, block.task_rows) == (682, rng.SAMPLE_BLOCK)
+        samples = 24 * rng.SAMPLE_BLOCK + 500
+        runs = [mc_abs_det(var, samples, seed=53, workers=w) for w in (1, 2, 8)]
+        assert sorted(set(valued_samples)) == [342, 500, 682]
+        assert sum(valued_samples) == 3 * samples
+        assert runs[0].mean == runs[1].mean == runs[2].mean
+        assert runs[0].stderr == runs[1].stderr == runs[2].stderr
+        assert runs[0].stderr > 0
 
 
 class TestOrthogonalInvariance:

@@ -93,22 +93,6 @@ class TestNormalPieces:
         assert rows == B + 76
 
 
-class TestBatching:
-    @pytest.mark.parametrize("count", [1, 4, 81, 100, 1681, 4096, 10**6])
-    def test_batch_size_policy(self, count):
-        size = rng.batch_size(count)
-        assert size % B == 0
-        assert B <= size <= rng.MAX_BATCH
-        assert size * count <= max(rng.BATCH_ELEMENTS, B * count)
-
-    def test_batches_cover_the_range_in_order(self):
-        spans = rng.batches(100_000, 100)
-        assert spans[0][0] == 0
-        assert all(a + n == b for (a, n), (b, _) in zip(spans, spans[1:]))
-        assert sum(n for _, n in spans) == 100_000
-        assert rng.batches(0, 100) == []
-
-
 class TestCorpus:
     def test_golden_shapes(self):
         # The corpus comes from the uniform stream, which stays frozen.

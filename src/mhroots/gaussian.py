@@ -208,7 +208,8 @@ def _reflect(x: np.ndarray, rest: np.ndarray, scratch: np.ndarray, acc: np.ndarr
     dots = np.einsum("ris,is->rs", rest, x)
     dots *= tau
     step = scratch[: rest.size].reshape(rest.shape)
-    np.multiply(dots[:, None], x, out=step)
+    step[...] = x
+    step *= dots[:, None]
     rest -= step
 
 

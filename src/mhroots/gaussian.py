@@ -20,15 +20,17 @@ multilinear form and (Edelman & Kostlan 1995; the projection argument of
 
     E[|det| | O] = c_k * sqrt(sum_{|S| = k} prod_{i in S} d_i * det(O_{S^c})**2),
 
-with c_k = ``abs_det_closed_standard(k)``.  A sample draws the n * m entries
-of O only, row by row.  With p rows where d_i = 0, O_Z those rows of O and W
-= D_+**(-1/2) O_+ the others, the sum is prod_{d_i > 0} d_i * det(O_Z O_Z^T)
-* det(W_2^T W_2), W_2 = W Q_2 where O_Z^T = [Q_1 Q_2] R.  Householder
-reflections, vectorised over the samples, give both determinants as
-products of the norms they remove, the rows of W sorted by their expected
-norm, largest first.  So no Gram matrix is formed, and rows of W that
-differ in scale by 2**60 keep their digits.  The sum is 0 when p > m, and
-when k = n it is prod d_i: both are exact, with stderr 0, and draw nothing.
+with c_k = ``abs_det_closed_standard(k)``.  A sample draws the entries of O
+with positive variance only, row by row; the others are exact zeros, and
+no normal is drawn for them.  With p rows where d_i = 0, O_Z those rows of
+O and W = D_+**(-1/2) O_+ the others, the sum is prod_{d_i > 0} d_i *
+det(O_Z O_Z^T) * det(W_2^T W_2), W_2 = W Q_2 where O_Z^T = [Q_1 Q_2] R.
+Householder reflections, vectorised over the samples, give both
+determinants as products of the norms they remove, the rows of W sorted by
+their expected norm, largest first.  So no Gram matrix is formed, and rows
+of W that differ in scale by 2**60 keep their digits.  The sum is 0 when
+p > m or when a column of O has variance 0, and when k = n it is prod d_i:
+these are exact, with stderr 0, and draw nothing.
 So every n = 1 profile and every profile with one distinct column is exact.
 
 Each piece of samples carries moments (shift, e1, e2), the sums of |v| and
@@ -99,37 +101,54 @@ class _ColumnBlock:
     """The block of identical columns that a sample integrates out, and how
     its value is computed from the other columns O.
 
-    A sample's normals are the entries of O row-major, over ``others`` (the
-    m columns of O in order) and every row in order.  ``order`` puts the p
+    A sample's normals are the entries of O with positive variance,
+    row-major, over ``others`` (the m columns of O in order) and every row
+    in order; the other entries of O are exact zeros.  ``order`` puts the p
     rows where d_i = 0 first, then the others by the expected norm of their
-    row of W, largest first; ``scale``, in that row order, turns the normals
-    into O_Z and W.  ``log_const`` is log c_k + (1/2) sum_{d_i > 0} log d_i.
+    row of W, largest first.  Normal t goes to entry ``dest[t]`` of the
+    row-major (n, m) working copy, rows in that order, times ``scale[t]``,
+    which turns the normals into O_Z and W; ``holes`` are the entries of the
+    working copy that stay 0.  ``log_const`` is log c_k + (1/2) sum_{d_i > 0}
+    log d_i.
     """
 
     others: np.ndarray
     order: np.ndarray
     p: int
+    dest: np.ndarray
     scale: np.ndarray
+    holes: np.ndarray
     log_const: float
 
     @property
     def width(self) -> int:
-        """Normals per sample: the entries of O, or none where the value is exact."""
-        return 0 if self.exact is not None else self.scale.size
+        """Normals per sample: the entries of O with positive variance, or
+        none where the value is exact."""
+        return 0 if self.exact is not None else self.dest.size
+
+    @property
+    def work_size(self) -> int:
+        """Floats per sample of the working copy: n * m."""
+        return self.order.size * self.others.size
 
     @property
     def exact(self) -> float | None:
         """The conditional mean where it does not depend on O: 0 when p > m
-        (the p rows live on m columns), exp(log_const) when k = n."""
-        if self.p > self.others.size:
+        (the p rows live on m columns) or when a column of O has variance 0,
+        exp(log_const) when k = n.  So a sampled profile draws at least one
+        normal in each column of O, and a sample's normals hold a row of O."""
+        m = self.others.size
+        if self.p > m:
             return 0.0
-        return math.exp(self.log_const) if self.others.size == 0 else None
+        if m == 0:
+            return math.exp(self.log_const)
+        return None if np.bincount(self.dest % m, minlength=m).all() else 0.0
 
     @property
     def piece_rows(self) -> int:
         """Samples per piece: the piece's normals and its working copy fit
         rng.PIECE_ELEMENTS together."""
-        return max(1, min(DET_CHUNK, rng.PIECE_ELEMENTS // (2 * self.scale.size)))
+        return max(1, min(DET_CHUNK, rng.PIECE_ELEMENTS // (self.dest.size + self.work_size)))
 
     @property
     def task_rows(self) -> int:
@@ -152,11 +171,17 @@ def _column_block(arr: np.ndarray) -> _ColumnBlock:
     # the variances of W = D_+**(-1/2) O_+, and of O_Z unscaled
     var = arr[:, others] / np.where(live, d, 1.0)[:, None]
     order = np.argsort(np.where(live, -var.sum(axis=1), -np.inf), kind="stable")
-    scale = np.sqrt(var[order])
+    place = np.empty(n, dtype=np.intp)
+    place[order] = np.arange(n)  # row i is row place[i] of the working copy
+    entry = place[:, None] * others.size + np.arange(others.size)
+    drawn = arr[:, others] > 0
     k = len(block)
     log_ck = 0.5 * k * math.log(2.0) + log_gamma_half(k + 1) - LOG_SQRT_PI
     log_const = log_ck + 0.5 * float(np.log(d[live]).sum())
-    return _ColumnBlock(others, order, n - int(live.sum()), scale, log_const)
+    p = n - int(live.sum())
+    return _ColumnBlock(
+        others, order, p, entry[drawn], np.sqrt(var[drawn]), entry[~drawn], log_const
+    )
 
 
 def sample_matrix(variances, seed: int, index: int = 0) -> np.ndarray:
@@ -165,16 +190,18 @@ def sample_matrix(variances, seed: int, index: int = 0) -> np.ndarray:
 
     Zero-variance entries are exact structural zeros.  The estimator
     integrates the largest group of identical columns out (ties to the
-    first), so those columns are zero and the normals fill the other
-    columns row by row.  Where the value needs no draw (see ``mc_abs_det``)
-    the matrix is zero.
+    first), so those columns are zero, and the normals fill the
+    positive-variance entries of the other columns row by row.  Where the
+    value needs no draw (see ``mc_abs_det``) the matrix is zero.
     """
     arr = _check_profile(variances)
     n = arr.shape[0]
     mat = np.zeros((n, n))
     block = _column_block(arr) if n else None
     if block is not None and block.width:
-        mat[:, block.others] = rng.normals(seed, index, 1, block.width).reshape(n, -1)
+        o = np.zeros((n, block.others.size))
+        o[arr[:, block.others] > 0] = rng.normals(seed, index, 1, block.width)[0]
+        mat[:, block.others] = o
     return mat * np.sqrt(arr)
 
 
@@ -191,11 +218,17 @@ def _merge(acc: tuple, part: tuple) -> tuple:
     return shift, acc[1] * a + part[1] * b, acc[2] * (a * a) + part[2] * (b * b)
 
 
-def _reflect(x: np.ndarray, rest: np.ndarray, scratch: np.ndarray, acc: np.ndarray) -> None:
+def _reflect(
+    x: np.ndarray, rest: np.ndarray, scratch: np.ndarray, acc: np.ndarray, columns: bool = False
+) -> None:
     """One Householder step on every sample at once, the last axis running
     over the samples: add log |x| to ``acc`` and reflect each vector of
-    ``rest`` (r, i, samples) by the reflection that takes x (i, samples) to
-    a multiple of e_0.  Overwrites x; ``scratch`` holds ``rest.size`` floats."""
+    ``rest`` by the reflection that takes x (i, samples) to a multiple of
+    e_0.  The vectors run along the second axis of ``rest`` (r, i, samples),
+    as the rows of a matrix do, or with ``columns`` along its first (i, r,
+    samples), as its columns do.  Overwrites x; ``scratch`` holds at least
+    ``rest[0].size`` floats, and ``rest`` is stepped in runs along its first
+    axis that fit there."""
     norm = np.sqrt(np.einsum("is,is->s", x, x))
     with np.errstate(divide="ignore"):
         acc += np.log(norm)
@@ -205,12 +238,19 @@ def _reflect(x: np.ndarray, rest: np.ndarray, scratch: np.ndarray, acc: np.ndarr
     x[0] += np.copysign(norm, x[0])
     tau = norm * np.abs(x[0])
     np.divide(1.0, tau, out=tau, where=tau > 0)  # a zero norm: nothing to reflect
-    dots = np.einsum("ris,is->rs", rest, x)
+    dots = np.einsum("irs,is->rs" if columns else "ris,is->rs", rest, x)
     dots *= tau
-    step = scratch[: rest.size].reshape(rest.shape)
-    step[...] = x
-    step *= dots[:, None]
-    rest -= step
+    run = scratch.size // rest[0].size
+    for first in range(0, len(rest), run):
+        part = rest[first : first + run]
+        step = scratch[: part.size].reshape(part.shape)
+        if columns:
+            step[...] = dots
+            step *= x[first : first + run, None]
+        else:
+            step[...] = x
+            step *= dots[first : first + run, None]
+        part -= step
 
 
 def _block_values(z: np.ndarray, block: _ColumnBlock, work: np.ndarray) -> tuple:
@@ -219,27 +259,28 @@ def _block_values(z: np.ndarray, block: _ColumnBlock, work: np.ndarray) -> tuple
     det(W_2^T W_2)).  The shift is the largest log v, or log_const when
     every value is 0.
 
-    ``work`` holds O for at least as many samples as ``z``, each entry a
-    vector over the samples, rows O_Z then W.  Steps j < p reflect columns
-    j.. so that row j of O_Z ends in column j, which applies Q to W; then
-    W_2, the columns p.. of W Q, is copied into ``z`` column by column,
-    and steps on its columns reflect rows so that each column ends on the
-    diagonal.  Each step removes one norm, whose log it adds up.
+    ``work`` holds ``work_size`` floats for each of at least as many
+    samples as ``z``.  It takes O, each entry a vector over the samples,
+    rows O_Z then W: the normals are scaled in place in ``z`` and copied to
+    their entries, and the other entries are set to 0.  Then ``z`` is the
+    reflections' scratch.  Steps j < p reflect columns j.. so that row j of
+    O_Z ends in column j, which applies Q to W; then steps on the columns
+    of W_2, the columns p.. of W Q, reflect rows so that each column ends on
+    the diagonal.  Each step removes one norm, whose log it adds up.
     """
-    n, m = block.scale.shape
+    n, m = block.order.size, block.others.size
     p, samples = block.p, z.shape[0]
-    a = work[: z.size].reshape(n, m, samples)
-    rows = z.T.reshape(n, m, samples)
-    for r, i in enumerate(block.order):
-        np.multiply(rows[i], block.scale[r, :, None], out=a[r])
+    a = work[: n * m * samples].reshape(n, m, samples)
+    entries = a.reshape(n * m, samples)
+    z *= block.scale
+    entries[block.dest] = z.T
+    entries[block.holes] = 0.0
     scratch = z.reshape(-1)  # the normals are copied into a
     logv = np.zeros(samples)
     for j in range(p):
         _reflect(a[j, j:], a[j + 1 :, j:], scratch, logv)
-    w2 = scratch[: (n - p) * (m - p) * samples].reshape(m - p, n - p, samples)
-    np.copyto(w2, a[p:, p:].transpose(1, 0, 2))
-    for j in range(m - p):
-        _reflect(w2[j, j:], w2[j + 1 :, j:], work, logv)
+    for j in range(p, m):
+        _reflect(a[j:, j], a[j:, j + 1 :], scratch, logv, columns=True)
     top = float(logv.max())
     if top == -math.inf:
         top = 0.0
@@ -257,15 +298,15 @@ def mc_abs_det(variances, samples: int, seed: int, workers: int = 1) -> MCEstima
     """Monte Carlo mean of |det| of the structured Gaussian matrix.
 
     The estimate depends only on (seed, samples): the sample range is cut
-    into pieces whose size depends only on the normals per sample, and
-    their moments are folded once, in stream order, so any worker count
-    gives bitwise identical results.  Each sample draws the
-    columns outside the largest group of identical columns and its value is
-    E[|det| | O], its log from Householder reflections of O, vectorised
+    into pieces whose size depends only on the profile, and their moments
+    are folded once, in stream order, so any worker count gives bitwise
+    identical results.  Each sample draws the positive-variance entries of
+    the columns outside the largest group of identical columns and its value
+    is E[|det| | O], its log from Householder reflections of O, vectorised
     over the samples (see the module docstring).  When that mean does not
-    depend on O (p > m gives 0, k = n gives c_n * sqrt(prod d_i), every
-    n = 1 profile among them), nothing is drawn and the estimate is exact,
-    with stderr 0.
+    depend on O (p > m or a zero column gives 0, k = n gives c_n *
+    sqrt(prod d_i), every n = 1 profile among them), nothing is drawn and
+    the estimate is exact, with stderr 0.
 
     Samples are drawn in pieces of at most DET_CHUNK samples whose normals
     and working copy fit PIECE_ELEMENTS together (``rng.normal_pieces``).
@@ -291,7 +332,7 @@ def mc_abs_det(variances, samples: int, seed: int, workers: int = 1) -> MCEstima
     def task_moments(task: tuple[int, int]) -> list[tuple]:
         """Moments (shift, e1, e2) of each piece of one task, in stream order."""
         if not hasattr(held, "work"):
-            held.work = np.empty(min(block.piece_rows, samples) * block.width)
+            held.work = np.empty(min(block.piece_rows, samples) * block.work_size)
         moments = []
         for z in rng.normal_pieces(seed, *task, block.width, block.piece_rows):
             shift, v = _block_values(z, block, held.work)

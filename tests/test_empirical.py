@@ -519,8 +519,11 @@ class TestUniformity:
         with pytest.raises(SampleCountError):
             uniformity_check(validate((1,), [(3,)]), samples, bins=3, seed=0)
 
-    def test_no_root_drawn_is_refused(self):
-        # two quadratics with no real root between them: no statistic to test
+    def test_no_root_drawn_is_refused(self, monkeypatch):
+        # two quadratics with no real root, x**2 + y**2 and 2 x**2 + 3 y**2,
+        # in place of the drawn ones: no statistic to test
+        root_free = np.array([[1.0, 0.0, 1.0], [2.0, 0.0, 3.0]])
+        monkeypatch.setattr(rng, "normal_pieces", lambda *args: iter([root_free.copy()]))
         with pytest.raises(ValueError, match="no real root in 2 samples"):
             uniformity_check(validate((1,), [[2]]), 2, bins=8, seed=12)
 

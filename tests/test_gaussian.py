@@ -108,9 +108,9 @@ class TestMonteCarlo:
         n = 10
         var = np.arange(1.0, n * n + 1).reshape(n, n) % 4
         # columns 0, 4 and 8 are the largest group of equal columns, so a
-        # sample draws the other 7 columns
+        # sample draws the other 7 columns, but for their 25 zero entries
         block = gaussian._column_block(var)
-        assert block.width == n * 7
+        assert block.width == n * 7 - 25
         samples = 3 * block.task_rows + 1000
         assert _task_count(var, samples) >= 3
         runs = [mc_abs_det(var, samples, seed=19, workers=w) for w in (1, 2, 8)]
@@ -119,8 +119,9 @@ class TestMonteCarlo:
 
     def test_sample_matrix_replays_the_estimator_draw(self, monkeypatch):
         # every column is distinct, so column 0 is integrated out: a sample
-        # draws columns 1..n-1 row by row, and its value comes through the
-        # cofactors of the zero column 0
+        # draws columns 1..n-1 row by row, but for the zero-variance entry
+        # (0, 2), and its value comes through the cofactors of the zero
+        # column 0
         n = 3
         var = np.array([[1.0, 2.0, 0.0], [3.0, 1.0, 1.0], [2.0, 2.0, 4.0]])
         drawn = {}
@@ -147,7 +148,9 @@ class TestMonteCarlo:
         for index in (0, rng.SAMPLE_BLOCK + 5, 2999):
             mat = sample_matrix(var, 23, index)
             assert (mat[:, 0] == 0).all()
-            assert np.array_equal(mat[:, 1:], drawn[index].reshape(n, n - 1) * np.sqrt(var[:, 1:]))
+            o = np.zeros((n, n - 1))
+            o[[0, 1, 1, 2, 2], [0, 0, 1, 0, 1]] = drawn[index]
+            assert np.array_equal(mat[:, 1:], o * np.sqrt(var[:, 1:]))
             cofactors = [np.linalg.det(np.delete(mat, r, axis=0)[:, 1:]) for r in range(n)]
             value = math.sqrt(2 / math.pi) * math.sqrt(np.dot(var[:, 0], np.square(cofactors)))
             assert values[index] == pytest.approx(value, rel=1e-12)
@@ -156,16 +159,29 @@ class TestMonteCarlo:
     def test_sample_matrix_replays_every_row_outside_the_kernel(self, n):
         # n = 1 is one column, integrated out: nothing is drawn.  Every
         # column of the zero-diagonal profile is distinct, so column 0 is the
-        # block integrated out: a sample draws columns 1..n-1 row by row, and
-        # column 0 stays zero
+        # block integrated out: a sample draws columns 1..n-1 row by row,
+        # skipping the diagonal, and column 0 stays zero
         if n == 1:
             var = _profile("graded", n)
             drawn = np.zeros((1, 1))
         else:
             var = _profile("game", n)
             drawn = np.zeros((n, n))
-            drawn[:, 1:] = rng.normals(29, 7, 1, n * (n - 1)).reshape(n, n - 1)
+            off_diagonal = ~np.eye(n, dtype=bool)
+            off_diagonal[:, 0] = False
+            drawn[off_diagonal] = rng.normals(29, 7, 1, (n - 1) ** 2)[0]
         assert np.array_equal(sample_matrix(var, 29, 7), drawn * np.sqrt(var))
+
+    def test_sample_matrix_is_zero_exactly_where_the_variance_is(self):
+        # game-2x4: columns 0 and 1 are integrated out; each drawn column is
+        # zero on the two rows of its own block and drawn elsewhere
+        var = variance_profile(game_shape((2,) * 4))
+        drawn = gaussian._column_block(var).others
+        assert drawn.tolist() == [2, 3, 4, 5, 6, 7]
+        for index in (0, 1, 2 * rng.SAMPLE_BLOCK + 3):
+            mat = sample_matrix(var, 61, index)
+            assert (mat[:, :2] == 0).all()
+            assert np.array_equal(mat[:, 2:] == 0, var[:, 2:] == 0)
 
     def test_row_scale_equivariance(self):
         # one column (exact), then distinct columns (sampled)
@@ -213,18 +229,18 @@ class TestMonteCarlo:
 PINNED_SMALL = (
     (1, 3, "0x1.9884533d43651p-1", "0x0.0p+0"),
     (1, 11, "0x1.9884533d43651p-1", "0x0.0p+0"),
-    (2, 3, "0x1.030877457a4ebp+1", "0x1.3a8cf9c3e5418p-8"),
-    (2, 11, "0x1.03ad12484b2e9p+1", "0x1.3c3467b03b52cp-8"),
-    (3, 3, "0x1.704f50917aaabp+2", "0x1.1f470fd63330dp-6"),
-    (3, 11, "0x1.715851a458e08p+2", "0x1.1fb293a30c3aap-6"),
-    (4, 3, "0x1.316dff5246ee2p+4", "0x1.0fed7fa140386p-4"),
-    (4, 11, "0x1.30f1933cbf6a2p+4", "0x1.0ef4924149e5fp-4"),
-    (5, 3, "0x1.d313c9ed082b6p+5", "0x1.5dc7fca9a8458p-3"),
-    (5, 11, "0x1.d1f3bbe4d1f01p+5", "0x1.60a9553ee7008p-3"),
-    (6, 3, "0x1.adec0e0d22f51p+7", "0x1.66e003b29722fp-1"),
-    (6, 11, "0x1.ad53f4936e7dfp+7", "0x1.6cdf05ab83a06p-1"),
-    (7, 3, "0x1.c412697dbf262p+9", "0x1.9e67c63095fd5p+1"),
-    (7, 11, "0x1.c271b9dc1431ep+9", "0x1.9d1adbd9d2e55p+1"),
+    (2, 3, "0x1.02a1e8c8485a3p+1", "0x1.3bbec83647872p-8"),
+    (2, 11, "0x1.02921e7664914p+1", "0x1.3c9303e573d9fp-8"),
+    (3, 3, "0x1.71ac30c24f180p+2", "0x1.2065bd17fe31dp-6"),
+    (3, 11, "0x1.70c014c232d22p+2", "0x1.1f4fdd80b0b5fp-6"),
+    (4, 3, "0x1.3163a426293c9p+4", "0x1.10503cb445d2fp-4"),
+    (4, 11, "0x1.31d5e1c68351ap+4", "0x1.1135b4c0ce53ep-4"),
+    (5, 3, "0x1.d1e383456f376p+5", "0x1.5ca72491cd8dbp-3"),
+    (5, 11, "0x1.d277c55ea4c89p+5", "0x1.5d0349538f05fp-3"),
+    (6, 3, "0x1.b06ea6ea7ddf1p+7", "0x1.6d8f8e25b02fbp-1"),
+    (6, 11, "0x1.aebc72f8b96d9p+7", "0x1.69c3f6644e029p-1"),
+    (7, 3, "0x1.c6fceb61b1372p+9", "0x1.9e69b2648b2bdp+1"),
+    (7, 11, "0x1.c40a374d4712ap+9", "0x1.9a4a4e2f0d68cp+1"),
 )
 
 
@@ -342,12 +358,13 @@ def _block_of(var: np.ndarray) -> list[int]:
 
 
 def _drawn_columns(var: np.ndarray, block: list[int], seed: int, samples: int) -> np.ndarray:
-    """O of samples 0..samples-1: the columns outside ``block``, drawn
-    row-major."""
-    n, m = len(var), len(var) - len(block)
-    others = [j for j in range(n) if j not in block]
-    o = rng.normals(seed, 0, samples, n * m).reshape(samples, n, m)
-    return o * np.sqrt(var[:, others])
+    """O of samples 0..samples-1: the columns outside ``block``, their
+    positive-variance entries drawn row-major and the others 0."""
+    others = [j for j in range(len(var)) if j not in block]
+    sd = np.sqrt(var[:, others])
+    o = np.zeros((samples, *sd.shape))
+    o[:, sd > 0] = rng.normals(seed, 0, samples, np.count_nonzero(sd))
+    return o * sd
 
 
 def _subset_sum_values(var: np.ndarray, block: list[int], o: np.ndarray) -> np.ndarray:
@@ -414,13 +431,17 @@ class TestSmallDeterminantKernel:
 
         monkeypatch.setattr(rng, "normal_pieces", recording)
         samples = DET_CHUNK + 100
-        mc_abs_det(_profile("graded", n), samples, seed=3)
+        var = _profile("graded", n)
+        mc_abs_det(var, samples, seed=3)
         # columns j and j + 4 of the graded profile are equal, so from n = 5
         # on the block integrated out has 2 columns; at n = 1 it is the whole
-        # matrix, and nothing is drawn
-        per_sample = n * (n - 2) if n > 4 else n * (n - 1)
-        assert {width for _, width in shapes} == ({per_sample} if n > 1 else set())
-        assert sum(rows for rows, _ in shapes) == (samples if n > 1 else 0)
+        # matrix, and at n = 4 and 8 column 3 has variance 0: the value is
+        # exact, and nothing is drawn.  Otherwise a sample draws the entries
+        # of the other columns whose variance is positive
+        per_sample = np.count_nonzero(np.delete(var, [0, 4] if n > 4 else [0], axis=1))
+        drawn = n not in (1, 4, 8)
+        assert {width for _, width in shapes} == ({per_sample} if drawn else set())
+        assert sum(rows for rows, _ in shapes) == (samples if drawn else 0)
 
     @pytest.mark.parametrize("n", range(3, 7))
     def test_bitwise_determinism_across_workers_conditional_kernel(self, n):
@@ -447,10 +468,11 @@ class TestSmallDeterminantKernel:
         _assert_coverage(var, target, target_se, first_seed=5000 + 1000 * n)
 
     def test_bitwise_determinism_across_workers_several_batches(self):
-        # columns 0 and 4, 1 and 5, 2 and 6 are equal: a sample draws 5 columns
+        # columns 0 and 4, 1 and 5, 2 and 6 are equal: a sample draws 5
+        # columns, but for their 8 zero entries
         n = 7
         var = _profile("graded", n)
-        assert gaussian._column_block(var).width == n * 5
+        assert gaussian._column_block(var).width == n * 5 - 8
         samples = 3 * gaussian._column_block(var).task_rows + 1000
         assert _task_count(var, samples) == 4
         runs = [mc_abs_det(var, samples, seed=29, workers=w) for w in (1, 2, 8)]
@@ -560,6 +582,11 @@ class TestColumnBlockKernel:
         + [
             pytest.param(_alternating_profile(n), id=f"n{n}-alternating")
             for n in (8, 10, 2, 4, 6)
+        ]
+        + [
+            # zero-variance entries inside O, which draw no normal
+            pytest.param(variance_profile(game_shape((s,) * 4)), id=f"game-{s}x4")
+            for s in (2, 3)
         ],
     )
     def test_value_is_the_subset_sum(self, monkeypatch, var):
@@ -663,7 +690,8 @@ class TestColumnBlockKernel:
 
     def test_bitwise_determinism_across_workers_zero_rows(self):
         var = variance_profile(game_shape((2,) * 4))
-        assert gaussian._column_block(var).width == 8 * 6  # six columns drawn
+        # six columns drawn, each zero on the two rows of its own block
+        assert gaussian._column_block(var).width == 8 * 6 - 6 * 2
         samples = 2 * gaussian._column_block(var).task_rows + 1000
         assert _task_count(var, samples) == 3
         runs = [mc_abs_det(var, samples, seed=43, workers=w) for w in (1, 2, 8)]
@@ -671,16 +699,17 @@ class TestColumnBlockKernel:
         assert runs[0].stderr == runs[1].stderr == runs[2].stderr
 
     def test_bitwise_determinism_across_workers_sub_block_pieces(self, valued_samples):
-        # game-4x4 draws 192 normals per sample, so a piece is 682 samples
-        # and each pool task is one block drawn in two pieces.  Over 24
-        # blocks, folding each task's pieces first, with tasks that grow
-        # with the worker count, moves the last bits at seed 53
+        # game-4x4 draws 144 normals per sample into a 16 x 12 working copy,
+        # so a piece is 780 samples and each pool task is one block drawn in
+        # two pieces.  Over 24 blocks, folding each task's pieces first, with
+        # tasks that grow with the worker count, moves the last bits at
+        # seed 53
         var = variance_profile(game_shape((4,) * 4))
         block = gaussian._column_block(var)
-        assert (block.piece_rows, block.task_rows) == (682, rng.SAMPLE_BLOCK)
+        assert (block.width, block.piece_rows, block.task_rows) == (144, 780, rng.SAMPLE_BLOCK)
         samples = 24 * rng.SAMPLE_BLOCK + 500
         runs = [mc_abs_det(var, samples, seed=53, workers=w) for w in (1, 2, 8)]
-        assert sorted(set(valued_samples)) == [342, 500, 682]
+        assert sorted(set(valued_samples)) == [244, 500, 780]
         assert sum(valued_samples) == 3 * samples
         assert runs[0].mean == runs[1].mean == runs[2].mean
         assert runs[0].stderr == runs[1].stderr == runs[2].stderr

@@ -1,5 +1,7 @@
 """The stream contract: block-keyed normals, the batching policy, frozen corpora."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -37,18 +39,89 @@ class TestNormals:
         assert rng.normals(1, 10, 0, 4).shape == (0, 4)
 
     def test_golden_values(self):
-        # Pins the block size, the key layout and numpy's ziggurat: a change
-        # to any of them moves every seeded Monte Carlo number.
+        # Pins the block size, the keying, the warm-up and numpy's ziggurat:
+        # a change to any of them moves every seeded Monte Carlo number.
         z = rng.normals(2024, 0, 2 * B + 1, 2)
-        assert z[0].tolist() == [0.03674125380393216, -0.588885431018047]
-        assert z[B - 1].tolist() == [-0.3410928391360843, -0.7708965418959095]
-        assert z[B].tolist() == [0.2769563760080999, -0.8944725437372066]
-        assert z[2 * B].tolist() == [-1.3376504124503397, 1.3267069154632882]
+        assert z[0].tolist() == [-0.3930539188238259, -2.084073182577661]
+        assert z[B - 1].tolist() == [0.699928393440034, 0.9337086353095561]
+        assert z[B].tolist() == [-0.2459277637303958, -1.8826000678831425]
+        assert z[2 * B].tolist() == [0.24751293420595855, -1.159000697999155]
+
+    def test_blocks_and_seeds_look_independent(self):
+        # the first rows of 4,096 consecutive blocks, at seeds s and s + 1:
+        # each position's mean and variance, and its correlation with the
+        # next block and with the other seed, stay within 4 standard errors
+        blocks, rows, count = 4096, 4, 2
+        z = np.stack(
+            [
+                np.stack([rng.normals(seed, b * B, rows, count) for b in range(blocks)])
+                for seed in (77, 78)
+            ]
+        ).reshape(2, blocks, rows * count)
+        se = 1 / math.sqrt(blocks)
+        assert np.abs(z.mean(axis=1)).max() <= 4 * se
+        assert np.abs(z.var(axis=1) - 1).max() <= 4 * math.sqrt(2) * se
+        next_block = (z[:, :-1] * z[:, 1:]).mean(axis=1)
+        other_seed = (z[0] * z[1]).mean(axis=0)
+        assert np.abs(next_block).max() <= 4 * se
+        assert np.abs(other_seed).max() <= 4 * se
+
+
+_MASK = (1 << 64) - 1
+
+
+def _mix(x: int) -> int:
+    """splitmix64's finaliser on a Python int."""
+    x ^= x >> 30
+    x = x * 0xBF58476D1CE4E5B9 & _MASK
+    x ^= x >> 27
+    x = x * 0x94D049BB133111EB & _MASK
+    return x ^ x >> 31
+
+
+def _sfc64_step(state: list[int]) -> int:
+    """One output of SFC64 (Doty-Humphrey), advancing ``state`` = [a, b, c, w]."""
+    a, b, c, w = state
+    out = (a + b + w) & _MASK
+    state[:] = [b ^ b >> 11, (c + (c << 3)) & _MASK, (((c << 24) | c >> 40) + out) & _MASK, w + 1]
+    return out
+
+
+def _block_generator(seed: int, block: int) -> np.random.Generator:
+    """Block ``block``'s stream, keyed in pure Python: state words the keyed
+    hash of counters 2**64 - 1 - (3 * block + i), counter 1, 12 outputs
+    dropped."""
+    golden = 0x9E3779B97F4A7C15
+    counters = [_MASK - (3 * block + i) for i in range(3)]
+    words = [_mix(_mix((c + 1) * golden & _MASK) ^ seed & _MASK) for c in counters]
+    state = [*words, 1]
+    for _ in range(12):
+        _sfc64_step(state)
+    bits = np.random.SFC64(0)
+    bits.state = {
+        "bit_generator": "SFC64",
+        "state": {"state": np.array(state, np.uint64)},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return np.random.Generator(bits)
 
 
 def _whole_block(seed: int, block: int, count: int) -> np.ndarray:
-    gen = np.random.Generator(np.random.Philox(key=seed | block << 64))
-    return gen.standard_normal((B, count))
+    return _block_generator(seed, block).standard_normal((B, count))
+
+
+class TestKeying:
+    @pytest.mark.parametrize("seed, block", [(0, 0), (2024, 1), (2**64 - 5, 3), (9, 2**40)])
+    def test_raw_stream_is_sfc64_of_the_block_key(self, seed, block):
+        # numpy's SFC64 against the published step function, from the key
+        state = _block_generator(seed, block).bit_generator.state["state"]["state"]
+        expected = [int(x) for x in state]
+        state = rng._block_states(seed % 2**64, block, 1)[0]
+        gen = rng._start_block(rng._generator(), state, 0, 1)
+        assert gen.bit_generator.random_raw(5).tolist() == [
+            _sfc64_step(expected) for _ in range(5)
+        ]
 
 
 class TestNormalPieces:
@@ -67,12 +140,13 @@ class TestNormalPieces:
         opened = []
         start_block = rng._start_block
         monkeypatch.setattr(
-            rng, "_start_block", lambda *a: opened.append(a[2]) or start_block(*a)
+            rng, "_start_block", lambda *a: opened.append(a[1].tolist()) or start_block(*a)
         )
         pieces = list(rng.normal_pieces(44, first, n_samples, count))
         assert max(z.size for z in pieces) <= rng.PIECE_ELEMENTS
         # one keying per block touched: no block is drawn twice
-        assert opened == list(range(first // B, (first + n_samples - 1) // B + 1))
+        touched = range(first // B, (first + n_samples - 1) // B + 1)
+        assert opened == [rng._block_states(44, b, 1)[0].tolist() for b in touched]
         whole = np.concatenate([_whole_block(44, b, count) for b in range(3)])
         expected = whole[first : first + n_samples]
         assert np.array_equal(np.concatenate(pieces), expected)
@@ -117,10 +191,5 @@ class TestRekeying:
         first = B - 7
         z = rng.normals(seed, first, 2 * B + 5, 3)  # 3 blocks, unaligned start
         assert len(made) == 1
-        fresh = np.concatenate(
-            [
-                np.random.Generator(np.random.Philox(key=seed | b << 64)).standard_normal((B, 3))
-                for b in range(3)
-            ]
-        )
+        fresh = np.concatenate([_whole_block(seed, b, 3) for b in range(3)])
         assert np.array_equal(z, fresh[first : first + 2 * B + 5])

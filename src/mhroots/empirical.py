@@ -13,11 +13,11 @@ second block, leaving a quadratic in the first.  One counter counts the
 forms from sign variations of each row's Sturm chain; the rows whose chain
 comes too close to a vanishing leading coefficient (near-multiple roots,
 nearly real complex pairs) and rows with a root at infinity are counted by
-companion-matrix eigenvalues.  ``_count`` reduces and counts a batch
-STURM_CHUNK systems at a time, multiplies the counts of a shape's
-components and merges their flags; ``sample_counts`` draws and counts
-STURM_CHUNK systems at a time, and ``count_real_roots`` counts a single
-system as a one-row batch.
+companion-matrix eigenvalues.  ``_count`` reduces and counts one batch of
+systems, multiplies the counts of a shape's components and merges their
+flags.  ``sample_counts`` draws and counts STURM_CHUNK systems at a time,
+the one batching layer, and ``count_real_roots`` counts a single system as
+a one-row batch.
 """
 
 from __future__ import annotations
@@ -367,23 +367,21 @@ def _count(comps: list[_Component], coeffs: list[np.ndarray], tau: float, out: n
     """Multiply the component counts of a batch of systems into ``out``, one
     entry per system, and return the components' flags merged per row.
 
-    ``coeffs[i]`` holds the (N, size_i) coefficient rows of equation i.
-    STURM_CHUNK systems at a time, each component becomes one binary form
-    per system, counted by ``_count_univariate``: a univariate equation is
-    its own form, a bilinear pair its elimination quadratic.  A zero_row
-    equation is a width-1 row, which counts 0; with no components ``out``
-    keeps its empty product.
+    ``coeffs[i]`` holds the (N, size_i) coefficient rows of equation i; its
+    callers pass at most STURM_CHUNK systems.  Each component becomes one
+    binary form per system, counted by ``_count_univariate``: a univariate
+    equation is its own form, a bilinear pair its elimination quadratic.  A
+    zero_row equation is a width-1 row, which counts 0; with no components
+    ``out`` keeps its empty product.
     """
     flags: dict[int, tuple[str, ...]] = {}
-    for lo in range(0, out.shape[0], STURM_CHUNK):
-        chunk = slice(lo, lo + STURM_CHUNK)
-        for comp in comps:
-            eqs = [coeffs[i][chunk] for i in comp.rows]
-            forms = _bilinear_quadratic(*eqs) if comp.kind == "bilinear" else eqs[0]
-            part, part_flags, _ = _count_univariate(forms, tau)
-            out[chunk] *= part
-            for i, fl in part_flags.items():
-                flags[lo + i] = flags.get(lo + i, ()) + fl
+    for comp in comps:
+        eqs = [coeffs[i] for i in comp.rows]
+        forms = _bilinear_quadratic(*eqs) if comp.kind == "bilinear" else eqs[0]
+        part, part_flags, _ = _count_univariate(forms, tau)
+        out *= part
+        for i, fl in part_flags.items():
+            flags[i] = flags.get(i, ()) + fl
     return flags
 
 
@@ -410,13 +408,13 @@ def sample_counts(
     almost surely has no roots); other unsupported components raise
     UnsupportedFamilyError.
 
-    The coefficients are drawn STURM_CHUNK systems at a time, the rows that
-    one ``_count`` pass takes (0.5 MB for a bilinear pair, 0.85 MB for a
-    degree-12 form): a small block that numpy keeps for reuse can land on
-    the C heap above a freed multi-megabyte batch and stop the heap from
-    shrinking, which made peak memory depend on the heap's layout.  Rows
-    are a pure function of (seed, row), so counts and flags do not depend
-    on the partition.
+    The coefficients are drawn STURM_CHUNK systems at a time (fewer where
+    rng.PIECE_ELEMENTS binds), one ``_count`` call per piece (0.5 MB for a
+    bilinear pair, 0.85 MB for a degree-12 form): a small block that numpy
+    keeps for reuse can land on the C heap above a freed multi-megabyte
+    batch and stop the heap from shrinking, which made peak memory depend on
+    the heap's layout.  Rows are a pure function of (seed, row), so counts
+    and flags do not depend on the partition.
     """
     comps = _counted_components(spec)
     if comps and comps[0].kind == "zero_row":

@@ -4,23 +4,24 @@ Uniforms (``uniforms``; they feed the shape corpora) address
 each draw by a global counter g = sample_index * draws_per_sample +
 draw_index, hashed through a keyed splitmix64-style finalizer.
 
-Normals (``normals``; they feed every Monte Carlo estimator) come from
-numpy's SFC64 generator (Doty-Humphrey's Small Fast Chaotic generator) with
-its ziggurat ``standard_normal`` (Marsaglia & Tsang, JSS 2000).  The sample
-range is cut into blocks of SAMPLE_BLOCK rows; block b is drawn, row after
-row, from SFC64 keyed by (seed, b): its three state words are the keyed
-hash of three counters of b, its counter starts at 1, and its first 12
-outputs are dropped, as numpy's own seeding does (each call makes one
-generator and re-keys it per block).  So any range of rows is a pure
+Normals (they feed every Monte Carlo estimator) come from numpy's SFC64
+generator (Doty-Humphrey's Small Fast Chaotic generator) with its ziggurat
+``standard_normal`` (Marsaglia & Tsang, JSS 2000).  The sample range is cut
+into blocks of SAMPLE_BLOCK rows; block b is drawn, row after row, from
+SFC64 keyed by (seed, b): its three state words are the keyed hash of three
+counters of b, its counter starts at 1, and its first 12 outputs are
+dropped, as numpy's own seeding does.  So any range of rows is a pure
 function of (seed, row, count), whatever partition of the range over
 workers or pieces produced it.  SAMPLE_BLOCK, the keying and the warm-up
 are part of the stream contract, and the values are pinned to the
 installed numpy's ziggurat.
 
-``normal_pieces`` hands a range's normals over in pieces of at most
-PIECE_ELEMENTS draws, even where one block exceeds that budget, so that
-peak memory stays flat in the per-sample draw count.  Both Monte Carlo
-samplers take their draws from it.
+One walk (``_walk``) draws every normal: one generator per call, re-keyed
+as each block starts, fills pieces of a fixed number of rows that need not
+line up with the blocks.  ``normal_pieces`` caps a piece at PIECE_ELEMENTS
+draws, so that peak memory stays flat in the per-sample draw count, and
+both Monte Carlo samplers take their draws from it; ``normals`` is the
+walk taken as one piece, for replays of single samples.
 """
 
 from __future__ import annotations
@@ -83,7 +84,8 @@ def _block_states(seed64: int, first_block: int, blocks: int) -> np.ndarray:
     ``seed64``: three state words and the counter, 1.  Block b's words are
     the keyed hash of counters 3 * b + (0, 1, 2), counted down from
     2**64 - 1 so that no word is the bits of a corpus uniform, whose
-    counters count up from 0.  One hash serves all the blocks of a call."""
+    counters count up from 0.  One hash serves all the blocks that a piece
+    starts."""
     counters = np.uint64(3 * first_block) + np.arange(3 * blocks, dtype=np.uint64)
     states = np.ones((blocks, 4), dtype=np.uint64)
     states[:, :3] = _hash_counters(seed64, ~counters).reshape(blocks, 3)
@@ -110,66 +112,47 @@ def _start_block(
     return gen
 
 
-def normals(seed: int, first_sample: int, n_samples: int, count: int) -> np.ndarray:
-    """(n_samples, count) standard normals for sample rows first_sample onward.
-
-    Row r is row r % SAMPLE_BLOCK of its block's stream.  Each block's rows
-    are drawn straight into the result; a partial first block is drawn from
-    the block's start and the rows before ``first_sample`` are dropped.
-    """
-    out = np.empty((n_samples, count), dtype=np.float64)
-    if count == 0 or n_samples == 0:
-        return out
+def _walk(
+    seed: int, first_sample: int, n_samples: int, count: int, rows: int
+) -> Iterator[np.ndarray]:
+    """The one walk of the block streams: pieces of ``rows`` rows, the last
+    one shorter, from one generator that is re-keyed as each block starts.
+    The first block is keyed at ``first_sample``, its earlier rows drawn and
+    dropped.  Each piece hashes the keys of the blocks it starts in one
+    ``_block_states`` call, so the keys held do not grow with ``n_samples``."""
+    seed64 = int(seed) & _MASK64
+    gen = _generator()
     row = int(first_sample)
     end = row + n_samples
-    first_block = row // SAMPLE_BLOCK
-    blocks = (end - 1) // SAMPLE_BLOCK + 1 - first_block
-    states = _block_states(int(seed) & _MASK64, first_block, blocks)
-    gen = _generator()
-    pos = 0
+    block = row // SAMPLE_BLOCK  # the next block to key
     while row < end:
-        block, offset = divmod(row, SAMPLE_BLOCK)
-        take = min(SAMPLE_BLOCK - offset, end - row)
-        _start_block(gen, states[block - first_block], offset, count).standard_normal(
-            out=out[pos : pos + take]
-        )
-        row += take
-        pos += take
-    return out
+        piece = np.empty((min(rows, end - row), count), dtype=np.float64)
+        stop = row + len(piece)
+        last = (stop - 1) // SAMPLE_BLOCK
+        states = iter(_block_states(seed64, block, last + 1 - block))
+        for b in range(row // SAMPLE_BLOCK, last + 1):
+            lo = max(row, b * SAMPLE_BLOCK)
+            if b == block:
+                _start_block(gen, next(states), lo % SAMPLE_BLOCK, count)
+                block += 1
+            gen.standard_normal(out=piece[lo - row : min(stop, (b + 1) * SAMPLE_BLOCK) - row])
+        yield piece
+        row = stop
+
+
+def normals(seed: int, first_sample: int, n_samples: int, count: int) -> np.ndarray:
+    """(n_samples, count) standard normals for sample rows first_sample onward:
+    the walk of the block streams taken as one piece, with no budget."""
+    return next(_walk(seed, first_sample, n_samples, count, n_samples), np.empty((0, count)))
 
 
 def normal_pieces(
     seed: int, first_sample: int, n_samples: int, count: int, rows: int | None = None
 ) -> Iterator[np.ndarray]:
     """Yield the rows of ``normals(seed, first_sample, n_samples, count)`` in
-    order, in pieces of at most ``rows`` rows and PIECE_ELEMENTS draws.
-
-    Where a block fits that budget, a piece is a run of whole blocks (its
-    first block may start at ``first_sample``) drawn by ``normals``, and
-    ``rows`` is rounded down to whole blocks.  Where one block exceeds it,
-    each block is drawn in pieces from one generator: successive draws
-    continue its stream, so no block is drawn twice.
-    """
+    order, in pieces of exactly min(``rows``, budget) rows but the last,
+    which may be shorter.  The budget is the rows that hold PIECE_ELEMENTS
+    draws, and ``rows=None`` takes it.  A piece may span several blocks or
+    cover part of one: the walk makes one generator per call."""
     budget = _piece_rows(count)
-    rows = budget if rows is None else min(rows, budget)
-    row = int(first_sample)
-    end = row + n_samples
-    if rows >= SAMPLE_BLOCK:
-        rows -= rows % SAMPLE_BLOCK
-        while row < end:
-            stop = min(end, row - row % SAMPLE_BLOCK + rows)
-            yield normals(seed, row, stop - row, count)
-            row = stop
-        return
-    seed64 = int(seed) & _MASK64
-    gen = _generator()
-    while row < end:
-        block, offset = divmod(row, SAMPLE_BLOCK)
-        stop = min(end, (block + 1) * SAMPLE_BLOCK)
-        _start_block(gen, _block_states(seed64, block, 1)[0], offset, count)
-        for first in range(row, stop, rows):
-            piece = np.empty((min(rows, stop - first), count), dtype=np.float64)
-            gen.standard_normal(out=piece)
-            yield piece
-        row = stop
-
+    return _walk(seed, first_sample, n_samples, count, budget if rows is None else min(rows, budget))

@@ -126,20 +126,21 @@ class TestMonteCarlo:
         var = np.array([[1.0, 2.0, 0.0], [3.0, 1.0, 1.0], [2.0, 2.0, 4.0]])
         drawn = {}
         values = []
-        normals = rng.normals
+        pieces = rng.normal_pieces
         block_values = gaussian._block_values
 
-        def recording(seed, first, count, width):
-            z = normals(seed, first, count, width)
-            drawn.update((first + r, z[r].copy()) for r in range(count))
-            return z
+        def recording(seed, first, count, width, rows):
+            for z in pieces(seed, first, count, width, rows):
+                drawn.update((first + r, z[r].copy()) for r in range(len(z)))
+                first += len(z)
+                yield z
 
         def recording_values(*args):
             shift, v = block_values(*args)
             values.append(math.exp(shift) * v)  # one worker: pieces come in stream order
             return shift, v
 
-        monkeypatch.setattr(rng, "normals", recording)
+        monkeypatch.setattr(rng, "normal_pieces", recording)
         monkeypatch.setattr(gaussian, "_block_values", recording_values)
         est = mc_abs_det(var, 3000, seed=23)
         monkeypatch.undo()

@@ -125,13 +125,25 @@ class TestKeying:
 
 
 class TestNormalPieces:
-    @pytest.mark.parametrize("first, n_samples", [(0, 3 * B), (5, 2 * B), (B - 3, 10), (0, 1)])
-    def test_whole_block_pieces_match_normals(self, first, n_samples):
-        pieces = list(rng.normal_pieces(43, first, n_samples, 4, rows=2 * B + 1))
-        assert np.array_equal(np.concatenate(pieces), rng.normals(43, first, n_samples, 4))
-        ends = np.cumsum([len(z) for z in pieces]) + first
-        # every piece but the last ends on a block boundary
-        assert all(e % B == 0 for e in ends[:-1]) and all(len(z) <= 2 * B for z in pieces)
+    @pytest.mark.parametrize("first", [0, B + 5])
+    @pytest.mark.parametrize("rows", [1, 300, B - 1, B, B + 1, 2 * B + 1, None])
+    def test_pieces_are_exactly_min_of_rows_and_budget(self, monkeypatch, first, rows):
+        # 100 normals a sample: the budget is 2,621 rows, more than 2 * B + 1
+        count, n_samples = 100, 3 * B + 700
+        budget = rng.PIECE_ELEMENTS // count
+        size = budget if rows is None else min(rows, budget)
+        opened = []
+        start_block = rng._start_block
+        monkeypatch.setattr(
+            rng, "_start_block", lambda *a: opened.append(a[1].tolist()) or start_block(*a)
+        )
+        pieces = list(rng.normal_pieces(46, first, n_samples, count, rows))
+        lengths = [len(z) for z in pieces]
+        assert lengths[:-1] == [size] * (len(pieces) - 1) and 0 < lengths[-1] <= size
+        # one keying per block touched, however the pieces cut the blocks
+        touched = range(first // B, (first + n_samples - 1) // B + 1)
+        assert opened == [rng._block_states(46, b, 1)[0].tolist() for b in touched]
+        assert np.array_equal(np.concatenate(pieces), rng.normals(46, first, n_samples, count))
 
     @pytest.mark.parametrize("first, n_samples", [(0, 2 * B), (B - 300, 700), (2 * B + 1, 5)])
     def test_blocks_over_budget_are_drawn_in_pieces(self, monkeypatch, first, n_samples):
@@ -151,20 +163,6 @@ class TestNormalPieces:
         expected = whole[first : first + n_samples]
         assert np.array_equal(np.concatenate(pieces), expected)
         assert np.array_equal(rng.normals(44, first, n_samples, count), expected)
-
-    def test_pieces_at_n_100_are_whole_block_rows(self):
-        count = 100 * 100
-        pieces = rng.normal_pieces(45, 0, B + 76, count)
-        rows = 0
-        for block in range(2):
-            whole = _whole_block(45, block, count)
-            for z in pieces:
-                assert z.nbytes <= rng.PIECE_ELEMENTS * 8
-                assert np.array_equal(z, whole[rows % B : rows % B + len(z)])
-                rows += len(z)
-                if rows % B == 0:
-                    break
-        assert rows == B + 76
 
 
 class TestCorpus:
@@ -193,3 +191,8 @@ class TestRekeying:
         assert len(made) == 1
         fresh = np.concatenate([_whole_block(seed, b, 3) for b in range(3)])
         assert np.array_equal(z, fresh[first : first + 2 * B + 5])
+        # one generator for a whole call of pieces, within and across blocks
+        for calls, rows in enumerate((300, 2 * B - 1), start=2):
+            pieces = list(rng.normal_pieces(seed, first, 2 * B + 5, 3, rows))
+            assert len(made) == calls
+            assert np.array_equal(np.concatenate(pieces), z)

@@ -12,8 +12,8 @@ from mhroots import (
     bkk_permanent,
     bkk_recursive,
     expand_delta,
+    expectation,
     game_shape,
-    has_zero_block,
     is_simply_reducible,
     permanent_bruteforce,
     permanent_exact,
@@ -36,12 +36,14 @@ brute = permanent_bruteforce(expand_delta(spec)) // 2  # block sizes (2,1): 2! *
 print(f"  {per} == {rec} == {brute}")
 
 print()
-print("zero counts are structural: a block of zeros in the degree pattern")
+print("zero counts are structural: the degree pattern has no perfect matching")
 g = game_shape((1, 2))
-pattern = (expand_delta(g) > 0).astype(int)
-flag, witness = has_zero_block(pattern)
-print("  game blocks (1,2): zero block found =", flag, " witness rows/cols =", witness)
-print("  count =", bkk_recursive(g).count)
+print("  game blocks (1,2): pattern", (expand_delta(g) > 0).astype(int).tolist(),
+      " count =", bkk_recursive(g).count)
+spec = validate((2, 2), [[0, 0], [1, 1], [1, 1], [1, 2]])
+res = expectation(spec)
+print("  a constant equation among four: count =", bkk_recursive(spec).count,
+      f" expectation = {res.value} (kind {res.kind!r}, nothing sampled)")
 
 print()
 print("independent subsystems multiply:")

@@ -15,9 +15,9 @@ from mhroots import (
     abs_det_closed_standard,
     closed_form,
     mc_abs_det,
-    minor_expansion_bounds,
     permanent_sandwich,
     prefactor,
+    row_recursion_check,
     validate,
     variance_profile,
 )
@@ -65,7 +65,6 @@ est = mc_abs_det(profile, 200_000, seed=5)
 print(f"  {upper:.4f} >= {est.mean:.4f} >= {lower:.4f}")
 
 print()
-print("one-row minor expansion bounds (exact sub-means for 1x1 minors):")
-minor = math.sqrt(2 / math.pi)
-upper, lower = minor_expansion_bounds(np.ones((2, 2)), 1, [minor, minor])
-print(f"  {upper:.4f} >= 1.0 >= {lower:.4f}")
+print("one-row expansion: removing equation 1 brackets the expectation")
+rep = row_recursion_check(validate((1, 1), [[1, 2], [2, 1]]), 1)
+print(f"  {rep.upper:.4f} >= {rep.middle.value:.4f} >= {rep.lower:.4f}  ({rep.middle.kind})")

@@ -33,7 +33,6 @@ from .bkk import (
     bkk_recursive,
     is_simply_reducible,
     product_split,
-    scale_shape,
 )
 from .empirical import (
     SystemSample,
@@ -42,12 +41,8 @@ from .empirical import (
     ZeroPolynomialError,
     count_real_roots,
     empirical_expectation,
-    evaluate,
-    rotate_sample,
     sample_counts,
     sample_system,
-    theta_norm_sq,
-    transform_coefficients,
     uniformity_check,
 )
 from .expectation import (
@@ -61,21 +56,18 @@ from .expectation import (
     prefactor,
     rank_one_factors,
     row_recursion_check,
-    scaling_factor,
     split_expectation,
 )
 from .gaussian import (
     MCEstimate,
     abs_det_closed_standard,
     mc_abs_det,
-    minor_expansion_bounds,
     permanent_sandwich,
     sample_matrix,
     variance_profile,
 )
 from .permanent import (
     MatrixTooLargeError,
-    has_zero_block,
     permanent_bruteforce,
     permanent_exact,
     permanent_float,
@@ -89,7 +81,6 @@ from .shape import (
     ShapeError,
     ShapeSpec,
     SupportTooLargeError,
-    block_of,
     enumerate_support,
     expand_delta,
     from_json,
@@ -99,7 +90,7 @@ from .shape import (
     support_variances,
     validate,
 )
-from .specialfn import GammaHalf, chi_mean, gamma_half, log_gamma_half, sphere_volume
+from .specialfn import GammaHalf, gamma_half, log_gamma_half
 
 __version__ = "0.1.0"
 

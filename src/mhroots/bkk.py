@@ -306,28 +306,6 @@ def product_split(spec: ShapeSpec) -> ProductSplit | None:
     return None
 
 
-def scale_shape(spec: ShapeSpec, d, e) -> ShapeSpec:
-    """Shape with degrees d_i * e_j * delta_ij for nonnegative integer multipliers.
-
-    The generic root count of the result equals
-    prod(d_i) * prod(e_j ** n_j over positive blocks) times the original
-    count; tests assert this law rather than assuming it.
-    """
-    d = [int(x) for x in d]
-    e = [int(x) for x in e]
-    if len(d) != spec.n:
-        raise ValueError(f"need {spec.n} row multipliers, got {len(d)}")
-    if len(e) != spec.k:
-        raise ValueError(f"need {spec.k} column multipliers, got {len(e)}")
-    if any(x < 0 for x in d) or any(x < 0 for x in e):
-        raise ValueError("multipliers must be nonnegative")
-    rows = [
-        tuple(d[i] * e[j] * spec.degrees[i][j] for j in range(spec.k))
-        for i in range(spec.n)
-    ]
-    return validate(spec.block_sizes, rows)
-
-
 @dataclass(frozen=True)
 class SimpleReducibility:
     reducible: bool
@@ -357,8 +335,8 @@ def _perfect_matching(blocks, rows) -> list[int] | None:
     size, _, slot_of = _max_matching(adj, starts[-1])
     if size < len(rows):
         return None
-    block_of = [j for j, nj in enumerate(blocks) for _ in range(nj)]
-    return [block_of[s] for s in slot_of]
+    owner = [j for j, nj in enumerate(blocks) for _ in range(nj)]
+    return [owner[s] for s in slot_of]
 
 
 def _strong_components(succ: list[set[int]]) -> list[int]:

@@ -112,7 +112,7 @@ def _load_shape(path: str) -> ShapeSpec:
             data = json.load(fh)
         except json.JSONDecodeError:
             raise
-        except ValueError as exc:  # an integer past Python's digit limit
+        except (ValueError, RecursionError) as exc:  # past the digit or the nesting limit
             raise ShapeError(f"shape JSON: {exc}") from exc
     return from_json(data)
 

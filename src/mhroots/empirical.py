@@ -32,9 +32,7 @@ from . import rng
 from .gaussian import MCEstimate, check_samples
 from .shape import (
     ShapeSpec,
-    enumerate_support,
     incidence_components,
-    support_exponent_matrix,
     support_size,
     support_variances,
 )
@@ -87,39 +85,6 @@ def sample_system(spec: ShapeSpec, seed: int, index: int = 0) -> SystemSample:
     offsets, sigma = _coefficient_layout(spec)
     z = rng.normals(seed, index, 1, int(offsets[-1]))
     return SystemSample(spec, [c[0].copy() for c in _equations(z, offsets, sigma)])
-
-
-def evaluate(sample: SystemSample, point) -> np.ndarray:
-    """Values of all equations at a point given as per-block coordinate vectors."""
-    spec = sample.spec
-    if len(point) != spec.k:
-        raise ValueError(f"need {spec.k} block vectors, got {len(point)}")
-    coords = []
-    for j, (block, nj) in enumerate(zip(point, spec.block_sizes), start=1):
-        arr = np.asarray(block, dtype=np.float64)
-        if arr.shape != (nj + 1,):
-            raise ValueError(f"block {j} needs {nj + 1} coordinates, got shape {arr.shape}")
-        coords.append(arr)
-    flat = np.concatenate(coords)
-    out = np.empty(spec.n)
-    for i in range(1, spec.n + 1):
-        exps = support_exponent_matrix(spec, i)
-        monomials = np.prod(flat[None, :] ** exps, axis=1)
-        out[i - 1] = float(np.dot(sample.coefficients[i - 1], monomials))
-    return out
-
-
-def theta_norm_sq(spec: ShapeSpec, i: int, point) -> float:
-    """sum over the support of (inverse weight) * point**(2a).
-
-    Equals 1 whenever every block of the point has unit Euclidean norm; this
-    is the evaluation-variance identity of the invariant ensemble.
-    """
-    coords = np.concatenate([np.asarray(b, dtype=np.float64) for b in point])
-    exps = support_exponent_matrix(spec, i)
-    monomials = np.prod(coords[None, :] ** exps, axis=1)
-    variances = support_variances(spec, i)
-    return float(np.dot(variances, monomials * monomials))
 
 
 # ---------------------------------------------------------------------------
@@ -496,63 +461,3 @@ def uniformity_check(
     expected = total / bins
     chi2 = float(((counts - expected) ** 2 / expected).sum())
     return UniformityReport(chi2, bins - 1, tuple(int(x) for x in counts), total, samples)
-
-
-# ---------------------------------------------------------------------------
-# coordinate changes
-
-
-def transform_coefficients(spec: ShapeSpec, i: int, coeffs, block_matrices) -> np.ndarray:
-    """Coefficients of the composed polynomial f(B_1 y_1, ..., B_k y_k).
-
-    ``block_matrices[j]`` is the (n_j + 1) x (n_j + 1) matrix substituted
-    into block j.  Substitution preserves per-block homogeneity, so the
-    result lives on the same support.
-    """
-    support = enumerate_support(spec, i)
-    index = {a.blocks: t for t, a in enumerate(support)}
-    out = np.zeros(len(support))
-    mats = [np.asarray(m, dtype=np.float64) for m in block_matrices]
-    for coeff, a in zip(np.asarray(coeffs, dtype=np.float64), support):
-        if coeff == 0.0:
-            continue
-        expanded: dict[tuple, float] = {(): 1.0}
-        for bex, mat in zip(a.blocks, mats):
-            width = len(bex)
-            block_poly: dict[tuple[int, ...], float] = {(0,) * width: 1.0}
-            for h, power in enumerate(bex):
-                row = mat[h]
-                for _ in range(power):
-                    nxt: dict[tuple[int, ...], float] = {}
-                    for key, val in block_poly.items():
-                        for m_idx in range(width):
-                            w = row[m_idx]
-                            if w == 0.0:
-                                continue
-                            key2 = key[:m_idx] + (key[m_idx] + 1,) + key[m_idx + 1 :]
-                            nxt[key2] = nxt.get(key2, 0.0) + val * w
-                    block_poly = nxt
-            merged: dict[tuple, float] = {}
-            for key, val in expanded.items():
-                for bkey, bval in block_poly.items():
-                    merged_key = key + (bkey,)
-                    merged[merged_key] = merged.get(merged_key, 0.0) + val * bval
-            expanded = merged
-        for key, val in expanded.items():
-            out[index[key]] += coeff * val
-    return out
-
-
-def rotate_sample(sample: SystemSample, block_rotations) -> SystemSample:
-    """The sample transformed by orthogonal maps acting on each block.
-
-    Produces the coefficients of f composed with the inverse rotation, whose
-    roots are the rotated roots of f; real root counts are preserved.
-    """
-    spec = sample.spec
-    mats = [np.asarray(m, dtype=np.float64).T for m in block_rotations]
-    new_coeffs = [
-        transform_coefficients(spec, i, sample.coefficients[i - 1], mats)
-        for i in range(1, spec.n + 1)
-    ]
-    return SystemSample(spec, new_coeffs)

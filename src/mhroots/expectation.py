@@ -273,19 +273,6 @@ def closed_form(spec: ShapeSpec) -> ClosedFormValue | None:
     return ClosedFormValue(rational, pi_pow, radicand)
 
 
-def scaling_factor(d, e, block_sizes) -> float:
-    """Multiplier relating the expectation after degree scaling
-    delta'_ij = d_i * e_j * delta_ij to the original:
-    sqrt(prod d_i) * sqrt(prod e_j ** n_j over positive blocks)."""
-    prod = 1
-    for di in d:
-        prod *= int(di)
-    for ej, nj in zip(e, block_sizes):
-        if nj > 0:
-            prod *= int(ej) ** nj
-    return _sqrt_int(prod)
-
-
 def _generic_count_is_zero(spec: ShapeSpec) -> bool:
     """Whether the generic complex-root count vanishes.
 

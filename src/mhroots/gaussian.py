@@ -47,6 +47,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import os
 import threading
 import time
 from dataclasses import dataclass
@@ -294,6 +295,13 @@ def _unshift(shift: float, x: float) -> float:
     return math.exp(shift + math.log(x)) if x > 0 else 0.0
 
 
+def _available_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def mc_abs_det(variances, samples: int, seed: int, workers: int = 1) -> MCEstimate:
     """Monte Carlo mean of |det| of the structured Gaussian matrix.
 
@@ -339,11 +347,14 @@ def mc_abs_det(variances, samples: int, seed: int, workers: int = 1) -> MCEstima
             moments.append((shift, float(v.sum()), float((v * v).sum())))
         return moments
 
-    if workers > 1 and len(tasks) > 1:
+    # a thread per task up to max_workers, each with its own working copy:
+    # threads beyond the CPUs add memory, not speed
+    threads = min(workers, len(tasks), _available_cpus())
+    if threads > 1:
         # imported here: it adds about 7 ms to every start-up that needs no pool
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(task_moments, tasks))
     else:
         results = [task_moments(t) for t in tasks]
@@ -368,29 +379,6 @@ def abs_det_closed_standard(n: int) -> float:
         return 1.0
     g = gamma_half(n + 1)
     return 2.0 ** (n / 2.0) * float(g.rational) * SQRT_PI ** (g.sqrt_pi - 1)
-
-
-def minor_expansion_bounds(variances, row: int, minor_means) -> tuple[float, float]:
-    """Two-sided bounds on E|det| from expanding along ``row`` (1-based).
-
-    Given the mean absolute minor determinants m_b for deleting ``row`` and
-    column b, returns
-
-        upper = sqrt(2/pi) * sum_b sigma_rb * m_b
-        lower = sqrt(2/pi) * sqrt(sum_b sigma_rb^2 * m_b^2)
-    """
-    arr = _check_profile(variances)
-    n = arr.shape[0]
-    if not 1 <= row <= n:
-        raise ValueError(f"row index {row} outside 1..{n}")
-    m = np.asarray(minor_means, dtype=np.float64)
-    if m.shape != (n,):
-        raise ValueError(f"need {n} minor means, got shape {m.shape}")
-    sig = np.sqrt(arr[row - 1])
-    c = math.sqrt(2.0 / math.pi)
-    upper = c * float(np.dot(sig, m))
-    lower = c * math.sqrt(float(np.dot(arr[row - 1], m * m)))
-    return upper, lower
 
 
 def permanent_sandwich(variances) -> tuple[float, float]:

@@ -1,5 +1,6 @@
 """Matrix permanents: exact big-integer and float paths, a brute-force
-oracle, and the structural zero-permanent test for 0/1 patterns.
+oracle, and the bipartite matching on which the structural zero test of
+``bkk._perfect_matching`` rests.
 
 The permanent of an m-by-n matrix sums, over all one-to-one maps sigma from
 rows into columns, the products prod_i d[i, sigma(i)]; it is zero when
@@ -205,50 +206,3 @@ def _max_matching(adj: list[list[int]], n_cols: int) -> tuple[int, list[int], li
         if try_row(i, [False] * n_cols):
             size += 1
     return size, match_row, match_col
-
-
-def has_zero_block(matrix) -> tuple[bool, tuple[tuple[int, ...], tuple[int, ...]] | None]:
-    """Whether a 0/1 pattern matrix has an all-zero k x (n + 1 - k) block
-    after independent row and column relabelling; equivalently whether its
-    permanent vanishes.
-
-    Decided by bipartite matching (a transversal saturating the rows exists
-    iff no such block).  Requires m <= n and entries in {0, 1}.  When True,
-    returns a witness (rows, cols) of 0-based indices spanning an all-zero
-    block with len(cols) >= n + 1 - len(rows).
-    """
-    arr = np.asarray(matrix)
-    if arr.ndim != 2:
-        raise ValueError(f"need a 2-d matrix, got shape {arr.shape}")
-    m, n = arr.shape
-    if m > n:
-        raise ValueError(f"zero-block test requires m <= n, got {m}x{n}")
-    # np.unique only on failure: its first call imports numpy.ma
-    if not ((arr == 0) | (arr == 1)).all():
-        raise ValueError(f"entries must be 0/1, got values {np.unique(arr).tolist()}")
-    if m == 0:
-        return False, None
-    adj = [[j for j in range(n) if arr[i, j]] for i in range(m)]
-    size, match_row, match_col = _max_matching(adj, n)
-    if size == m:
-        return False, None
-    # Konig-style witness: alternating reachability from unmatched rows.
-    reach_row = [False] * m
-    reach_col = [False] * n
-    stack = [i for i in range(m) if match_col[i] == -1]
-    for i in stack:
-        reach_row[i] = True
-    while stack:
-        i = stack.pop()
-        for j in adj[i]:
-            if not reach_col[j]:
-                reach_col[j] = True
-                owner = match_row[j]
-                if owner != -1 and not reach_row[owner]:
-                    reach_row[owner] = True
-                    stack.append(owner)
-    rows = tuple(i for i in range(m) if reach_row[i])
-    cols = tuple(j for j in range(n) if not reach_col[j])
-    assert rows and len(cols) >= n + 1 - len(rows)
-    assert not arr[np.ix_(rows, cols)].any()
-    return True, (rows, cols)

@@ -97,10 +97,6 @@ class ExponentVector:
 
     blocks: tuple[tuple[int, ...], ...]
 
-    def flat(self) -> tuple[int, ...]:
-        """All exponents concatenated in block order."""
-        return tuple(itertools.chain.from_iterable(self.blocks))
-
 
 def _as_int(value, what: str) -> int:
     if isinstance(value, (bool, np.bool_)):
@@ -172,21 +168,6 @@ def from_json(data: dict) -> ShapeSpec:
     except (KeyError, TypeError) as exc:
         raise ShapeError("shape JSON needs 'block_sizes' and 'degrees'") from exc
     return validate(sizes, degrees)
-
-
-def block_of(spec: ShapeSpec, i: int) -> int:
-    """Block index owning equation row i (both 1-based).
-
-    Returns the unique j with n_1 + ... + n_{j-1} < i <= n_1 + ... + n_j.
-    """
-    if not 1 <= i <= spec.n:
-        raise IndexOutOfRangeError(f"row index {i} outside 1..{spec.n}")
-    total = 0
-    for j, nj in enumerate(spec.block_sizes, start=1):
-        total += nj
-        if i <= total:
-            return j
-    raise AssertionError("unreachable")
 
 
 def incidence_components(spec: ShapeSpec) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -324,13 +305,3 @@ def support_variances(spec: ShapeSpec, i: int, cap: int = SUPPORT_CAP) -> np.nda
         [1.0 / float(monomial_weight(a)) for a in enumerate_support(spec, i, cap)],
         dtype=np.float64,
     )
-
-
-def support_exponent_matrix(spec: ShapeSpec, i: int, cap: int = SUPPORT_CAP) -> np.ndarray:
-    """Exponents of equation i as an integer array of shape (size, sum(n_j + 1)).
-
-    Coordinates are concatenated block by block; aligned with
-    enumerate_support order.
-    """
-    support = enumerate_support(spec, i, cap)
-    return np.array([a.flat() for a in support], dtype=np.int64)

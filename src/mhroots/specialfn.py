@@ -1,5 +1,5 @@
-"""Gamma at half-integer arguments, sphere volumes, Gaussian norm means, and
-the complete elliptic integral of the second kind.
+"""Gamma at half-integer arguments and the complete elliptic integral of the
+second kind.
 
 Every value of Gamma(m/2) is held exactly as ``rational * sqrt(pi)**p`` with
 p in {0, 1}, built from the closed recurrences Gamma(1/2) = sqrt(pi),
@@ -76,28 +76,6 @@ def gamma_half(twice_argument: int) -> GammaHalf:
 def log_gamma_half(twice_argument: int) -> float:
     """log Gamma(twice_argument / 2), always finite."""
     return gamma_half(twice_argument).log
-
-
-def sphere_volume(m: int) -> float:
-    """Surface volume of the unit (m-1)-sphere: 2 * Gamma(1/2)**m / Gamma(m/2)."""
-    if m < 1:
-        raise ValueError(f"sphere dimension parameter must be >= 1, got {m}")
-    g = gamma_half(m)
-    # Gamma(1/2)**m / (rational * sqrt(pi)**p) = pi**((m - p)/2) / rational
-    return 2.0 * math.pi ** ((m - g.sqrt_pi) // 2) / float(g.rational)
-
-
-def chi_mean(m: int) -> float:
-    """Mean Euclidean norm of an m-dimensional standard Gaussian vector.
-
-    Equals sqrt(2) * Gamma((m+1)/2) / Gamma(m/2).
-    """
-    if m < 1:
-        raise ValueError(f"dimension must be >= 1, got {m}")
-    hi = gamma_half(m + 1)
-    lo = gamma_half(m)
-    ratio = hi.rational / lo.rational
-    return math.sqrt(2.0) * float(ratio) * SQRT_PI ** (hi.sqrt_pi - lo.sqrt_pi)
 
 
 def ellipe(m):

@@ -14,9 +14,16 @@ from scipy.stats import chi2
 from mhroots.bkk import bkk_count, bkk_permanent, bkk_recursive, is_simply_reducible
 from mhroots.corpus import random_rank_one_shape, random_shape
 from mhroots.empirical import empirical_expectation, sample_counts, uniformity_check
-from mhroots.expectation import bounds, closed_form, expectation, prefactor, row_recursion_check
+from mhroots.expectation import (
+    _generic_count_is_zero,
+    bounds,
+    closed_form,
+    expectation,
+    prefactor,
+    row_recursion_check,
+)
 from mhroots.gaussian import abs_det_closed_standard, mc_abs_det, variance_profile
-from mhroots.permanent import has_zero_block, permanent_bruteforce, permanent_exact
+from mhroots.permanent import permanent_bruteforce, permanent_exact
 from mhroots.shape import enumerate_support, expand_delta, game_shape, monomial_weight, validate
 
 
@@ -249,8 +256,8 @@ def test_criterion_09_root_position_uniformity():
 
 
 def test_criterion_10_property_suites():
-    """Weight-variance identity, permanent row expansion, zero-block
-    equivalence (exhaustive n <= 3), Monte Carlo worker determinism."""
+    """Weight-variance identity, permanent row expansion, the generic zero
+    test (exhaustive n <= 3), Monte Carlo worker determinism."""
     failures = []
 
     # (a) weight identity: sum of variance * zeta^(2a) = 1 on unit blocks
@@ -288,14 +295,18 @@ def test_criterion_10_property_suites():
             if acc != total:
                 failures.append("row expansion identity failed")
 
-    # (c) zero block iff zero permanent, exhaustive for m <= n <= 3
-    for m in range(1, 4):
-        for n in range(m, 4):
-            for bits in itertools.product((0, 1), repeat=m * n):
-                mat = np.array(bits).reshape(m, n)
-                flag, _ = has_zero_block(mat)
-                if flag != (permanent_bruteforce(mat) == 0):
-                    failures.append(f"zero-block mismatch on {mat.tolist()}")
+    # (c) the generic zero test iff a zero permanent of the expanded
+    # degrees, exhaustive over every shape with at most 3 blocks, n <= 3 and
+    # degrees 0 or 1, blocks of size 0 among them
+    for k in range(1, 4):
+        for sizes in itertools.product(range(4), repeat=k):
+            n = sum(sizes)
+            if n > 3:
+                continue
+            for bits in itertools.product((0, 1), repeat=n * k):
+                spec = validate(sizes, np.array(bits).reshape(n, k).tolist())
+                if _generic_count_is_zero(spec) != (permanent_bruteforce(expand_delta(spec)) == 0):
+                    failures.append(f"generic zero test wrong on {spec.to_json()}")
 
     # (d) Monte Carlo determinism across worker counts
     var = variance_profile(validate((1, 1), [[1, 2], [2, 1]]))

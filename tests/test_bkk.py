@@ -19,14 +19,9 @@ from mhroots.bkk import (
     bkk_recursive,
     is_simply_reducible,
     product_split,
-    scale_shape,
 )
 from mhroots.corpus import random_shape
-from mhroots.permanent import (
-    has_zero_block,
-    permanent_bruteforce,
-    permanent_float,
-)
+from mhroots.permanent import permanent_bruteforce, permanent_exact, permanent_float
 from mhroots.shape import expand_delta, game_shape, validate
 
 
@@ -100,8 +95,7 @@ class TestRouteAgreement:
             if spec.n == 0:
                 continue
             pattern = (expand_delta(spec) > 0).astype(int)
-            flag, _ = has_zero_block(pattern)
-            assert (bkk_count(spec) == 0) == flag
+            assert (bkk_count(spec) == 0) == (permanent_exact(pattern) == 0)
 
 
 class TestProductSplit:
@@ -161,17 +155,12 @@ class TestProductSplit:
 
 
 class TestScaling:
-    def test_identity(self):
-        spec = validate((1, 1), [[1, 2], [2, 1]])
-        assert scale_shape(spec, (1, 1), (1, 1)) == spec
-
+    # degrees d_i * e_j * delta_ij multiply the count by prod d_i * prod e_j**n_j
     def test_univariate_row_scale(self):
-        spec = validate((1,), [[1]])
-        assert bkk_count(scale_shape(spec, (4,), (1,))) == 4
+        assert bkk_count(validate((1,), [[4]])) == 4
 
     def test_bilinear_row_scales(self):
-        spec = validate((1, 1), [[1, 1], [1, 1]])
-        assert bkk_count(scale_shape(spec, (2, 3), (1, 1))) == 12
+        assert bkk_count(validate((1, 1), [[2, 2], [3, 3]])) == 12
 
     def test_scaling_law_on_corpus(self):
         rng = np.random.default_rng(21)
@@ -185,12 +174,8 @@ class TestScaling:
             for ej, nj in zip(e, spec.block_sizes):
                 if nj > 0:
                     factor *= ej**nj
-            assert bkk_count(scale_shape(spec, d, e)) == factor * bkk_count(spec)
-
-    def test_rejects_negative(self):
-        spec = validate((1,), [[1]])
-        with pytest.raises(ValueError):
-            scale_shape(spec, (-1,), (1,))
+            rows = [[di * ej * x for ej, x in zip(e, row)] for di, row in zip(d, spec.degrees)]
+            assert bkk_count(validate(spec.block_sizes, rows)) == factor * bkk_count(spec)
 
 
 def _brute_count(sizes, rows) -> int:
@@ -574,7 +559,10 @@ class TestTableLeaves:
         [
             (game_shape((3,) * 6), ["f"]),  # below 2**52
             (game_shape((3,) * 8), ["f", "u"]),  # above 2**53, below 2**62
-            (scale_shape(game_shape((3,) * 6), [7] * 18, [1] * 6), ["f", "O"]),  # above 2**64
+            (  # above 2**64
+                validate((3,) * 6, 7 * np.array(game_shape((3,) * 6).degrees)),
+                ["f", "O"],
+            ),
             (validate((1, 1), [[2**63 - 1, 1], [1, 1]]), ["O"]),  # degree past the uint64 guard
         ],
     )

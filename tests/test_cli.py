@@ -229,6 +229,12 @@ class TestExitCodes:
         assert main([command, _write_shape(tmp_path, shape)]) == 2
         assert capsys.readouterr().err.startswith("invalid input: ")
 
+    def test_json_nested_past_the_decoder_recursion_limit(self, tmp_path, capsys):
+        shape = "[" * 100_000 + "]" * 100_000
+        assert main(["bkk", _write_shape(tmp_path, shape)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input: shape JSON: maximum recursion depth exceeded")
+
     @pytest.mark.parametrize("command", ["expect", "bkk", "bounds"])
     def test_largest_degree_accepted(self, tmp_path, capsys, command):
         shape = {"block_sizes": [1, 1], "degrees": [[2**63 - 1, 1], [1, 1]]}

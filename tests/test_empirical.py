@@ -21,15 +21,12 @@ from mhroots.empirical import (
     _equations,
     count_real_roots,
     empirical_expectation,
-    evaluate,
-    rotate_sample,
     sample_counts,
     sample_system,
-    theta_norm_sq,
     uniformity_check,
 )
 from mhroots.gaussian import SampleCountError
-from mhroots.shape import support_variances, validate
+from mhroots.shape import enumerate_support, support_variances, validate
 
 UNI2 = validate((1,), [[2]])
 UNI4 = validate((1,), [[4]])
@@ -167,14 +164,6 @@ class TestSampling:
 
 
 class TestEvaluate:
-    def test_zero_coefficients(self):
-        sample = SystemSample(UNI2, [np.zeros(3)])
-        assert evaluate(sample, [np.array([0.3, 0.7])]).tolist() == [0.0]
-
-    def test_constructed_root(self):
-        sample = SystemSample(UNI2, [np.array([1.0, 0.0, -1.0])])  # x^2 - y^2
-        assert evaluate(sample, [np.array([1.0, 1.0])])[0] == pytest.approx(0.0)
-
     def test_evaluation_variance_is_one_on_unit_blocks(self):
         spec = validate((1, 1), [[2, 1], [1, 2]])
         point = []
@@ -183,24 +172,13 @@ class TestEvaluate:
             v = gen.standard_normal(nj + 1)
             point.append(v / np.linalg.norm(v))
         coords = np.concatenate(point)
-        from mhroots.shape import support_exponent_matrix
 
         batches = _coefficient_batch(spec, seed=6, start=0, count=100_000)
         for i in (1, 2):
-            exps = support_exponent_matrix(spec, i)
+            exps = np.array([sum(a.blocks, ()) for a in enumerate_support(spec, i)])
             monos = np.prod(coords[None, :] ** exps, axis=1)
             values = batches[i - 1] @ monos
             assert values.var(ddof=1) == pytest.approx(1.0, rel=0.05)
-
-    def test_theta_norm_identity(self):
-        spec = validate((1, 2), [[3, 2], [0, 4], [1, 1]])
-        gen = np.random.default_rng(7)
-        for i in (1, 2, 3):
-            point = []
-            for nj in spec.block_sizes:
-                v = gen.standard_normal(nj + 1)
-                point.append(v / np.linalg.norm(v))
-            assert theta_norm_sq(spec, i, point) == pytest.approx(1.0, rel=1e-10)
 
 
 class TestUnivariateCounting:
@@ -405,26 +383,30 @@ class TestBilinearCounting:
 
 class TestRotationInvariance:
     def test_univariate_counts_preserved(self):
+        # f(R (x, y)): a product of binary forms convolves their coefficients
         gen = np.random.default_rng(16)
         for idx in range(200):
             sample = sample_system(UNI4, seed=17, index=idx)
             base = count_real_roots(sample)[0]
-            rotated = rotate_sample(sample, [_rotation(float(gen.uniform(0, math.pi)))])
-            assert count_real_roots(rotated)[0] == base
+            rot = _rotation(float(gen.uniform(0, math.pi)))
+            (coeffs,) = sample.coefficients
+            rotated = np.zeros_like(coeffs)
+            for t, c in enumerate(coeffs):
+                term = [c]
+                for row in [rot[0]] * (len(coeffs) - 1 - t) + [rot[1]] * t:
+                    term = np.convolve(term, row)
+                rotated += term
+            assert count_real_roots(SystemSample(UNI4, [rotated]))[0] == base
 
     def test_bilinear_counts_preserved(self):
+        # equation i is x^T M_i y with M_i its coefficients as a 2 x 2 matrix
         gen = np.random.default_rng(18)
         for idx in range(200):
             sample = sample_system(BILINEAR, seed=19, index=idx)
             base = count_real_roots(sample)[0]
-            rotated = rotate_sample(
-                sample,
-                [
-                    _rotation(float(gen.uniform(0, math.pi))),
-                    _rotation(float(gen.uniform(0, math.pi))),
-                ],
-            )
-            assert count_real_roots(rotated)[0] == base
+            r1, r2 = (_rotation(float(gen.uniform(0, math.pi))) for _ in range(2))
+            rotated = [(r1.T @ c.reshape(2, 2) @ r2).ravel() for c in sample.coefficients]
+            assert count_real_roots(SystemSample(BILINEAR, rotated))[0] == base
 
 
 class TestFamilies:

@@ -1,7 +1,9 @@
 """Structured-matrix sampling and the |det| Monte Carlo estimator."""
 
+import concurrent.futures
 import itertools
 import math
+import os
 import sys
 
 import numpy as np
@@ -13,7 +15,6 @@ from mhroots.gaussian import (
     DET_CHUNK,
     abs_det_closed_standard,
     mc_abs_det,
-    minor_expansion_bounds,
     permanent_sandwich,
     sample_matrix,
     variance_profile,
@@ -116,6 +117,26 @@ class TestMonteCarlo:
         runs = [mc_abs_det(var, samples, seed=19, workers=w) for w in (1, 2, 8)]
         assert runs[0].mean == runs[1].mean == runs[2].mean
         assert runs[0].stderr == runs[1].stderr == runs[2].stderr
+
+    def test_pool_is_no_larger_than_the_tasks_or_the_cpus(self, monkeypatch):
+        # pool.map submits every task at once, and the pool starts a thread,
+        # each with its own working copy, per submit up to max_workers
+        var = variance_profile(game_shape((2,) * 4))
+        samples = 8 * gaussian._column_block(var).task_rows
+        serial = mc_abs_det(var, samples, seed=23)
+        real, sizes = concurrent.futures.ThreadPoolExecutor, []
+
+        def recording(max_workers):
+            sizes.append(max_workers)
+            return real(max_workers=2)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording)
+        for cpus in (3, 10_000):
+            affinity = set(range(cpus))
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+            est = mc_abs_det(var, samples, seed=23, workers=10_000)
+            assert (est.mean, est.stderr) == (serial.mean, serial.stderr)
+        assert sizes == [3, 8]
 
     def test_sample_matrix_replays_the_estimator_draw(self, monkeypatch):
         # every column is distinct, so column 0 is integrated out: a sample
@@ -742,24 +763,6 @@ class TestOrthogonalInvariance:
 
 
 class TestMinorExpansion:
-    def test_base_case_collapses(self):
-        upper, lower = minor_expansion_bounds(np.array([[4.0]]), 1, [1.0])
-        expected = math.sqrt(2 / math.pi) * 2.0
-        assert upper == pytest.approx(expected)
-        assert lower == pytest.approx(expected)
-
-    def test_all_ones_two_by_two(self):
-        minor = math.sqrt(2 / math.pi)  # mean |N(0,1)|
-        upper, lower = minor_expansion_bounds(np.ones((2, 2)), 1, [minor, minor])
-        assert upper == pytest.approx(4 / math.pi)
-        assert lower == pytest.approx((2 / math.pi) * math.sqrt(2))
-        assert upper >= 1.0 >= lower  # true mean is 1
-
-    def test_single_nonzero_per_row_is_tight(self):
-        var = np.array([[2.0, 0.0], [0.0, 3.0]])
-        upper, lower = minor_expansion_bounds(var, 1, [math.sqrt(2 / math.pi), 0.0])
-        assert upper == pytest.approx(lower)
-
     def test_permanent_sandwich_values(self):
         upper, lower = permanent_sandwich(np.ones((2, 2)))
         assert upper == pytest.approx(4 / math.pi)
@@ -783,9 +786,8 @@ class TestNonFiniteProfiles:
             lambda var: mc_abs_det(var, 1024, seed=1),
             lambda var: sample_matrix(var, seed=1),
             permanent_sandwich,
-            lambda var: minor_expansion_bounds(var, 1, [1.0, 1.0]),
         ],
-        ids=["mc_abs_det", "sample_matrix", "permanent_sandwich", "minor_expansion_bounds"],
+        ids=["mc_abs_det", "sample_matrix", "permanent_sandwich"],
     )
     def test_rejected_naming_the_entry(self, entry_point, bad):
         var = np.ones((2, 2))

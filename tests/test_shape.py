@@ -11,11 +11,9 @@ from mhroots.shape import (
     DimensionMismatchError,
     EmptyShapeError,
     ExponentVector,
-    IndexOutOfRangeError,
     NegativeDegreeError,
     ShapeError,
     SupportTooLargeError,
-    block_of,
     enumerate_support,
     expand_delta,
     from_json,
@@ -113,30 +111,6 @@ class TestValidate:
     def test_json_round_trip(self):
         spec = validate((1, 1), [[1, 2], [2, 1]])
         assert from_json(spec.to_json()) == spec
-
-
-class TestBlockOf:
-    def test_examples(self):
-        spec = validate((2, 3), [[0, 0]] * 5)
-        assert block_of(spec, 2) == 1
-        assert block_of(spec, 3) == 2
-        spec2 = validate((1, 1), [[0, 0]] * 2)
-        assert block_of(spec2, 2) == 2
-
-    def test_out_of_range(self):
-        spec = validate((1,), [[1]])
-        with pytest.raises(IndexOutOfRangeError):
-            block_of(spec, 0)
-        with pytest.raises(IndexOutOfRangeError):
-            block_of(spec, 2)
-
-    def test_counts_invert_block_sizes(self):
-        for t in range(25):
-            spec = random_shape(101, t)
-            counts = [0] * spec.k
-            for i in range(1, spec.n + 1):
-                counts[block_of(spec, i) - 1] += 1
-            assert tuple(counts) == spec.block_sizes
 
 
 class TestGameShape:

@@ -1,4 +1,4 @@
-"""Half-integer gamma, sphere volumes, chi means: exact values and oracles."""
+"""Half-integer gamma and the elliptic integral E(m): exact values and oracles."""
 
 import math
 from fractions import Fraction
@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mhroots.specialfn import chi_mean, ellipe, gamma_half, log_gamma_half, sphere_volume
+from mhroots.specialfn import ellipe, gamma_half, log_gamma_half
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -49,34 +49,6 @@ def test_gamma_overflow_signalling():
 def test_gamma_rejects_nonpositive():
     with pytest.raises(ValueError):
         gamma_half(0)
-
-
-def test_sphere_volumes():
-    assert sphere_volume(1) == pytest.approx(2.0, rel=1e-15)
-    assert sphere_volume(2) == pytest.approx(2 * math.pi, rel=1e-15)
-    assert sphere_volume(3) == pytest.approx(4 * math.pi, rel=1e-15)
-
-
-def test_chi_mean_small_dimensions():
-    assert chi_mean(1) == pytest.approx(math.sqrt(2 / math.pi), rel=1e-15)
-    assert chi_mean(2) == pytest.approx(math.sqrt(math.pi / 2), rel=1e-15)
-    assert chi_mean(3) == pytest.approx(2 * math.sqrt(2 / math.pi), rel=1e-15)
-
-
-def test_chi_mean_jensen_bound_and_monotone_ratio():
-    ratios = [chi_mean(m) / math.sqrt(m) for m in range(1, 101)]
-    assert all(r < 1.0 for r in ratios)
-    assert all(b > a for a, b in zip(ratios, ratios[1:]))
-    assert ratios[-1] > 0.99
-
-
-@pytest.mark.parametrize("m", [1, 2, 3, 5, 10])
-def test_chi_mean_monte_carlo(m):
-    # independent oracle stream: numpy's own generator, not the package RNG
-    rng = np.random.default_rng(900 + m)
-    norms = np.linalg.norm(rng.standard_normal((1_000_000, m)), axis=1)
-    stderr = norms.std(ddof=1) / math.sqrt(norms.size)
-    assert abs(norms.mean() - chi_mean(m)) <= 4 * stderr
 
 
 def test_ellipe_against_scipy():

@@ -118,12 +118,14 @@ def _table_plan(sizes: tuple[int, ...]) -> tuple[int, tuple[np.ndarray, ...]]:
     index = np.empty(layer.size, np.intp)
     index[order] = np.arange(layer.size)
     index = index.reshape(layer.shape)
-    pull = np.empty((len(sizes),) + layer.shape, np.intp)
-    for j, block in enumerate(pull):
-        block = np.moveaxis(block, j, 0)
+    # each block's map is built on the grid, then gathered into layer order
+    pull = np.empty((len(sizes), layer.size), np.intp)
+    grid = np.empty(layer.shape, np.intp)
+    for j, row in enumerate(pull):
+        block = np.moveaxis(grid, j, 0)
         block[0] = layer.size
         block[1:] = np.moveaxis(index, j, 0)[:-1]
-    pull = pull.reshape(len(sizes), -1)[:, order]
+        np.take(grid.reshape(-1), order, out=row)
     pull.flags.writeable = False  # shared by every caller through the cache
     stops = np.cumsum(np.bincount(layer.ravel()))
     return layer.size, tuple(pull[:, a:b] for a, b in zip(stops[:-1], stops[1:]))

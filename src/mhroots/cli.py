@@ -32,7 +32,9 @@ from .empirical import (
     INFINITY_TOL,
     UnsupportedFamilyError,
     count_mean,
-    sample_counts,
+    count_pieces,
+    fold_counts,
+    sample_counts,  # noqa: F401  perfbench/tracing.py wraps mhroots.cli.sample_counts by name
 )
 from .expectation import (
     STDERR_MULT,
@@ -257,21 +259,24 @@ def cmd_mc_det(args):
 def cmd_simulate(args):
     spec = _load_shape(args.shape)
     with _open_dump(args.dump) as dump:
-        counts, flags = sample_counts(spec, args.samples, args.seed, tau=args.tau_imag)
-        est = count_mean(counts, args.seed)
+        pieces = count_pieces(spec, args.samples, args.seed, tau=args.tau_imag)
+        rows = csv.writer(dump) if dump else None
+        if rows:
+            rows.writerow(["sample", "root_count", "flags"])
+        moments, flagged = (0, 0, 0), 0
+        # one piece held at a time: its rows are dumped as they are counted
+        for start, counts, flags in pieces:
+            moments = fold_counts(moments, counts)
+            flagged += len(flags)
+            if rows:
+                rows.writerows(
+                    (start + i, c, "|".join(flags.get(i, ()))) for i, c in enumerate(counts.tolist())
+                )
         results = {
-            "mean_roots": _mc_json(est),
-            "flagged_samples": len(flags),
+            "mean_roots": _mc_json(count_mean(moments, args.seed)),
+            "flagged_samples": flagged,
         }
         if dump:
-            _write_csv(
-                dump,
-                ["sample", "root_count", "flags"],
-                (
-                    (i, int(counts[i]), "|".join(flags.get(i, ())))
-                    for i in range(args.samples)
-                ),
-            )
             results["dump"] = args.dump
     return spec, results, EXIT_OK
 

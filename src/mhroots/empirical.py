@@ -15,16 +15,23 @@ comes too close to a vanishing leading coefficient (near-multiple roots,
 nearly real complex pairs) and rows with a root at infinity are counted by
 companion-matrix eigenvalues.  ``_count`` reduces and counts one batch of
 systems, multiplies the counts of a shape's components and merges their
-flags.  ``sample_counts`` draws and counts STURM_CHUNK systems at a time,
-the one batching layer, and ``count_real_roots`` counts a single system as
-a one-row batch.
+flags.  ``count_pieces`` draws and counts STURM_CHUNK systems at a time,
+the one piece loop, with one workspace for all its pieces: so a pass
+allocates no piece-sized array, and its speed does not depend on what the
+C heap held before.  Its callers hold one piece at a time whatever the
+number of samples: ``empirical_expectation`` and ``mhroots simulate`` fold
+each piece into exact integer moments (``fold_counts``), and only
+``sample_counts``, the per-sample API, keeps every count.
+``count_real_roots`` counts a single system as a one-row batch.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -91,7 +98,32 @@ def sample_system(spec: ShapeSpec, seed: int, index: int = 0) -> SystemSample:
 # the real-root counter of binary forms, over batches of coefficient rows
 
 
-def _count_univariate(coeffs: np.ndarray, tau: float = IMAG_TOL, bins: int = 0):
+class _Workspace:
+    """Named buffers that every pass of one counting call reuses.
+
+    ``take`` returns a C-contiguous view of the named buffer, which is
+    allocated on first use and grows only when a later view does not fit;
+    a call's pieces have at most as many rows as its first.  Every pass
+    writes its piece-sized arrays here with ``out=``, so a call allocates
+    them once: fresh ones of about a megabyte per pass would come and go
+    through mmap or a trimmed heap top, and the pass would run at a speed
+    set by glibc's heap thresholds, which earlier large arrays raise.
+    """
+
+    def __init__(self):
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def take(self, name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < size:
+            buf = self._buffers[name] = np.empty(size, dtype=dtype)
+        return buf[:size].reshape(shape)
+
+
+def _count_univariate(
+    coeffs: np.ndarray, tau: float = IMAG_TOL, bins: int = 0, work: _Workspace | None = None
+):
     """Real projective root counts of binary forms, one per (N, d+1) row.
 
     Coefficients are ordered from the highest power of the first coordinate
@@ -102,19 +134,32 @@ def _count_univariate(coeffs: np.ndarray, tau: float = IMAG_TOL, bins: int = 0):
     it is unsure of, and rows with vanishing leading coefficients, go
     through ``_eig_count`` and keep its flags.  Every row is counted in one
     pass, so callers hand over at most STURM_CHUNK rows at a time (fewer
-    with bins: ``uniformity_check``).
+    with bins: ``uniformity_check``).  The pass runs in ``work`` (a fresh
+    workspace when None), and the counts it returns are a view of it.
     """
+    work = _Workspace() if work is None else work
     c = np.asarray(coeffs, dtype=np.float64)
+    rows, width = c.shape
     # one coefficient per row of p: reducing across rows is fast, along them is not
-    p = np.ascontiguousarray(c.T)
-    scale = np.max(np.abs(p), axis=0)
+    p = work.take("p", (width, rows))
+    np.copyto(p, c.T)
+    scale = work.take("scale", (rows,))
+    np.max(np.abs(p, out=work.take("scratch", (width, rows))), axis=0, out=scale)
     if np.any(scale == 0.0):
         raise ZeroPolynomialError("all coefficients are zero")
-    if c.shape[1] == 1:
+    if width == 1:
         # constant equations never vanish (almost surely): zero roots
-        return np.zeros(c.shape[0], dtype=np.int64), {}, np.zeros(bins, dtype=np.int64)
-    infinity = np.abs(p[0]) < INFINITY_TOL * scale
-    sure, counts, binned = _sturm_count(p / scale, ~infinity, tau, bins)
+        return np.zeros(rows, dtype=np.int64), {}, np.zeros(bins, dtype=np.int64)
+    # a vanishing leading coefficient: a root at infinity, never sure
+    sure = work.take("sure", (rows,), bool)
+    np.less(
+        np.abs(p[0], out=work.take("lead", (rows,))),
+        np.multiply(INFINITY_TOL, scale, out=work.take("q", (rows,))),
+        out=sure,
+    )
+    np.logical_not(sure, out=sure)
+    p /= scale
+    counts, binned = _sturm_count(p, sure, tau, bins, work)
     flag_rows: dict[int, tuple[str, ...]] = {}
     idx = np.nonzero(~sure)[0]
     if idx.size:
@@ -125,72 +170,90 @@ def _count_univariate(coeffs: np.ndarray, tau: float = IMAG_TOL, bins: int = 0):
     return counts, flag_rows, binned
 
 
-def _sturm_count(p: np.ndarray, sure: np.ndarray, tau: float, bins: int):
+def _sturm_count(p: np.ndarray, sure: np.ndarray, tau: float, bins: int, work: _Workspace):
     """Real root counts of the polynomials in the columns of p, (d+1, N)
     with d >= 1, from sign variations of their Sturm chains.
 
     Column r holds the coefficients of p_r(t), highest power first, scaled
-    to max-abs 1; only the columns marked in ``sure`` can stay sure.  The
-    chain runs p, p', then the negated remainders of dividing each member
-    by the next, each rescaled to max-abs 1; only the last two members are
-    kept.  The count is V(-inf) - V(+inf), read from the signs of the
-    leading coefficients.  A column stays sure while every member's leading
-    coefficient exceeds ``tau`` on the unit scale, both before and after
-    its rescaling (so no column is sure at tau >= 1).
+    to max-abs 1; only the columns marked in ``sure`` can stay sure, and
+    ``sure`` is narrowed in place.  The chain runs p, p', then the negated
+    remainders of dividing each member by the next, each rescaled to
+    max-abs 1; only the last two members are kept, in ``p`` (overwritten)
+    and a buffer of ``work``.  The count is V(-inf) - V(+inf), read from
+    the signs of the leading coefficients.  A column stays sure while every
+    member's leading coefficient exceeds ``tau`` on the unit scale, both
+    before and after its rescaling (so no column is sure at tau >= 1).
 
-    Returns (sure, counts, binned): binned sums V(cot theta_{k+1}) -
+    Returns (counts, binned): binned sums V(cot theta_{k+1}) -
     V(cot theta_k) over the sure columns, the roots whose angle
     arctan2(1, t) lies in [theta_k, theta_{k+1}), for ``bins`` equal bins
     of [0, pi).
     """
-    d = p.shape[0] - 1
-    sure = sure & (np.abs(p[0]) > tau)
-    neg = p[0] < 0
-    changes = np.zeros(p.shape[1], dtype=np.int64)
+    d, rows = p.shape[0] - 1, p.shape[1]
+    scale, q, lead = (work.take(name, (rows,)) for name in ("scale", "q", "lead"))
+    neg, b_neg, mask = (work.take(name, (rows,), bool) for name in ("neg", "b_neg", "mask"))
+    sure &= np.greater(np.abs(p[0], out=lead), tau, out=mask)
+    np.less(p[0], 0, out=neg)
+    changes = work.take("changes", (rows,), np.int64)
+    changes[...] = 0
     if bins:
         theta = np.linspace(0.0, math.pi, bins + 1)[1:-1]
         edges = (np.cos(theta) / np.sin(theta))[:, None]
-        edge_neg = _horner(p, edges) < 0
-        edge_changes = np.zeros(edge_neg.shape, dtype=np.int64)
+        values = work.take("edge_values", (bins - 1, rows))
+        edge_neg, edge_b_neg, edge_mask = (
+            work.take(name, (bins - 1, rows), bool) for name in ("edge_neg", "edge_b_neg", "edge_mask")
+        )
+        np.less(_horner(p, edges, values), 0, out=edge_neg)
+        edge_changes = work.take("edge_changes", (bins - 1, rows), np.int64)
+        edge_changes[...] = 0
     a = p
-    b = p[:-1] * np.arange(d, 0, -1, dtype=np.float64)[:, None]
+    b = np.multiply(p[:-1], np.arange(d, 0, -1, dtype=np.float64)[:, None], out=work.take("b", (d, rows)))
+    # holds |b|, then the quotient step's a - q1 b
+    scratch = work.take("scratch", (d, rows))
     # unsure columns may overflow or divide by zero; their results are dropped
     with np.errstate(all="ignore"):
         while True:
-            scale = np.max(np.abs(b), axis=0)
-            sure &= np.abs(b[0]) > tau * np.maximum(scale, 1.0)
+            np.max(np.abs(b, out=scratch[: len(b)]), axis=0, out=scale)
+            np.maximum(scale, 1.0, out=q)
+            q *= tau
+            sure &= np.greater(np.abs(b[0], out=lead), q, out=mask)
             b /= scale
-            b_neg = b[0] < 0
-            changes += b_neg != neg
-            neg = b_neg
+            np.less(b[0], 0, out=b_neg)
+            changes += np.not_equal(b_neg, neg, out=mask)
+            neg, b_neg = b_neg, neg
             if bins:
-                b_edge_neg = _horner(b, edges) < 0
-                edge_changes += b_edge_neg != edge_neg
-                edge_neg = b_edge_neg
+                np.less(_horner(b, edges, values), 0, out=edge_b_neg)
+                edge_changes += np.not_equal(edge_b_neg, edge_neg, out=edge_mask)
+                edge_neg, edge_b_neg = edge_b_neg, edge_neg
             if b.shape[0] == 1:
                 break
-            # a - (q1 t + q0) b, negated: two multiply-adds per coefficient
+            # a - (q1 t + q0) b, negated: two multiply-adds per coefficient;
+            # the remainder takes the rows of a that no later step reads
             tail = b[1:]
-            q1 = a[0] / b[0]
-            top = a[1:-1] - q1 * tail
-            q0 = top[0] / b[0]
-            rem = q0 * tail
+            np.divide(a[0], b[0], out=q)
+            top = np.multiply(q, tail, out=scratch[: len(tail)])
+            np.subtract(a[1:-1], top, out=top)
+            np.divide(top[0], b[0], out=q)
+            rem = np.multiply(q, tail, out=a[: len(tail)])
             rem[:-1] -= top[1:]
             rem[-1] -= a[-1]
             a, b = b, rem
-    counts = d - 2 * changes
-    if not bins:
-        return sure, counts, np.zeros(0, dtype=np.int64)
-    # V at +inf, at the interior edges (decreasing), and at -inf
-    variations = np.concatenate(
-        [[changes[sure].sum()], edge_changes[:, sure].sum(axis=1), [(d - changes[sure]).sum()]]
-    )
-    return sure, counts, np.diff(variations)
+    binned = np.zeros(0, dtype=np.int64)
+    if bins:
+        # V at +inf, at the interior edges (decreasing), and at -inf
+        inside = int(changes.sum(where=sure))
+        at_edges = edge_changes.sum(axis=1, where=sure).tolist()
+        binned = np.diff([inside, *at_edges, d * int(np.count_nonzero(sure)) - inside])
+    # the counts d - 2 * changes, in place
+    changes *= -2
+    changes += d
+    return changes, binned
 
 
-def _horner(p: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Values (len(x), N) of the polynomials in the columns of p at x, a column."""
-    out = np.broadcast_to(p[0], (x.shape[0], p.shape[1])).copy()
+def _horner(p: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Values (len(x), N) of the polynomials in the columns of p at x, a
+    column, written to ``out``."""
+    out[...] = p[0]
     for coeff in p[1:]:
         out *= x
         out += coeff
@@ -250,7 +313,7 @@ def _eig_count(c: np.ndarray, tau: float, want_angles: bool = False):
     return counts, flag_rows, all_angles
 
 
-def _bilinear_quadratic(e1: np.ndarray, e2: np.ndarray) -> np.ndarray:
+def _bilinear_quadratic(e1: np.ndarray, e2: np.ndarray, work: _Workspace | None = None) -> np.ndarray:
     """(N, 3) coefficient rows of the elimination quadratics of bilinear
     pairs, from the (N, 4) coefficient rows of the two equations.
 
@@ -258,19 +321,22 @@ def _bilinear_quadratic(e1: np.ndarray, e2: np.ndarray) -> np.ndarray:
     2x2 matrix.  A root's first block y1 makes the rows y1' M_1 and y1' M_2
     dependent, so eliminating the second block leaves the binary form
     det [y1' M_1; y1' M_2] in y1, whose real projective roots biject with
-    the system's.
+    the system's.  The rows are a view of ``work`` (a fresh workspace when
+    None).
     """
+    work = _Workspace() if work is None else work
     m1, m2 = e1.reshape(-1, 2, 2), e2.reshape(-1, 2, 2)
     # filled one coefficient at a time, as the transpose ``_count_univariate`` reads
-    q = np.empty((3, m1.shape[0]))
-    q[0] = m1[:, 0, 0] * m2[:, 0, 1] - m1[:, 0, 1] * m2[:, 0, 0]
-    q[1] = (
-        m1[:, 0, 0] * m2[:, 1, 1]
-        + m1[:, 1, 0] * m2[:, 0, 1]
-        - m1[:, 0, 1] * m2[:, 1, 0]
-        - m1[:, 1, 1] * m2[:, 0, 0]
-    )
-    q[2] = m1[:, 1, 0] * m2[:, 1, 1] - m1[:, 1, 1] * m2[:, 1, 0]
+    q = work.take("forms", (3, m1.shape[0]))
+    term = work.take("term", (m1.shape[0],))
+    np.multiply(m1[:, 0, 0], m2[:, 0, 1], out=q[0])
+    q[0] -= np.multiply(m1[:, 0, 1], m2[:, 0, 0], out=term)
+    np.multiply(m1[:, 0, 0], m2[:, 1, 1], out=q[1])
+    q[1] += np.multiply(m1[:, 1, 0], m2[:, 0, 1], out=term)
+    q[1] -= np.multiply(m1[:, 0, 1], m2[:, 1, 0], out=term)
+    q[1] -= np.multiply(m1[:, 1, 1], m2[:, 0, 0], out=term)
+    np.multiply(m1[:, 1, 0], m2[:, 1, 1], out=q[2])
+    q[2] -= np.multiply(m1[:, 1, 1], m2[:, 1, 0], out=term)
     return q.T
 
 
@@ -328,22 +394,29 @@ def _counted_components(spec: ShapeSpec) -> list[_Component]:
     return [c for c in comps if c.kind != "null"]
 
 
-def _count(comps: list[_Component], coeffs: list[np.ndarray], tau: float, out: np.ndarray):
+def _count(
+    comps: list[_Component],
+    coeffs: list[np.ndarray],
+    tau: float,
+    out: np.ndarray,
+    work: _Workspace | None = None,
+):
     """Multiply the component counts of a batch of systems into ``out``, one
     entry per system, and return the components' flags merged per row.
 
     ``coeffs[i]`` holds the (N, size_i) coefficient rows of equation i; its
     callers pass at most STURM_CHUNK systems.  Each component becomes one
-    binary form per system, counted by ``_count_univariate``: a univariate
-    equation is its own form, a bilinear pair its elimination quadratic.  A
-    zero_row equation is a width-1 row, which counts 0; with no components
-    ``out`` keeps its empty product.
+    binary form per system, counted by ``_count_univariate`` in ``work``: a
+    univariate equation is its own form, a bilinear pair its elimination
+    quadratic.  A zero_row equation is a width-1 row, which counts 0; with
+    no components ``out`` keeps its empty product.
     """
+    work = _Workspace() if work is None else work
     flags: dict[int, tuple[str, ...]] = {}
     for comp in comps:
         eqs = [coeffs[i] for i in comp.rows]
-        forms = _bilinear_quadratic(*eqs) if comp.kind == "bilinear" else eqs[0]
-        part, part_flags, _ = _count_univariate(forms, tau)
+        forms = _bilinear_quadratic(*eqs, work) if comp.kind == "bilinear" else eqs[0]
+        part, part_flags, _ = _count_univariate(forms, tau, work=work)
         out *= part
         for i, fl in part_flags.items():
             flags[i] = flags.get(i, ()) + fl
@@ -363,55 +436,92 @@ def count_real_roots(sample: SystemSample, tau: float = IMAG_TOL) -> tuple[int, 
     return int(counts[0]), row_flags
 
 
+def count_pieces(
+    spec: ShapeSpec, samples: int, seed: int, tau: float = IMAG_TOL
+) -> Iterator[tuple[int, np.ndarray, dict[int, tuple[str, ...]]]]:
+    """Real root counts of the systems at stream rows 0..samples-1, a piece
+    at a time: yields (start, counts, flags) in stream order, where counts
+    holds rows start.. and flags maps a row's offset in the piece to its
+    boundary-event labels.
+
+    A piece is STURM_CHUNK rows (fewer where rng.PIECE_ELEMENTS binds, and
+    the last may be shorter), counted by one ``_count`` call in the one
+    workspace of this call.  Rows are a pure function of (seed, row), so
+    counts and flags do not depend on the partition.  A degree-zero
+    equation makes every count 0 (a constant equation almost surely has no
+    roots), and nothing is drawn; other unsupported components raise
+    UnsupportedFamilyError, at once, before any piece.
+    """
+    comps = _counted_components(spec)
+    if comps and comps[0].kind == "zero_row":
+        # known without drawing: the rest of the shape's supports may be huge
+        zeros = np.zeros(min(samples, STURM_CHUNK), dtype=np.int64)
+        return ((start, zeros[: samples - start], {}) for start in range(0, samples, STURM_CHUNK))
+    return _counted_pieces(comps, spec, samples, seed, tau)
+
+
+def _counted_pieces(comps, spec, samples, seed, tau):
+    """The pieces of ``count_pieces`` for countable components ``comps``."""
+    offsets, sigma = _coefficient_layout(spec)
+    work = _Workspace()
+    start = 0
+    for z in rng.normal_pieces(seed, 0, samples, int(offsets[-1]), STURM_CHUNK):
+        counts = np.ones(z.shape[0], dtype=np.int64)
+        flags = _count(comps, _equations(z, offsets, sigma), tau, counts, work)
+        yield start, counts, flags
+        start += z.shape[0]
+
+
 def sample_counts(
     spec: ShapeSpec, samples: int, seed: int, tau: float = IMAG_TOL
 ) -> tuple[np.ndarray, dict[int, tuple[str, ...]]]:
     """Per-sample real root counts for shapes in the countable families.
 
     Returns (counts, flags) where flags maps sample index to boundary-event
-    labels.  A degree-zero equation makes every count 0 (a constant equation
-    almost surely has no roots); other unsupported components raise
-    UnsupportedFamilyError.
-
-    The coefficients are drawn STURM_CHUNK systems at a time (fewer where
-    rng.PIECE_ELEMENTS binds), one ``_count`` call per piece (0.5 MB for a
-    bilinear pair, 0.85 MB for a degree-12 form): a small block that numpy
-    keeps for reuse can land on the C heap above a freed multi-megabyte
-    batch and stop the heap from shrinking, which made peak memory depend on
-    the heap's layout.  Rows are a pure function of (seed, row), so counts
-    and flags do not depend on the partition.
+    labels: the pieces of ``count_pieces`` laid end to end, so the one
+    array of ``samples`` counts is the only memory that grows with them.
+    Raises UnsupportedFamilyError as ``count_pieces`` does.
     """
-    comps = _counted_components(spec)
-    if comps and comps[0].kind == "zero_row":
-        # known without drawing: the rest of the shape's supports may be huge
-        return np.zeros(samples, dtype=np.int64), {}
-    counts = np.ones(samples, dtype=np.int64)
+    counts = np.empty(samples, dtype=np.int64)
     flags: dict[int, tuple[str, ...]] = {}
-    offsets, sigma = _coefficient_layout(spec)
-    start = 0
-    for z in rng.normal_pieces(seed, 0, samples, int(offsets[-1]), STURM_CHUNK):
-        size = z.shape[0]
-        batch_flags = _count(comps, _equations(z, offsets, sigma), tau, counts[start : start + size])
-        for i, fl in batch_flags.items():
-            flags[start + i] = fl
-        start += size
+    for start, piece, piece_flags in count_pieces(spec, samples, seed, tau):
+        counts[start : start + piece.shape[0]] = piece
+        flags.update((start + i, fl) for i, fl in piece_flags.items())
     return counts, flags
 
 
-def count_mean(counts: np.ndarray, seed: int, elapsed: float = 0.0) -> MCEstimate:
-    """Mean root count of the per-sample ``counts`` (at least two) with its
-    standard error."""
-    samples = counts.shape[0]
-    var = float(counts.var(ddof=1))
-    return MCEstimate(float(counts.mean()), math.sqrt(var / samples), samples, seed, elapsed)
+def fold_counts(moments: tuple[int, int, int], counts: np.ndarray) -> tuple[int, int, int]:
+    """``moments`` (n, sum of counts, sum of squared counts) with the
+    nonnegative ``counts`` added, in Python integers: exact at any number
+    of samples.  The int64 sums serve while they cannot overflow."""
+    n, total, squares = moments
+    top = int(counts.max(initial=0))
+    if top * top * counts.size < 1 << 63:
+        return n + counts.size, total + int(counts.sum()), squares + int(np.dot(counts, counts))
+    values = counts.tolist()
+    return n + len(values), total + sum(values), squares + sum(c * c for c in values)
+
+
+def count_mean(moments: tuple[int, int, int], seed: int, elapsed: float = 0.0) -> MCEstimate:
+    """Mean root count, with its standard error, from the exact moments
+    (n, sum of counts, sum of squared counts) of at least two samples
+    (``fold_counts``).  The mean is the correctly rounded quotient, the
+    sample variance the exact rational (n sum c^2 - (sum c)^2) / (n (n - 1))."""
+    samples, total, squares = moments
+    var = Fraction(samples * squares - total * total, samples * (samples - 1))
+    return MCEstimate(total / samples, math.sqrt(var / samples), samples, seed, elapsed)
 
 
 def empirical_expectation(spec: ShapeSpec, samples: int, seed: int) -> MCEstimate:
-    """Monte Carlo mean real-root count over actual sampled systems."""
+    """Monte Carlo mean real-root count over actual sampled systems, folded
+    a piece at a time (``count_pieces``): memory does not grow with
+    ``samples``."""
     check_samples(samples)
     t0 = time.perf_counter()
-    counts, _ = sample_counts(spec, samples, seed)
-    return count_mean(counts, seed, time.perf_counter() - t0)
+    moments = (0, 0, 0)
+    for _, counts, _ in count_pieces(spec, samples, seed):
+        moments = fold_counts(moments, counts)
+    return count_mean(moments, seed, time.perf_counter() - t0)
 
 
 @dataclass(frozen=True)
@@ -452,9 +562,10 @@ def uniformity_check(
     counts = np.zeros(bins, dtype=np.int64)
     # a pass keeps bins - 1 sign-variation counts per row: 8 x STURM_CHUNK at most
     rows = max(1, STURM_CHUNK * 8 // max(bins, 8))
+    work = _Workspace()
     for coeffs in rng.normal_pieces(seed, 0, samples, d + 1, rows):
         coeffs *= sigma
-        counts += _count_univariate(coeffs, bins=bins)[2]
+        counts += _count_univariate(coeffs, bins=bins, work=work)[2]
     total = int(counts.sum())
     if total == 0:
         raise ValueError(f"no real root in {samples} samples: no statistic to test")

@@ -5,13 +5,14 @@ import importlib
 import json
 import math
 import time
+import tracemalloc
 
 import pytest
 
 from mhroots import cli, empirical, gaussian, rng
 from mhroots.bkk import _canonical
 from mhroots.cli import main
-from mhroots.shape import game_shape
+from mhroots.shape import game_shape, validate
 
 # The package re-exports the function ``expectation`` under the module's name.
 mx = importlib.import_module("mhroots.expectation")
@@ -29,6 +30,16 @@ def _write_shape(tmp_path, data, name="shape.json"):
     path = tmp_path / name
     path.write_text(data if isinstance(data, str) else json.dumps(data))
     return str(path)
+
+
+def _traced_peak(fn) -> int:
+    """Peak bytes that numpy and Python allocate while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def _run(capsys, argv):
@@ -161,6 +172,38 @@ class TestSimulateCommand:
         assert all(row[1] in {"0", "1", "2"} for row in rows[1:])
 
 
+    def test_simulate_holds_one_piece_at_a_time(self, tmp_path, capsys):
+        # a count per sample would take 16 MB at 1e6 samples
+        shape = _write_shape(tmp_path, BILINEAR)
+        assert _traced_peak(lambda: main(["simulate", shape, "--samples", "1000000"])) < 4 * 2**20
+        # and the dump is written as the pieces are counted: its peak does
+        # not grow with the pieces (8 bytes a sample would be 393 KB here)
+        peaks = []
+        for pieces in (2, 8):
+            argv = ["simulate", shape, "--samples", str(pieces * empirical.STURM_CHUNK),
+                    "--dump", str(tmp_path / f"counts-{pieces}.csv")]
+            peaks.append(_traced_peak(lambda: main(argv)))
+        capsys.readouterr()
+        assert peaks[1] - peaks[0] < 2**17
+
+    @pytest.mark.parametrize("data, tau", [(BILINEAR, "1e-8"), (QUARTIC, "1e-2")])
+    def test_dump_rows_are_the_sample_counts(self, tmp_path, capsys, data, tau):
+        # three pieces and a part; the quartic at tau 1e-2 flags a few rows
+        samples, dump = 3 * empirical.STURM_CHUNK + 5, tmp_path / "counts.csv"
+        argv = ["simulate", _write_shape(tmp_path, data), "--samples", str(samples), "--seed", "10",
+                "--tau-imag", tau, "--dump", str(dump)]
+        code, rep = _run(capsys, argv)
+        spec = validate(data["block_sizes"], data["degrees"])
+        counts, flags = empirical.sample_counts(spec, samples, 10, float(tau))
+        assert code == 0 and (len(flags) > 0) == (data is QUARTIC)
+        assert rep["results"]["mean_roots"]["mean"] == counts.mean()
+        assert rep["results"]["flagged_samples"] == len(flags)
+        want = [["sample", "root_count", "flags"]] + [
+            [str(i), str(c), "|".join(flags.get(i, ()))] for i, c in enumerate(counts.tolist())
+        ]
+        with open(dump, newline="") as fh:
+            assert list(csv.reader(fh)) == want
+
     def test_single_draw_reports_dumped_counts_at_tau(self, tmp_path, capsys):
         # with an imaginary-part tolerance of 1e3 every root of a quartic
         # counts as real, so each sample reports exactly 4 roots
@@ -283,7 +326,7 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv, work",
         [
-            (["simulate", "SHAPE", "--samples", "1000000"], "sample_counts"),
+            (["simulate", "SHAPE", "--samples", "1000000"], "count_pieces"),
             (["verify", "--count", "100", "--samples", "100000"], "_verify_checks"),
         ],
     )

@@ -1,6 +1,7 @@
 """Ground-truth root counting: samplers, counters, uniformity, invariance."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,14 +20,18 @@ from mhroots.empirical import (
     _count_univariate,
     _decompose,
     _equations,
+    _Workspace,
+    count_mean,
+    count_pieces,
     count_real_roots,
     empirical_expectation,
+    fold_counts,
     sample_counts,
     sample_system,
     uniformity_check,
 )
 from mhroots.gaussian import SampleCountError
-from mhroots.shape import enumerate_support, support_variances, validate
+from mhroots.shape import enumerate_support, game_shape, support_variances, validate
 
 UNI2 = validate((1,), [[2]])
 UNI4 = validate((1,), [[4]])
@@ -161,6 +166,103 @@ class TestSampling:
         monkeypatch.setattr(rng, "normal_pieces", recording)
         sample_counts(BILINEAR, 3 * empirical.STURM_CHUNK + 7, seed=9)
         assert rows == [empirical.STURM_CHUNK] * 3 + [7]
+
+
+def _traced_peak(fn) -> int:
+    """Peak bytes that numpy and Python allocate while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestPieces:
+    """One piece loop: per-sample counts, exact moments, bounded memory."""
+
+    UNI_X_BILINEAR = validate((1, 1, 1), [[3, 0, 0], [0, 1, 1], [0, 1, 1]])
+
+    def test_pieces_laid_end_to_end_are_sample_counts(self):
+        samples = 2 * empirical.STURM_CHUNK + 5
+        counts, flags = sample_counts(self.UNI_X_BILINEAR, samples, seed=8)
+        pieces = list(count_pieces(self.UNI_X_BILINEAR, samples, seed=8))
+        assert [(start, len(c)) for start, c, _ in pieces] == [
+            (0, empirical.STURM_CHUNK), (empirical.STURM_CHUNK, empirical.STURM_CHUNK),
+            (2 * empirical.STURM_CHUNK, 5),
+        ]
+        assert np.array_equal(np.concatenate([c for _, c, _ in pieces]), counts)
+        assert {start + i: fl for start, _, f in pieces for i, fl in f.items()} == flags
+
+    def test_fold_is_exact_and_order_free(self):
+        counts, _ = sample_counts(UNI4, 20_000, seed=60)
+        whole = fold_counts((0, 0, 0), counts)
+        assert whole == (20_000, int(counts.sum()), int((counts * counts).sum()))
+        parts = (0, 0, 0)
+        for piece in np.array_split(counts, 7):
+            parts = fold_counts(parts, piece)
+        assert parts == whole
+
+    def test_fold_of_counts_whose_squares_pass_int64(self):
+        # 2**40 squared passes 2**63: the sums are taken in Python integers.
+        # Nine univariate equations of degree 60 give counts near 1e8, whose
+        # squares summed over one piece pass 2**63 too.
+        big = np.array([2**40, 3, 2**40 + 1, 0], dtype=np.int64)
+        want = [int(c) for c in big]
+        assert fold_counts((1, 2, 4), big) == (5, 2 + sum(want), 4 + sum(c * c for c in want))
+
+    def test_mean_is_the_per_sample_mean(self):
+        for spec, seed in ((UNI4, 61), (BILINEAR, 62), (validate((1,), [[12]]), 63)):
+            counts, _ = sample_counts(spec, 30_001, seed)
+            est = count_mean(fold_counts((0, 0, 0), counts), seed)
+            assert est.mean == counts.mean()
+            se = counts.std(ddof=1) / math.sqrt(counts.size)
+            assert est.stderr == pytest.approx(se, rel=1e-12)
+            other = empirical_expectation(spec, 30_001, seed)
+            assert (other.mean, other.stderr, other.samples) == (est.mean, est.stderr, 30_001)
+
+    def test_unsupported_shape_raises_before_any_piece(self):
+        with pytest.raises(UnsupportedFamilyError):
+            count_pieces(game_shape((1, 1, 1)), 100, seed=64)
+
+    def test_zero_row_pieces_draw_nothing(self, monkeypatch):
+        monkeypatch.setattr(rng, "normal_pieces", None)  # any draw would fail
+        samples = 3 * empirical.STURM_CHUNK + 1
+        spec = validate((3,), [[0], [400], [400]])
+        pieces = list(count_pieces(spec, samples, seed=65))
+        assert sum(len(c) for _, c, _ in pieces) == samples
+        assert all(not c.any() and f == {} for _, c, f in pieces)
+        est = empirical_expectation(spec, samples, seed=65)
+        assert (est.mean, est.stderr) == (0.0, 0.0)
+
+    def test_a_reused_workspace_gives_fresh_counts(self):
+        # one workspace across widths, batch sizes and bins
+        work = _Workspace()
+        for d, rows, bins in ((12, 4096, 0), (2, 5000, 0), (6, 1000, 10), (3, 4096, 0), (20, 300, 4)):
+            coeffs = _kostlan_rows(d, rows, seed=70 + d)
+            fresh = _count_univariate(coeffs, bins=bins)
+            reused = _count_univariate(coeffs, bins=bins, work=work)
+            assert np.array_equal(reused[0], fresh[0]) and reused[1] == fresh[1]
+            assert np.array_equal(reused[2], fresh[2])
+
+    def test_a_pass_allocates_no_piece_sized_array(self):
+        # the first pass sizes the workspace; the next ones allocate only
+        # row vectors (8 bytes per row), the eigenvalue rows and the flags
+        spec = validate((1,), [[12]])
+        comps = empirical._counted_components(spec)
+        rows = empirical.STURM_CHUNK
+        coeffs = _coefficient_batch(spec, 66, 0, rows)
+        work = _Workspace()
+        _count(comps, coeffs, IMAG_TOL, np.ones(rows, dtype=np.int64), work)
+        out = np.ones(rows, dtype=np.int64)
+        piece = 13 * rows * 8
+        assert _traced_peak(lambda: _count(comps, coeffs, IMAG_TOL, out, work)) < piece / 4
+
+    def test_memory_does_not_grow_with_samples(self):
+        # one piece held at a time: about 0.5 MB of draws for a bilinear
+        # pair, where a count per sample would take 16 MB at 1e6 samples
+        peak = _traced_peak(lambda: empirical_expectation(BILINEAR, 1_000_000, seed=67))
+        assert peak < 4 * 2**20
 
 
 class TestEvaluate:
@@ -447,8 +549,6 @@ class TestFamilies:
             count_real_roots(sample_system(spec, seed=25))
 
     def test_unsupported_three_block_game(self):
-        from mhroots.shape import game_shape
-
         with pytest.raises(UnsupportedFamilyError):
             empirical_expectation(game_shape((1, 1, 1)), 100, seed=26)
         with pytest.raises(UnsupportedFamilyError):

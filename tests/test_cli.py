@@ -135,6 +135,17 @@ class TestBoundsCommand:
         assert res["equality"] is False
         assert res["margin_upper"] > 0 and res["margin_lower"] > 0
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="Ryser in floats rounds the upper bound past mc_slack's 1e-9 "
+        "allowance from n = 16 on (ROADMAP item 2)",
+    )
+    def test_exact_shape_at_n18_keeps_its_bounds(self, tmp_path, capsys):
+        # closed form 1 and simply reducible; upper reads 0.99999999399
+        shape = {"block_sizes": [18], "degrees": [[1]] * 18}
+        code, _ = _run(capsys, ["bounds", _write_shape(tmp_path, shape)])
+        assert code == 0
+
 
 class TestMcDetCommand:
     def test_matches_library(self, tmp_path, capsys):

@@ -1,9 +1,13 @@
 """Permanents: fast paths against the brute-force oracle, plus the
 bipartite matching behind the zero test."""
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from mhroots import permanent
 from mhroots.permanent import (
     MatrixTooLargeError,
     _max_matching,
@@ -197,34 +201,45 @@ def _sequential_ryser(rows, zero, one):
     return total
 
 
-def _mixed_matrices(seed, count, n_max=12):
+def _mixed_matrices(seed, count, n_max=12, n_min=1):
     """Seeded square matrices with zeros and magnitudes from 1e-8 to 1e8."""
     rng = np.random.default_rng(seed)
     for _ in range(count):
-        n = int(rng.integers(1, n_max + 1))
+        n = int(rng.integers(n_min, n_max + 1))
         scale = 10.0 ** rng.uniform(-8, 8, size=(n, n))
         yield rng.random((n, n)) * scale * (rng.random((n, n)) > 0.3)
 
 
 class TestGrayKernel:
     def test_float_is_bitwise_the_sequential_loop(self):
-        for mat in _mixed_matrices(71, 200):
+        # the 2^13 and 2^14 steps of n = 13 and 14 span several chunks
+        assert 1 << 13 > permanent.RYSER_CHUNK
+        mats = itertools.chain(
+            _mixed_matrices(71, 200), _mixed_matrices(74, 4, n_max=14, n_min=13)
+        )
+        for mat in mats:
             expected = _sequential_ryser(mat.tolist(), 0.0, 1.0)
             assert np.float64(permanent_float(mat)).tobytes() == np.float64(expected).tobytes()
 
     def test_int_equals_the_sequential_loop(self):
         rng = np.random.default_rng(72)
-        for _ in range(200):
-            n = int(rng.integers(1, 13))
+
+        def check(n):
             mat = rng.integers(0, 6, size=(n, n)) * (rng.random((n, n)) > 0.3)
             big = mat * 10**12  # past int64 once multiplied out
             assert permanent_exact(mat) == _sequential_ryser(mat.tolist(), 0, 1)
             assert permanent_exact(big) == _sequential_ryser(big.tolist(), 0, 1)
 
-    @pytest.mark.parametrize("chunk", [2, 3, 16])
-    def test_chunk_boundaries_do_not_move_the_rounding(self, monkeypatch, chunk):
-        from mhroots import permanent
+        for _ in range(200):
+            check(int(rng.integers(1, 13)))
+        for n in (13, 14):  # past one chunk of the shipped RYSER_CHUNK
+            check(n)
 
+    # the kernel runs the largest power of two at most RYSER_CHUNK, so 3
+    # runs as 2; chunks of 4 to 32 put patched steps, at a chunk's start
+    # and middle, all through the 2^8 steps of n = 8
+    @pytest.mark.parametrize("chunk", [2, 3, 4, 16, 32])
+    def test_chunk_boundaries_do_not_move_the_rounding(self, monkeypatch, chunk):
         monkeypatch.setattr(permanent, "RYSER_CHUNK", chunk)
         for mat in _mixed_matrices(73, 20, n_max=8):
             expected = _sequential_ryser(mat.tolist(), 0.0, 1.0)
@@ -244,6 +259,20 @@ class TestGrayKernel:
 
         spec = validate((n // 2, n // 2), [[1, 2], [2, 4]] * (n // 2))
         assert bounds(spec).upper == upper
+
+    def test_working_memory_is_bounded_by_the_chunk(self):
+        # two (n, chunk) float64 tables, the row sums and their deltas, plus
+        # a few chunk-long vectors; nothing grows with the 2^n steps
+        n = 20
+        chunk = 1 << (permanent.RYSER_CHUNK.bit_length() - 1)
+        mat = np.random.default_rng(77).random((n, n))
+        tracemalloc.start()
+        try:
+            permanent_float(mat)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (2 * n + 8) * chunk
 
 
 class TestNonFiniteEntries:
